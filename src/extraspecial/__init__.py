@@ -46,7 +46,7 @@ from .forms import (
     regularize,
 )
 from .linalg import JordanStructure, Matrix, Subspace
-from .scalars import Field, Fp, scalar_arith
+from .scalars import Field, Fp
 from .serialize import parse_algebra, write_algebra
 
 __all__ = [
@@ -89,7 +89,6 @@ __all__ = [
     "parse_algebra",
     "parse_descriptor",
     "regularize",
-    "scalar_arith",
     "write_algebra",
     "z_star",
 ]

@@ -3,8 +3,9 @@
 Every command prints a single JSON object on stdout.  Exit codes separate
 "computed" from "failed": 0 means the computation ran (boolean answers live
 in the payload), 2 flags bad input, 3 flags an honest refusal over the base
-field, 4 flags an internal self-check failure, and `verify-theorems` exits
-1 when any row fails.
+field, 4 flags an internal self-check failure, 5 flags an unexpected error
+(its traceback goes to stderr), and `verify-theorems` exits 1 when any row
+fails.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ def _parse_field_flag(text: str) -> Field:
     if text.upper() == "Q":
         return Field.rationals()
     if text.upper().startswith("GF:"):
-        return Field.gf(int(text.split(":", 1)[1]))
+        try:
+            p = int(text.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"cannot parse field {text!r}; use Q or GF:p") from None
+        return Field.gf(p)
     raise InputError(f"cannot parse field {text!r}; use Q or GF:p")
 
 
@@ -365,6 +370,12 @@ def main(argv=None) -> int:
     except InternalCheckFailure as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
         return 4
+    except Exception as exc:  # a bug or a resource limit; never a bare traceback
+        import traceback  # imported here: it costs every process ~4 ms of start-up
+
+        traceback.print_exc(file=sys.stderr)
+        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
+        return 5
     print(json.dumps(payload, indent=2))
     return code
 

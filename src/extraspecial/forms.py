@@ -2,27 +2,28 @@
 
 An extra special algebra is determined by the bilinear form M with
 x_i x_j = M[i][j] z on a complement of the center, up to congruence
-M -> P^T M P.  Classification therefore reduces to congruence canonical
-forms:
+M -> P^T M P.  Classification therefore reduces to the congruence canonical
+blocks J_n, Gamma_n and H_2n(lambda) of Horn & Sergeichuk (LAA 2006), read
+straight from two congruence invariants:
 
-* singular canonical blocks of size n correspond to the chain algebras Jn;
-* the regular part is recognized through its cosquare M^(-T) M, whose
-  Jordan blocks map to Gamma_n (eigenvalue (-1)^(n+1)) and to H blocks
-  (eigenvalue pairs {mu, 1/mu}).
-
-Rather than carrying explicit congruence witnesses, the regularization
-works with congruence invariants and audits itself dimensionally:
-
-* invariant factors of the pencil M^T + t M give the regular cosquare data
-  (elementary divisor (t - t0)^e  <->  cosquare block (mu = -t0, size e))
-  and the even singular sizes (divisor t^k  <->  singular block 2k);
+* invariant factors of the pencil M^T + t M give the even singular sizes
+  (divisor t^k  <->  singular block J_2k) and the cosquare Jordan data of
+  the regular part (elementary divisor (t - t0)^e  <->  block (mu = -t0,
+  size e)); a block at mu = (-1)^(e+1) is Gamma_e (J1 when e = 1), and the
+  others pair up as {mu, 1/mu} into H_2e(mu);
 * kernel-preimage chains V1 = ker M, V_{s+1} = {v : Mv in M^T V_s} give the
   odd singular sizes: a singular block of size m contributes min(s, ceil(m/2))
   to dim V_s and regular blocks contribute nothing.
 
+These descriptors are the answer.  The pieces must tile the form exactly,
+so an internal disagreement raises instead of misclassifying.  The cosquare
+M^(-T) M of an invertible form and its Jordan structure stay available
+(`cosquare`) as an independent route to the same blocks, which the tests
+use as an oracle.
+
 Everything is fully determined over the algebraic closure; over the base
-field itself, classification is reported whenever the cosquare splits and
-refused (`Unsupported`) otherwise.
+field itself, classification is reported whenever the pencil data splits
+and refused (`Unsupported`) otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, center, is_extra_special
-from .catalog import BlockDescriptor, make_canonical, normalize_descriptor
+from .catalog import BlockDescriptor, normalize_descriptor
 from .errors import (
     DegenerateVector,
     DoesNotSplit,
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Subspace,
     poly_degree,
     poly_divmod,
     poly_monic,
@@ -57,14 +57,9 @@ from .scalars import Field
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Square matrix of z-coefficients, with optional extraction provenance."""
+    """Square matrix of z-coefficients."""
 
     m: Matrix
-    provenance: tuple | None = None
-
-    @property
-    def size(self) -> int:
-        return self.m.nrows
 
 
 class BlockDecomposition:
@@ -129,7 +124,7 @@ def form_of(a: Algebra) -> BilinearForm:
             row.append(coef)
         rows.append(row)
     matrix = Matrix(a.field, rows) if rows else Matrix.zeros(a.field, 0, 0)
-    return BilinearForm(matrix, provenance=(pivot, tuple(complement)))
+    return BilinearForm(matrix)
 
 
 def algebra_from_form(m: Matrix, basis_names=None) -> Algebra:
@@ -152,7 +147,11 @@ def algebra_from_form(m: Matrix, basis_names=None) -> Algebra:
 
 
 def cosquare(f: BilinearForm) -> Matrix:
-    """Inverse-transpose times the matrix; congruence invariant up to similarity."""
+    """Inverse-transpose times the matrix; congruence invariant up to similarity.
+
+    `classify` does not use it: the pencil invariants already carry the
+    cosquare's Jordan data, and the tests check the two routes agree.
+    """
     try:
         inv = f.m.inverse()
     except Singular:
@@ -326,36 +325,18 @@ def _pair_cosquare_blocks(field: Field, blocks) -> list[BlockDescriptor]:
     return [normalize_descriptor(field, d) for d in descriptors]
 
 
-def block_form_matrix(d: BlockDescriptor, field: Field) -> Matrix:
-    """Canonical form matrix of one block (the form of its catalog algebra)."""
-    return form_of(make_canonical(d, field)).m
+def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]:
+    """Split a form into regular block descriptors and singular canonical sizes.
 
-
-def _direct_sum(field: Field, matrices) -> Matrix:
-    total = sum(m.nrows for m in matrices)
-    zero = field.zero
-    rows = [[zero] * total for _ in range(total)]
-    off = 0
-    for m in matrices:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                rows[off + i][off + j] = m.rows[i][j]
-        off += m.nrows
-    return Matrix(field, rows) if rows else Matrix.zeros(field, 0, 0)
-
-
-def regularize(f: BilinearForm) -> tuple[BilinearForm, tuple[int, ...]]:
-    """Split a form into an invertible part and singular canonical sizes.
-
-    Returns `(regular_part, singular_sizes)`: the sizes (all >= 2) are the
-    chain algebras Jn hiding in the form, and the regular part is an
-    invertible form congruent to the complement, reassembled from canonical
-    blocks recognized through the pencil invariants.
+    Returns `(regular_descriptors, singular_sizes)`: the descriptors are the
+    J1, Gamma and H blocks of the invertible part, paired from the pencil's
+    cosquare data, and the sizes (all >= 2) are the chain algebras Jn hiding
+    in the form.
     """
     field = f.m.field
     n = f.m.nrows
     if n == 0:
-        return BilinearForm(Matrix.zeros(field, 0, 0)), ()
+        return [], ()
     degenerate = f.m.nullspace().intersect(f.m.transpose().nullspace())
     if degenerate.dim:
         raise DegenerateVector(
@@ -367,26 +348,17 @@ def regularize(f: BilinearForm) -> tuple[BilinearForm, tuple[int, ...]]:
     regular_dim = sum(size for _, size in cosquare_blocks)
     if regular_dim + sum(sizes) != n:
         raise InternalCheckFailure("block dimensions do not fill the form")
-    descriptors = _pair_cosquare_blocks(field, cosquare_blocks)
-    regular = _direct_sum(field, [block_form_matrix(d, field) for d in descriptors])
-    if regular.nrows != regular_dim:
-        raise InternalCheckFailure("regular reconstruction has the wrong size")
-    return BilinearForm(regular), sizes
+    return _pair_cosquare_blocks(field, cosquare_blocks), sizes
 
 
 def classify(a: Algebra) -> BlockDecomposition:
     """Canonical central-sum decomposition of an extra special algebra.
 
-    Singular canonical blocks become J(n) descriptors; the regular part is
-    read off from the Jordan structure of its cosquare.  Raises
+    Singular canonical blocks become J(n) descriptors and the regular blocks
+    come from the pencil invariants (see `regularize`).  Raises
     `Unsupported` (via `DoesNotSplit`) when the data does not split over
-    the base field, and `UnpairedEigenvalue` if the Jordan data cannot be
+    the base field, and `UnpairedEigenvalue` if the cosquare data cannot be
     matched into blocks, which signals a bug or a broken input.
     """
-    f = form_of(a)
-    regular, sizes = regularize(f)
-    descriptors = [BlockDescriptor("j", s) for s in sizes]
-    if regular.size:
-        structure = cosquare(regular).jordan_structure()
-        descriptors.extend(_pair_cosquare_blocks(a.field, structure.blocks))
-    return BlockDecomposition(a.field, descriptors)
+    regular, sizes = regularize(form_of(a))
+    return BlockDecomposition(a.field, [BlockDescriptor("j", s) for s in sizes] + regular)

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the rationals and GF(p).
 
-Everything is computed exactly: reduced row echelon form, kernels,
+Everything is computed exactly: ranks, kernels, inverses,
 characteristic polynomials (Berkowitz's division-free scheme, so small prime
-fields are safe), and Jordan block data via rank sequences.  A sparse
-row-reduction engine backs the kernel computations; the hot callers
+fields are safe), and Jordan block data via rank sequences.  One sparse
+row-reduction engine backs every elimination; the hot callers
 (annihilator and cocycle systems) produce rows that are mostly zero, and the
 sparse path keeps those cheap without changing any result.
 
@@ -217,32 +217,6 @@ class Matrix:
             sum((a * b for a, b in zip(r, vec) if a and b), zero) for r in self.rows
         )
 
-    def rref(self) -> tuple["Matrix", int]:
-        """Reduced row echelon form and rank."""
-        rows = [list(r) for r in self.rows]
-        one = self.field.one
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for r in range(pr, self.nrows):
-                if rows[r][pc]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            lead = rows[pr][pc]
-            if lead != one:
-                rows[pr] = [x / lead for x in rows[pr]]
-            for r in range(self.nrows):
-                if r != pr and rows[r][pc]:
-                    coef = rows[r][pc]
-                    rows[r] = [x - coef * y for x, y in zip(rows[r], rows[pr])]
-            pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(self.field, rows, ncols=self.ncols), pr
-
     def rank(self) -> int:
         pivots = sparse_reduce(
             self.field, ({j: x for j, x in enumerate(r) if x} for r in self.rows)
@@ -259,31 +233,25 @@ class Matrix:
         return Subspace(self.field, self.ncols, basis, _reduced=True)
 
     def inverse(self) -> "Matrix":
+        """Inverse, read from the reduced echelon basis of the rows of [M | I]."""
         if not self.is_square:
             raise NotSquare("inverse of a non-square matrix")
         n = self.nrows
-        zero, one = self.field.zero, self.field.one
-        aug = [
-            list(r) + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        for pc in range(n):
-            pivot_row = None
-            for r in range(pc, n):
-                if aug[r][pc]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise Singular("matrix is singular")
-            aug[pc], aug[pivot_row] = aug[pivot_row], aug[pc]
-            lead = aug[pc][pc]
-            if lead != one:
-                aug[pc] = [x / lead for x in aug[pc]]
-            for r in range(n):
-                if r != pc and aug[r][pc]:
-                    coef = aug[r][pc]
-                    aug[r] = [x - coef * y for x, y in zip(aug[r], aug[pc])]
-        return Matrix(self.field, [row[n:] for row in aug], ncols=n)
+        one = self.field.one
+        rows = []
+        for i, r in enumerate(self.rows):
+            row = {j: x for j, x in enumerate(r) if x}
+            row[n + i] = one
+            rows.append(row)
+        pivots = sparse_reduce(self.field, rows)
+        if any(c not in pivots for c in range(n)):
+            raise Singular("matrix is singular")
+        zero = self.field.zero
+        return Matrix(
+            self.field,
+            [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)],
+            ncols=n,
+        )
 
     def char_poly(self) -> list:
         """Monic characteristic polynomial det(tI - M), ascending coefficients.
@@ -360,16 +328,6 @@ class JordanStructure:
     """Multiset of (eigenvalue, block size) pairs, canonically ordered."""
 
     blocks: tuple
-
-    def sizes_for(self, eigenvalue) -> list[int]:
-        return sorted((s for mu, s in self.blocks if mu == eigenvalue), reverse=True)
-
-    def eigenvalues(self) -> list:
-        seen = []
-        for mu, _ in self.blocks:
-            if mu not in seen:
-                seen.append(mu)
-        return seen
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +466,6 @@ def poly_trim(p: list) -> list:
 
 def poly_degree(p) -> int:
     return len(p) - 1 if p else -1
-
-
-def poly_add(field: Field, p, q) -> list:
-    n = max(len(p), len(q))
-    zero = field.zero
-    out = [
-        (p[i] if i < len(p) else zero) + (q[i] if i < len(q) else zero)
-        for i in range(n)
-    ]
-    return poly_trim(out)
 
 
 def poly_sub(field: Field, p, q) -> list:

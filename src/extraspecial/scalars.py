@@ -180,25 +180,3 @@ def field_of(x) -> Field:
     if isinstance(x, Fp):
         return Field.gf(x.p)
     raise FieldMismatch(f"{x!r} is not a scalar of a supported field")
-
-
-def scalar_arith(a, b, op: str):
-    """Checked scalar arithmetic: op is one of "add", "sub", "mul", "div".
-
-    Both operands must already be scalars of the same field; division by
-    zero raises `ZeroDivisionError`.
-    """
-    fa, fb = field_of(a), field_of(b)
-    if fa != fb:
-        raise FieldMismatch(f"operands live in {fa} and {fb}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise ZeroDivisionError("scalar division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

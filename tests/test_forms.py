@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from extraspecial.algebra import Algebra
-from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical
+from extraspecial.catalog import (
+    BlockDescriptor,
+    central_sum,
+    make_canonical,
+    make_from_text,
+    parse_descriptor,
+)
 from extraspecial.errors import (
     DegenerateVector,
     NotExtraSpecial,
@@ -17,7 +23,6 @@ from extraspecial.forms import (
     BilinearForm,
     BlockDecomposition,
     algebra_from_form,
-    block_form_matrix,
     classify,
     cosquare,
     form_of,
@@ -25,8 +30,11 @@ from extraspecial.forms import (
 )
 from extraspecial.linalg import Matrix
 from extraspecial.scalars import Field
+from oracle_cosquare import cosquare_blocks
 
 Q = Field.rationals()
+GF3 = Field.gf(3)
+GF5 = Field.gf(5)
 GF7 = Field.gf(7)
 
 
@@ -64,6 +72,11 @@ def test_form_of_j2():
 def test_form_of_h2_lambda():
     f = form_of(alg(("h", 1, 3)))
     assert f.m.rows == ((Fraction(0), Fraction(1)), (Fraction(3), Fraction(0)))
+
+
+def test_form_of_gamma2():
+    f = form_of(alg(("gamma", 2)))
+    assert f.m.rows == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(1)))
 
 
 def test_form_of_j1():
@@ -112,23 +125,22 @@ def test_cosquare_rejects_singular():
 
 
 def test_regularize_pure_singular_block():
-    reg, sizes = regularize(form_matrix([[0, 1], [0, 0]]))
-    assert reg.size == 0
+    regular, sizes = regularize(form_matrix([[0, 1], [0, 0]]))
+    assert regular == []
     assert sizes == (2,)
 
 
 def test_regularize_already_invertible():
-    reg, sizes = regularize(form_matrix([[1]]))
+    regular, sizes = regularize(form_matrix([[1]]))
     assert sizes == ()
-    assert reg.m.rows == ((Fraction(1),),)
+    assert regular == [BlockDescriptor("j", 1)]
 
 
 def test_regularize_j3_plus_h2():
     s = central_sum(alg(("j", 3)), alg(("h", 1, 3)))
-    reg, sizes = regularize(form_of(s))
+    regular, sizes = regularize(form_of(s))
     assert sizes == (3,)
-    eigs = cosquare(reg).jordan_structure()
-    assert sorted(eigs.blocks) == [(Fraction(1, 3), 1), (Fraction(3), 1)]
+    assert regular == [BlockDescriptor("h", 1, Fraction(1, 3))]
 
 
 def test_regularize_rejects_degenerate_vector():
@@ -148,17 +160,16 @@ def test_regularize_handles_odd_even_chain_mix():
 
 
 def test_regularize_preserves_rank_and_cosquare_class():
+    # the regular descriptors name the cosquare class of the invertible part
     rng = random.Random(99)
     s = central_sum(alg(("gamma", 2)), alg(("j", 3)))
     f = form_of(s)
-    reg0, sizes0 = regularize(f)
-    base_poly = cosquare(reg0).char_poly()
+    regular0, sizes0 = regularize(f)
+    assert regular0 == [BlockDescriptor("gamma", 2)]
     for _ in range(5):
         g = BilinearForm(scrambled(rng, f.m))
         assert g.m.rank() == f.m.rank()
-        reg, sizes = regularize(g)
-        assert sizes == sizes0
-        assert cosquare(reg).char_poly() == base_poly
+        assert regularize(g) == (regular0, sizes0)
 
 
 # -- classify ---------------------------------------------------------------------
@@ -331,6 +342,39 @@ def test_block_decomposition_text_ordering():
     assert dec.text() == "j:1+j:2+gamma:3+h2:1/3"
 
 
-def test_block_form_matrix_matches_catalog():
-    m = block_form_matrix(BlockDescriptor("gamma", 2), Q)
-    assert m.rows == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(1)))
+# -- cosquare oracle ----------------------------------------------------------------
+
+
+# invertible forms only; over GF(3) and GF(5) every shape has p <= dim
+INVERTIBLE_SHAPES = [
+    (Q, "j:1"),
+    (Q, "gamma:5"),
+    (Q, "h2n:3:-1"),
+    (Q, "gamma:2+gamma:2"),
+    (Q, "j:1+gamma:4+h2:2"),
+    (Q, "gamma:3+h2n:2:5"),
+    (GF7, "gamma:6"),
+    (GF7, "h2n:3:2"),
+    (GF7, "j:1+j:1+gamma:3+h2:6"),
+    (GF3, "gamma:3"),
+    (GF3, "gamma:4"),
+    (GF3, "h2n:2:1"),
+    (GF3, "j:1+gamma:2+h2:2"),
+    (GF5, "gamma:5"),
+    (GF5, "h2n:3:2"),
+    (GF5, "j:1+gamma:4+h2:2"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,shape", INVERTIBLE_SHAPES, ids=lambda x: str(x) if isinstance(x, Field) else x
+)
+def test_classify_agrees_with_cosquare_oracle(field, shape):
+    a = make_from_text(shape, field)
+    expected = BlockDecomposition(field, [parse_descriptor(p, field) for p in shape.split("+")])
+    assert cosquare_blocks(a) == classify(a) == expected
+    rng = random.Random(f"{field} {shape}")
+    m = form_of(a).m
+    for _ in range(2):
+        a2 = algebra_from_form(scrambled(rng, m))
+        assert cosquare_blocks(a2) == classify(a2) == expected

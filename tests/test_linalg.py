@@ -25,27 +25,6 @@ def M(rows, field=Q):
     return Matrix(field, rows)
 
 
-# -- rref ------------------------------------------------------------------
-
-
-def test_rref_zero_matrix():
-    _, rank = M([[0, 0], [0, 0]]).rref()
-    assert rank == 0
-
-
-def test_rref_identity():
-    ident = Matrix.identity(Q, 3)
-    reduced, rank = ident.rref()
-    assert rank == 3
-    assert reduced == ident
-
-
-def test_rref_dependent_rows():
-    reduced, rank = M([[1, 2], [2, 4]]).rref()
-    assert rank == 1
-    assert reduced.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
-
-
 # -- nullspace ---------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from extraspecial.errors import FieldMismatch, UnsupportedField
-from extraspecial.scalars import Field, Fp, field_of, scalar_arith
+from extraspecial.scalars import Field, Fp, field_of
 
 Q = Field.rationals()
 GF5 = Field.gf(5)
@@ -14,25 +14,25 @@ GF7 = Field.gf(7)
 
 
 def test_rational_addition_is_exact():
-    assert scalar_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert Q.parse("1/2") + Q.parse("1/3") == Fraction(5, 6)
 
 
 def test_gf5_multiplication_wraps():
-    assert scalar_arith(Fp(3, 5), Fp(4, 5), "mul") == Fp(2, 5)
+    assert Fp(3, 5) * Fp(4, 5) == Fp(2, 5)
 
 
 def test_division_by_zero_is_an_error():
     with pytest.raises(ZeroDivisionError):
-        scalar_arith(Fraction(1), Fraction(0), "div")
+        Q.one / Q.zero
     with pytest.raises(ZeroDivisionError):
-        scalar_arith(Fp(1, 5), Fp(0, 5), "div")
+        GF5.one / GF5.zero
 
 
 def test_mixed_fields_are_rejected():
     with pytest.raises(FieldMismatch):
-        scalar_arith(Fraction(1), Fp(1, 5), "add")
+        Fp(1, 5) + Fraction(1)
     with pytest.raises(FieldMismatch):
-        scalar_arith(Fp(1, 5), Fp(1, 7), "add")
+        Fp(1, 5) + Fp(1, 7)
     with pytest.raises(FieldMismatch):
         Fp(1, 5) * Fp(1, 7)
 
