@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Subspace, kernel_basis, reduce_vectors
+from .linalg import Subspace, kernel_basis
 from .scalars import Field
 
 
@@ -225,27 +225,30 @@ def derived_ideal(a: Algebra) -> Subspace:
     """
     field = a.field
     zero = field.zero
-    nonzero = list(a.nonzero_products())
-    span = Subspace(field, a.dim, [vec for _, _, vec in nonzero])
-    frontier = list(span.basis)
+    nonzero = [
+        (p, q, {k: y for k, y in enumerate(vec) if y}) for p, q, vec in a.nonzero_products()
+    ]
+    span = Subspace(field, a.dim, [row for _, _, row in nonzero])
+    frontier = list(span.pivots.values())
     while frontier:
         fresh = []
         for v in frontier:
             # v * e_q lands in bucket (L, q); e_p * v in bucket (R, p)
-            buckets: dict[tuple, list] = {}
-            for p, q, vec in nonzero:
-                for coef, key in ((v[p], ("L", q)), (v[q], ("R", p))):
+            buckets: dict[tuple, dict] = {}
+            for p, q, row in nonzero:
+                for coef, key in ((v.get(p), ("L", q)), (v.get(q), ("R", p))):
                     if not coef:
                         continue
-                    acc = buckets.get(key)
-                    if acc is None:
-                        acc = buckets[key] = [zero] * a.dim
-                    for k, y in enumerate(vec):
-                        if y:
-                            acc[k] = acc[k] + coef * y
+                    acc = buckets.setdefault(key, {})
+                    for k, y in row.items():
+                        nv = acc.get(k, zero) + coef * y
+                        if nv:
+                            acc[k] = nv
+                        else:
+                            acc.pop(k, None)
             for acc in buckets.values():
-                if any(acc) and not span.contains(acc):
-                    fresh.append(tuple(acc))
+                if acc and not span.contains(acc):
+                    fresh.append(acc)
         if not fresh:
             break
         span = span.sum(Subspace(field, a.dim, fresh))
@@ -268,8 +271,7 @@ def center(a: Algebra) -> Subspace:
                 # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
                 rows.setdefault(("R", i, k), {})[j] = x
     unique = {tuple(sorted(r.items())) for r in rows.values()}
-    basis = kernel_basis(a.field, a.dim, (dict(r) for r in unique))
-    return Subspace(a.field, a.dim, basis, _reduced=True)
+    return kernel_basis(a.field, a.dim, (dict(r) for r in unique))
 
 
 def is_extra_special(a: Algebra) -> bool:

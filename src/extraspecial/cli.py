@@ -2,10 +2,10 @@
 
 Every command prints a single JSON object on stdout.  Exit codes separate
 "computed" from "failed": 0 means the computation ran (boolean answers live
-in the payload), 2 flags bad input, 3 flags an honest refusal over the base
-field, 4 flags an internal self-check failure, 5 flags an unexpected error
-(its traceback goes to stderr), and `verify-theorems` exits 1 when any row
-fails.
+in the payload), 2 flags bad input (a malformed command line included), 3
+flags an honest refusal over the base field, 4 flags an internal self-check
+failure, 5 flags an unexpected error (its traceback goes to stderr), and
+`verify-theorems` exits 1 when any row fails.
 """
 
 from __future__ import annotations
@@ -290,8 +290,18 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return payload, (1 if fails else 0)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as `InputError`, so it prints JSON.
+
+    Subparsers are built from the parser's own class and inherit this.
+    """
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="extraspecial",
         description="Extra special algebra toolkit: canonical families, invariants, "
         "Schur multipliers, covers, capability, and classification.",
@@ -355,8 +365,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify-theorems":
             payload, code = _cmd_verify(args)
         else:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .algebra import Algebra, IdentityKind, center, check_identity, derived_ideal
 from .errors import IdentityViolated, InternalCheckFailure, NotAssociative, StemFailure
 from .linalg import Subspace, kernel_basis
-from .scalars import Field
 
 #: The Leibniz orientation that reproduces the published multiplier
 #: dimensions (J2 -> 4, H2(-1) -> 5); fixed empirically by the test suite.
@@ -51,9 +50,7 @@ class CoverExtension:
         return tuple(vec[: self.base_dim])
 
     def project_subspace(self, sub: Subspace) -> Subspace:
-        return Subspace(
-            self.total.field, self.base_dim, [self.project(v) for v in sub.basis]
-        )
+        return sub.project(self.base_dim)
 
 
 def _cocycle_rows(a: Algebra, theory: IdentityKind):
@@ -122,23 +119,16 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     if not check_identity(a, theory):
         raise IdentityViolated(f"algebra does not satisfy {theory.value}")
     n = a.dim
-    z2_basis = kernel_basis(a.field, n * n, _cocycle_rows(a, theory))
-    z2 = Subspace(a.field, n * n, z2_basis, _reduced=True)
-    coboundary_vectors = {}
+    z2 = kernel_basis(a.field, n * n, _cocycle_rows(a, theory))
+    # row k is the coboundary of the k-th dual functional: f(x_i, x_j) = c[i][j][k]
+    coboundary_rows = {}
     for i, j, w in a.nonzero_products():
         for k, x in enumerate(w):
             if x:
-                coboundary_vectors.setdefault(k, {})[i * n + j] = x
-    dense = []
-    for k, row in coboundary_vectors.items():
-        vec = [a.field.zero] * (n * n)
-        for col, x in row.items():
-            vec[col] = x
-        dense.append(tuple(vec))
-    b2 = Subspace(a.field, n * n, dense)
-    for v in b2.basis:
-        if not z2.contains(v):
-            raise InternalCheckFailure("a coboundary failed the cocycle condition")
+                coboundary_rows.setdefault(k, {})[i * n + j] = x
+    b2 = Subspace(a.field, n * n, coboundary_rows.values())
+    if not z2.contains_subspace(b2):
+        raise InternalCheckFailure("a coboundary failed the cocycle condition")
     return CocycleSpace(n, z2, b2, z2.dim - b2.dim)
 
 
@@ -149,12 +139,7 @@ def multiplier_dim(a: Algebra, theory: IdentityKind) -> int:
 
 def _complement_cocycles(cs: CocycleSpace) -> list[tuple]:
     """Echelon completion: z2 basis rows whose pivot is not a b2 pivot."""
-    b2_pivots = {next(i for i, x in enumerate(v) if x) for v in cs.b2.basis}
-    out = []
-    for v in cs.z2.basis:
-        lead = next(i for i, x in enumerate(v) if x)
-        if lead not in b2_pivots:
-            out.append(v)
+    out = [v for c, v in zip(cs.z2.pivots, cs.z2.basis) if c not in cs.b2.pivots]
     if len(out) != cs.h2_dim:
         raise InternalCheckFailure("echelon complement has the wrong dimension")
     return out
@@ -191,32 +176,21 @@ def cover(a: Algebra) -> CoverExtension:
     (kernel inside center and derived ideal of the total algebra) is
     checked, not assumed; a failure raises `StemFailure`.
     """
-    if not check_identity(a, IdentityKind.ASSOCIATIVE):
-        raise NotAssociative("covers are defined for associative algebras")
-    cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    try:
+        cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    except IdentityViolated:
+        raise NotAssociative("covers are defined for associative algebras") from None
     n, m = a.dim, cs.h2_dim
     total = central_extension_by_cocycles(a, _complement_cocycles(cs))
-    field = a.field
-    dim = n + m
-    kernel = Subspace(
-        field, dim, [_unit_vector(field, dim, n + l) for l in range(m)], _reduced=True
-    )
+    kernel = Subspace(a.field, n + m, [{n + l: a.field.one} for l in range(m)])
     # kernel inside the center: no product involves a kernel coordinate as a
     # factor, which is exactly the two-sided annihilator condition
     for i, j, _ in total.nonzero_products():
         if i >= n or j >= n:
             raise StemFailure("a kernel coordinate acts nontrivially")
-    derived = derived_ideal(total)
-    for v in kernel.basis:
-        if not derived.contains(v):
-            raise StemFailure("cover kernel escapes the derived ideal")
+    if not derived_ideal(total).contains_subspace(kernel):
+        raise StemFailure("cover kernel escapes the derived ideal")
     return CoverExtension(total, n, kernel)
-
-
-def _unit_vector(field: Field, dim: int, k: int) -> tuple:
-    vec = [field.zero] * dim
-    vec[k] = field.one
-    return tuple(vec)
 
 
 def z_star(a: Algebra) -> Subspace:

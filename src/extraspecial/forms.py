@@ -108,8 +108,9 @@ def form_of(a: Algebra) -> BilinearForm:
     """
     if not is_extra_special(a):
         raise NotExtraSpecial("forms are defined for extra special algebras")
-    zvec = center(a).basis[0]
-    pivot = next(i for i, x in enumerate(zvec) if x)
+    z = center(a)
+    (pivot,) = z.pivots
+    (zvec,) = z.basis
     complement = [i for i in range(a.dim) if i != pivot]
     rows = []
     for i in complement:
@@ -337,7 +338,9 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     n = f.m.nrows
     if n == 0:
         return [], ()
-    degenerate = f.m.nullspace().intersect(f.m.transpose().nullspace())
+    # vectors with zero row and zero column: ker M meet ker M^T, the kernel
+    # of M stacked on M^T
+    degenerate = Matrix(field, f.m.rows + f.m.transpose().rows).nullspace()
     if degenerate.dim:
         raise DegenerateVector(
             "the form has a vector with zero row and zero column"

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the rationals and GF(p).
+"""Exact linear algebra over the rationals and GF(p).
 
 Everything is computed exactly: ranks, kernels, inverses,
 characteristic polynomials (Berkowitz's division-free scheme, so small prime
@@ -6,6 +6,11 @@ fields are safe), and Jordan block data via rank sequences.  One sparse
 row-reduction engine backs every elimination; the hot callers
 (annihilator and cocycle systems) produce rows that are mostly zero, and the
 sparse path keeps those cheap without changing any result.
+
+A `Subspace` is held in the engine's own format: the map {pivot column:
+sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
+Dense vectors appear only at the edges: `Matrix` rows, dense input to
+`Subspace`, and its `basis` property.
 
 Polynomials appear as ascending coefficient lists (index = degree) with no
 trailing zeros; the zero polynomial is the empty list.
@@ -35,21 +40,7 @@ def sparse_reduce(field: Field, rows) -> dict:
     pivots: dict[int, dict] = {}
     zero, one = field.zero, field.one
     for incoming in rows:
-        row = {c: v for c, v in incoming.items() if v}
-        # clear existing pivot columns; reductions only add non-pivot support,
-        # so one sweep over the initial hits suffices
-        for c in [c for c in row if c in pivots]:
-            coef = row.pop(c, None)
-            if not coef:
-                continue
-            for cc, vv in pivots[c].items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, zero) - coef * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
+        row = _clear_pivots(pivots, {c: v for c, v in incoming.items() if v}, zero)
         if not row:
             continue
         c = min(row)
@@ -73,38 +64,42 @@ def sparse_reduce(field: Field, rows) -> dict:
     return pivots
 
 
-def kernel_basis(field: Field, ncols: int, rows) -> list[tuple]:
-    """Echelonized basis of {v : row . v = 0 for every constraint row}."""
-    pivots = sparse_reduce(field, rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
+def _clear_pivots(pivots: dict, row: dict, zero) -> dict:
+    """Subtract pivot rows from `row`, in place, until no pivot column is left.
+
+    Reductions only add non-pivot support, so one sweep over the initial
+    hits suffices.  The returned remainder is empty exactly when the row
+    lies in the span of the pivot rows.
+    """
+    for c in [c for c in row if c in pivots]:
+        coef = row.pop(c, None)
+        if not coef:
             continue
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for pc, prow in pivots.items():
-            coef = prow.get(f)
-            if coef:
-                vec[pc] = -coef
-        basis.append(tuple(vec))
-    return reduce_vectors(field, basis)
+        for cc, vv in pivots[c].items():
+            if cc == c:
+                continue
+            nv = row.get(cc, zero) - coef * vv
+            if nv:
+                row[cc] = nv
+            else:
+                row.pop(cc, None)
+    return row
 
 
-def reduce_vectors(field: Field, vectors) -> list[tuple]:
-    """Canonical reduced echelon basis for the span of dense vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    length = len(vectors[0])
-    rows = ({i: x for i, x in enumerate(v) if x} for v in vectors)
+def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
+    """The subspace {v : row . v = 0 for every constraint row} of F^ncols.
+
+    Each free column f gives the kernel vector e_f - sum of prow[f] e_pc
+    over the pivot rows; those rows are not echelon in column order, so the
+    `Subspace` reduces them once more.
+    """
     pivots = sparse_reduce(field, rows)
-    out = []
-    for pc in sorted(pivots):
-        vec = [field.zero] * length
-        for c, v in pivots[pc].items():
-            vec[c] = v
-        out.append(tuple(vec))
-    return out
+    kernel = {f: {f: field.one} for f in range(ncols) if f not in pivots}
+    for pc, prow in pivots.items():
+        for f, coef in prow.items():
+            if f != pc:
+                kernel[f][pc] = -coef
+    return Subspace(field, ncols, kernel.values())
 
 
 def scalar_sort_key(x):
@@ -224,13 +219,12 @@ class Matrix:
         return len(pivots)
 
     def nullspace(self) -> "Subspace":
-        """Right kernel {v : M v = 0} as an echelonized subspace."""
-        basis = kernel_basis(
+        """Right kernel {v : M v = 0}."""
+        return kernel_basis(
             self.field,
             self.ncols,
             ({j: x for j, x in enumerate(r) if x} for r in self.rows),
         )
-        return Subspace(self.field, self.ncols, basis, _reduced=True)
 
     def inverse(self) -> "Matrix":
         """Inverse, read from the reduced echelon basis of the rows of [M | I]."""
@@ -336,91 +330,63 @@ class JordanStructure:
 
 
 class Subspace:
-    """A subspace of F^n held as a reduced-echelon basis (rows = vectors).
+    """A subspace of F^n held as its reduced echelon basis, row-sparse.
 
-    The canonical basis makes equality and containment purely structural.
+    `pivots` maps each pivot column, in increasing order, to its basis row
+    {column: nonzero scalar}: the output of `sparse_reduce`.  Each row has a
+    1 in its own pivot column and nothing in the others.  That basis is
+    unique, so equality is structural and containment is one sweep.
+
+    `vectors` may mix sparse rows (dicts of field scalars, taken as they
+    are) and dense vectors of length `ambient_dim` (coerced into the field).
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, vectors=(), _reduced=False):
+    def __init__(self, field: Field, ambient_dim: int, vectors=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if not _reduced:
-            vecs = reduce_vectors(field, vecs)
-        self.basis = tuple(tuple(v) for v in vecs)
+        rows = (_sparse_row(field, ambient_dim, v) for v in vectors)
+        self.pivots = dict(sorted(sparse_reduce(field, rows).items()))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
-    def basis_matrix(self) -> Matrix:
-        if not self.basis:
-            return Matrix.zeros(self.field, 0, self.ambient_dim)
-        return Matrix(self.field, self.basis)
+    @property
+    def basis(self) -> tuple:
+        """The reduced echelon basis as dense tuples, in pivot order."""
+        zero = self.field.zero
+        out = []
+        for row in self.pivots.values():
+            vec = [zero] * self.ambient_dim
+            for c, x in row.items():
+                vec[c] = x
+            out.append(tuple(vec))
+        return tuple(out)
 
     def contains(self, vec) -> bool:
-        coerced = [self.field.coerce(x) for x in vec]
-        row = {i: x for i, x in enumerate(coerced) if x}
-        zero = self.field.zero
-        for b in self.basis:
-            lead = _leading_index(b)
-            coef = row.get(lead)
-            if coef:
-                for i, x in enumerate(b):
-                    if not x:
-                        continue
-                    nv = row.get(i, zero) - coef * x
-                    if nv:
-                        row[i] = nv
-                    else:
-                        row.pop(i, None)
-        return not row
+        row = dict(_sparse_row(self.field, self.ambient_dim, vec))
+        return not _clear_pivots(self.pivots, row, self.field.zero)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(self.contains(row) for row in other.pivots.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.field, self.ambient_dim, list(self.basis) + list(other.basis))
+        rows = list(self.pivots.values()) + list(other.pivots.values())
+        return Subspace(self.field, self.ambient_dim, rows)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, via kernel of the stacked coordinate comparison."""
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.field, self.ambient_dim)
-        na = self.dim
-        rows = []
-        for coord in range(self.ambient_dim):
-            row = {}
-            for i, v in enumerate(self.basis):
-                if v[coord]:
-                    row[i] = v[coord]
-            for j, w in enumerate(other.basis):
-                if w[coord]:
-                    row[na + j] = -w[coord]
-            if row:
-                rows.append(row)
-        combos = kernel_basis(self.field, na + other.dim, rows)
-        vecs = []
-        for combo in combos:
-            vec = [self.field.zero] * self.ambient_dim
-            for i, c in enumerate(combo[:na]):
-                if c:
-                    for k, x in enumerate(self.basis[i]):
-                        if x:
-                            vec[k] = vec[k] + c * x
-            vecs.append(tuple(vec))
-        return Subspace(self.field, self.ambient_dim, vecs)
+    def project(self, n: int) -> "Subspace":
+        """Image in F^n under dropping every coordinate >= n."""
+        rows = [{c: x for c, x in row.items() if c < n} for row in self.pivots.values()]
+        return Subspace(self.field, n, rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
             and self.field == other.field
-            and self.basis == other.basis
+            and self.pivots == other.pivots
         )
 
     def __hash__(self):
@@ -430,11 +396,13 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
 
 
-def _leading_index(vec) -> int:
-    for i, x in enumerate(vec):
-        if x:
-            return i
-    return -1
+def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
+    """A sparse row as it is, or a dense vector coerced into a sparse row."""
+    if isinstance(vec, dict):
+        return vec
+    if len(vec) != ambient_dim:
+        raise ValueError("vector length does not match ambient dimension")
+    return {i: x for i, x in enumerate(map(field.coerce, vec)) if x}
 
 
 def preimage_of_columnspace(m: Matrix, column_vectors) -> Subspace:
@@ -449,8 +417,7 @@ def preimage_of_columnspace(m: Matrix, column_vectors) -> Subspace:
                 row[n + l] = -w[i]
         if row:
             rows.append(row)
-    kern = kernel_basis(m.field, n + len(extra), rows)
-    return Subspace(m.field, n, [v[:n] for v in kern])
+    return kernel_basis(m.field, n + len(extra), rows).project(n)
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,3 @@ class Field:
 
     def __str__(self):
         return "Q" if self.kind == "Q" else f"GF({self.p})"
-
-
-def field_of(x) -> Field:
-    """Recover the field a scalar belongs to."""
-    if isinstance(x, Fraction):
-        return Field.rationals()
-    if isinstance(x, Fp):
-        return Field.gf(x.p)
-    raise FieldMismatch(f"{x!r} is not a scalar of a supported field")

