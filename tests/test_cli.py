@@ -1,5 +1,8 @@
 """Command-line behavior: payloads, exit codes, and the verification sweep."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -202,13 +205,24 @@ def test_verify_theorems_over_prime_field():
     assert rows and all(r.ok for r in rows)
 
 
+# sha256 of "<exit code>\n<stdout>" of the full sweep below, captured from a
+# known-good build; a refactor must leave the whole payload byte-identical
+FULL_SWEEP_DIGEST = "fbc62457e15da607a317fdbcf2e04d5958747753f8f8a22c79b36e2fee392e85"
+
+
 def test_verify_theorems_full_bounds():
     """The headline sweep: every family member up to index 8, lambdas
-    {2, 3, -1, 5}, and all central sums up to total dimension 11 check out.
-    This is the slowest test in the suite: about 15 s measured on a 2-vCPU
+    {2, 3, -1, 5}, and all central sums up to total dimension 11 check out,
+    and the CLI payload is byte-identical to the known-good one.
+    This is the slowest test in the suite: about 18 s measured on a 2-vCPU
     Xeon with Python 3.11."""
-    lambdas = [Q.coerce(x) for x in (2, 3, -1, 5)]
-    rows = verify_theorems(8, lambdas, Q, pair_dim_cap=11)
-    bad = [r.name for r in rows if not r.ok]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-theorems", "--max-n", "8", "--lambdas=2,3,-1,5"])
+    rows = json.loads(out.getvalue())["rows"]
+    bad = [r["name"] for r in rows if r["status"] != "PASS"]
     assert not bad, f"failing rows: {bad}"
+    assert code == 0
     assert len(rows) > 250
+    digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    assert digest == FULL_SWEEP_DIGEST

@@ -26,6 +26,7 @@ import pytest
 
 from extraspecial.catalog import make_from_text
 from extraspecial.cli import main
+from extraspecial.dialg import embed_associative
 from extraspecial.forms import algebra_from_form, form_of
 from extraspecial.linalg import Matrix
 from extraspecial.scalars import Field
@@ -52,14 +53,43 @@ SHAPES = [
     ("GF:5", "gamma:3+j:2"),
     ("GF:5", "j:1+h2:2+j:2"),
 ]
-COMMANDS = ("zstar", "cover", "classify", "invariants")
+# each command is run on every single-product document; the argv after the
+# document path is the rest of the tuple
+COMMANDS = (
+    ("zstar",),
+    ("cover",),
+    ("classify",),
+    ("invariants",),
+    ("check", "--identity", "assoc"),
+    ("check", "--identity", "leibniz-left"),
+    ("check", "--identity", "leibniz-right"),
+    ("multiplier", "--theory", "assoc"),
+    ("multiplier", "--theory", "leibniz"),
+)
+DIASSOC = ("check", "--identity", "diassoc")
 
-# a non-associative product: cover and zstar refuse it before any cocycle
-# solve, classify refuses it as not extra special
+# x*y = x is not associative: cover and zstar refuse it before any cocycle
+# solve, classify refuses it as not extra special; x*x = y, x*y = z breaks
+# only the left Leibniz identity
 ERROR_DOCS = {
     "not associative": {
         "field": {"kind": "Q"}, "dim": 2, "basis": ["e1", "e2"],
         "products": [[0, 1, 0, "1"]],
+    },
+    "leibniz-left breaker": {
+        "field": {"kind": "Q"}, "dim": 3, "basis": ["x", "y", "z"],
+        "products": [[0, 0, 1, "1"], [0, 1, 2, "1"]],
+    },
+}
+
+# dialgebra documents, run only through `check --identity diassoc`: the
+# embedded j:3 (built in `_documents`) holds, the broken one fails an axiom
+EMBEDDED = "dialgebra embedded j:3"
+DIALGEBRA_DOCS = {
+    "dialgebra broken": {
+        "field": {"kind": "Q"}, "dim": 3, "basis": ["x", "y", "z"],
+        "products": [[0, 1, 2, "1"]],
+        "right_products": [[1, 1, 0, "1"]],
     },
 }
 
@@ -86,13 +116,19 @@ def _documents() -> dict:
         field = _field(flag)
         docs[f"{flag} {shape}"] = write_algebra(make_from_text(shape, field))
         docs[f"{flag} {shape} scrambled"] = write_algebra(_scrambled(flag, shape))
-    for name, doc in ERROR_DOCS.items():
+    for name, doc in {**ERROR_DOCS, **DIALGEBRA_DOCS}.items():
         docs[name] = json.dumps(doc)
+    docs[EMBEDDED] = write_algebra(embed_associative(make_from_text("j:3", Field.rationals())))
     return docs
 
 
+def _commands(name: str):
+    return (DIASSOC,) if name == EMBEDDED or name in DIALGEBRA_DOCS else COMMANDS
+
+
 DOC_NAMES = [f"{flag} {shape}{tag}" for flag, shape in SHAPES for tag in ("", " scrambled")]
-CASE_IDS = sorted([*SWEEPS, *(f"{c} {d}" for d in DOC_NAMES + list(ERROR_DOCS) for c in COMMANDS)])
+DOC_NAMES += [*ERROR_DOCS, *DIALGEBRA_DOCS, EMBEDDED]
+CASE_IDS = sorted([*SWEEPS, *(f"{' '.join(c)} {d}" for d in DOC_NAMES for c in _commands(d))])
 
 
 def _cases(directory: str) -> dict:
@@ -102,8 +138,8 @@ def _cases(directory: str) -> dict:
         path = os.path.join(directory, f"doc{index}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for command in COMMANDS:
-            cases[f"{command} {name}"] = [command, path]
+        for command in _commands(name):
+            cases[f"{' '.join(command)} {name}"] = [command[0], path, *command[1:]]
     return cases
 
 
