@@ -6,6 +6,10 @@ given by a structure tensor: `product(i, j)` is the coordinate vector of
 vectors share one tuple), which keeps the large central extensions built by
 the cohomology layer cheap to create and scan.
 
+Each defining identity is written once, as the signed terms of
+`IDENTITY_TERMS`; the identity check, the cohomology layer's cocycle rows
+(the table's linearization) and the dialgebra axioms all read them.
+
 The center used throughout is the two-sided annihilator
 {z : za = az = 0 for all a} - not the set of commuting elements.  Every
 result downstream (extra special recognition, multipliers, capability)
@@ -22,12 +26,7 @@ from .scalars import Field
 
 
 class IdentityKind(Enum):
-    """Which defining identity a product is measured against.
-
-    ASSOCIATIVE     (xy)z = x(yz)
-    LEIBNIZ_LEFT    x(yz) = (xy)z - (xz)y
-    LEIBNIZ_RIGHT   (xy)z = x(yz) - y(xz)
-    """
+    """Which defining identity a product is measured against (see `IDENTITY_TERMS`)."""
 
     ASSOCIATIVE = "assoc"
     LEIBNIZ_LEFT = "leibniz-left"
@@ -144,70 +143,69 @@ def multiply(a: Algebra, u, v) -> tuple:
     return tuple(out)
 
 
-def _triple_defect(a: Algebra, kind: IdentityKind, i: int, j: int, k: int) -> tuple:
-    """Coordinate vector of the identity defect on basis triple (i, j, k)."""
-    zero = a.field.zero
-    out = [zero] * a.dim
+#: Each identity as signed bracketed monomials that sum to zero on every
+#: basis triple (x_i, x_j, x_k).  A term (sign, nesting, order) is
+#: sign * (x_a x_b) x_c for nesting "L" and sign * x_a (x_b x_c) for "R",
+#: where `order` picks (a, b, c) by position: (0, 2, 1) is (i, k, j).
+IDENTITY_TERMS = {
+    # (x_i x_j) x_k - x_i (x_j x_k)
+    IdentityKind.ASSOCIATIVE: ((1, "L", (0, 1, 2)), (-1, "R", (0, 1, 2))),
+    # x_i (x_j x_k) - (x_i x_j) x_k + (x_i x_k) x_j
+    IdentityKind.LEIBNIZ_LEFT: ((1, "R", (0, 1, 2)), (-1, "L", (0, 1, 2)), (1, "L", (0, 2, 1))),
+    # (x_i x_j) x_k - x_i (x_j x_k) + x_j (x_i x_k)
+    IdentityKind.LEIBNIZ_RIGHT: ((1, "L", (0, 1, 2)), (-1, "R", (0, 1, 2)), (1, "R", (1, 0, 2))),
+}
 
-    def add(vec, sign_pos: bool):
-        for m, x in enumerate(vec):
-            if x:
-                out[m] = out[m] + x if sign_pos else out[m] - x
 
-    def left_of(vec, idx):
-        # (vec) * x_idx, vec given in coordinates
-        res = [zero] * a.dim
-        for m, x in enumerate(vec):
-            if x:
-                prod = a.product(m, idx)
-                for t, y in enumerate(prod):
-                    if y:
-                        res[t] = res[t] + x * y
-        return res
+def expand_term(inner: Algebra, term):
+    """Yield (triple, u, v, coef) over the nonzero inner products of `inner`.
 
-    def right_of(idx, vec):
-        # x_idx * (vec)
-        res = [zero] * a.dim
-        for m, x in enumerate(vec):
-            if x:
-                prod = a.product(idx, m)
-                for t, y in enumerate(prod):
-                    if y:
-                        res[t] = res[t] + x * y
-        return res
+    coef * outer(x_u, x_v) is the term's value on that basis triple; the
+    outer product is left open for the caller to multiply out or linearize.
+    """
+    sign, nesting, order = term
+    i_slot, j_slot, k_slot = (order.index(position) for position in range(3))
+    for p, q, w in inner.nonzero_products():
+        for m, x in enumerate(w):
+            if not x:
+                continue
+            coef = x if sign > 0 else -x
+            for r in range(inner.dim):
+                # bracket slots left to right, and the outer factors
+                slots, u, v = ((p, q, r), m, r) if nesting == "L" else ((r, p, q), r, m)
+                yield (slots[i_slot], slots[j_slot], slots[k_slot]), u, v, coef
 
-    ij = a.product(i, j)
-    jk = a.product(j, k)
-    if kind is IdentityKind.ASSOCIATIVE:
-        add(left_of(ij, k), True)       # (x_i x_j) x_k
-        add(right_of(i, jk), False)     # - x_i (x_j x_k)
-    elif kind is IdentityKind.LEIBNIZ_LEFT:
-        ik = a.product(i, k)
-        add(right_of(i, jk), True)      # x_i (x_j x_k)
-        add(left_of(ij, k), False)      # - (x_i x_j) x_k
-        add(left_of(ik, j), True)       # + (x_i x_k) x_j
-    elif kind is IdentityKind.LEIBNIZ_RIGHT:
-        ik = a.product(i, k)
-        add(left_of(ij, k), True)       # (x_i x_j) x_k
-        add(right_of(i, jk), False)     # - x_i (x_j x_k)
-        add(right_of(j, ik), True)      # + x_j (x_i x_k)
-    else:
-        raise ValueError(f"unknown identity kind {kind}")
-    return tuple(out)
+
+def first_violation(expansions) -> tuple | None:
+    """Least basis triple whose terms do not cancel, or None.
+
+    `expansions` pairs an outer algebra with `expand_term` entries; each
+    entry adds coef * outer.product(u, v) to its triple's defect.
+    """
+    defects: dict[tuple, dict] = {}
+    for outer, entries in expansions:
+        for triple, u, v, coef in entries:
+            vec = outer.product(u, v)
+            if vec is outer.zero_vector():
+                continue
+            acc = defects.setdefault(triple, {})
+            for t, y in enumerate(vec):
+                if y:
+                    acc[t] = acc[t] + coef * y if t in acc else coef * y
+    return min((t for t, acc in defects.items() if any(acc.values())), default=None)
 
 
 def identity_violation(a: Algebra, kind: IdentityKind) -> tuple | None:
     """First basis triple (i, j, k) violating the identity, or None.
 
     Checking basis triples is exhaustive: the defect is trilinear, so
-    vanishing on all basis triples forces vanishing everywhere.
+    vanishing on all basis triples forces vanishing everywhere.  Every term
+    has an inner product, so only triples touching a nonzero product are
+    visited.
     """
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                if any(_triple_defect(a, kind, i, j, k)):
-                    return (i, j, k)
-    return None
+    if kind not in IDENTITY_TERMS:
+        raise ValueError(f"unknown identity kind {kind}")
+    return first_violation((a, expand_term(a, term)) for term in IDENTITY_TERMS[kind])
 
 
 def check_identity(a: Algebra, kind: IdentityKind) -> bool:

@@ -17,19 +17,12 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, IdentityKind, center, derived_ideal, identity_violation, is_extra_special
 from .catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
-from .cohomology import VALIDATED_LEIBNIZ, cover, is_capable, is_unicentral, multiplier_dim, z_star
+from .cohomology import VALIDATED_LEIBNIZ, cover, cover_z_star, is_capable, is_unicentral, multiplier_dim, z_star
 from .dialg import Dialgebra, diassociativity_violation
 from .errors import InputError, InternalCheckFailure, Unsupported
 from .forms import BlockDecomposition, classify
 from .scalars import Field
 from .serialize import algebra_to_doc, parse_algebra
-
-_IDENTITY_FLAGS = {
-    "assoc": IdentityKind.ASSOCIATIVE,
-    "leibniz-left": IdentityKind.LEIBNIZ_LEFT,
-    "leibniz-right": IdentityKind.LEIBNIZ_RIGHT,
-}
-
 
 def _parse_field_flag(text: str) -> Field:
     text = text.strip()
@@ -145,10 +138,13 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
     dim = alg.dim
     is_j1 = descriptor is not None and descriptor.kind == "j" and descriptor.n == 1
     predicted = 1 if is_j1 else (dim - 1) ** 2 - 1
-    m_assoc = multiplier_dim(alg, IdentityKind.ASSOCIATIVE)
+    # one cover per row: it holds the assoc multiplier and Z*, from which
+    # capability and unicentrality are both read
+    cov = cover(alg)
+    m_assoc = cov.kernel.dim
     m_leib = multiplier_dim(alg, VALIDATED_LEIBNIZ)
     leib_predicted = _leibniz_expected(descriptor, field, dim)
-    zs = z_star(alg)  # one cover per row; capability and unicentrality both read it
+    zs = cover_z_star(alg, cov)
     capable = zs.dim == 0
     unicentral = zs == center(alg)
     decomposition = classify(alg)
@@ -209,8 +205,7 @@ def _cmd_check(args) -> dict:
         }
     if isinstance(obj, Dialgebra):
         raise InputError("single-product identity check needs an algebra document")
-    kind = _IDENTITY_FLAGS[args.identity]
-    violation = identity_violation(obj, kind)
+    violation = identity_violation(obj, IdentityKind(args.identity))
     return {
         "identity": args.identity,
         "holds": violation is None,
@@ -317,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity",
         required=True,
-        choices=["assoc", "leibniz-left", "leibniz-right", "diassoc"],
+        choices=[kind.value for kind in IdentityKind] + ["diassoc"],
     )
 
     p = sub.add_parser("invariants", help="center/derived dimensions, extra special flag")

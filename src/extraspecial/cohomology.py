@@ -2,11 +2,12 @@
 
 A 2-cocycle is a bilinear map f on the algebra, stored as the length-n^2
 coordinate vector (f(x_i, x_j))_{ij}.  The cocycle condition is the
-linearization of the defining identity of the chosen theory, one constraint
-row per basis triple; coboundaries are the maps g(x_i x_j) for linear
-functionals g.  The quotient dimension is the Schur multiplier dimension,
-and a cover is the central extension built from a complement of the
-coboundaries inside the cocycles.
+linearization of the defining identity of the chosen theory: the terms of
+`algebra.IDENTITY_TERMS` with their outer product replaced by f, one
+constraint row per basis triple.  Coboundaries are the maps g(x_i x_j) for
+linear functionals g.  The quotient dimension is the Schur multiplier
+dimension, and a cover is the central extension built from a complement of
+the coboundaries inside the cocycles.
 
 Two Leibniz orientations are implemented.  The orientation whose multiplier
 dimensions match the published low-dimensional Leibniz values is
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, IdentityKind, center, check_identity, derived_ideal
+from .algebra import IDENTITY_TERMS, Algebra, IdentityKind, center, check_identity, derived_ideal, expand_term
 from .errors import IdentityViolated, InternalCheckFailure, NotAssociative, StemFailure
 from .linalg import Subspace, kernel_basis
 
@@ -56,56 +57,17 @@ class CoverExtension:
 def _cocycle_rows(a: Algebra, theory: IdentityKind):
     """Constraint rows of the cocycle system, indexed by basis triples.
 
-    Variables are flattened as f(x_i, x_j) -> i * dim + j.  Only triples
-    touching a nonzero product produce a row, so the row set is built from
-    the sparse product list instead of all dim^3 triples.
+    Variables are flattened as f(x_i, x_j) -> i * dim + j.  Each row is the
+    theory's identity on one basis triple with its outer product replaced by
+    f (the linearization of the identity table), so only triples touching a
+    nonzero product produce a row.
     """
-    n = a.dim
+    n, zero = a.dim, a.field.zero
     rows: dict[tuple, dict] = {}
-
-    def add(key, col, val):
-        row = rows.setdefault(key, {})
-        cur = row.get(col)
-        nv = val if cur is None else cur + val
-        if nv:
-            row[col] = nv
-        elif cur is not None:
-            del row[col]
-
-    for p, q, w in a.nonzero_products():
-        support = [(m, x) for m, x in enumerate(w) if x]
-        if theory is IdentityKind.ASSOCIATIVE:
-            # f(x_i x_j, x_k) - f(x_i, x_j x_k) = 0
-            for k in range(n):
-                for m, x in support:
-                    add((p, q, k), m * n + k, x)
-            for i in range(n):
-                for m, x in support:
-                    add((i, p, q), i * n + m, -x)
-        elif theory is IdentityKind.LEIBNIZ_LEFT:
-            # f(x_i, x_j x_k) - f(x_i x_j, x_k) + f(x_i x_k, x_j) = 0
-            for i in range(n):
-                for m, x in support:
-                    add((i, p, q), i * n + m, x)
-            for k in range(n):
-                for m, x in support:
-                    add((p, q, k), m * n + k, -x)
-            for j in range(n):
-                for m, x in support:
-                    add((p, j, q), m * n + j, x)
-        elif theory is IdentityKind.LEIBNIZ_RIGHT:
-            # f(x_i x_j, x_k) - f(x_i, x_j x_k) + f(x_j, x_i x_k) = 0
-            for k in range(n):
-                for m, x in support:
-                    add((p, q, k), m * n + k, x)
-            for i in range(n):
-                for m, x in support:
-                    add((i, p, q), i * n + m, -x)
-            for j in range(n):
-                for m, x in support:
-                    add((p, j, q), j * n + m, x)
-        else:
-            raise ValueError(f"unknown theory {theory}")
+    for term in IDENTITY_TERMS[theory]:
+        for triple, u, v, coef in expand_term(a, term):
+            row = rows.setdefault(triple, {})
+            row[u * n + v] = row.get(u * n + v, zero) + coef  # zeros are dropped by the solver
     return rows.values()
 
 
@@ -200,7 +162,11 @@ def z_star(a: Algebra) -> Subspace:
     extensions; computing it through the (finite-dimensional) cover avoids
     free presentations entirely.
     """
-    cov = cover(a)
+    return cover_z_star(a, cover(a))
+
+
+def cover_z_star(a: Algebra, cov: CoverExtension) -> Subspace:
+    """Z* of `a` read from its cover `cov`, as `z_star` does."""
     projected = cov.project_subspace(center(cov.total))
     if not center(a).contains_subspace(projected):
         raise InternalCheckFailure("Z* escaped the center; projection bug")

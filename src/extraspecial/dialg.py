@@ -14,7 +14,7 @@ the induced bracket are implemented.
 
 from __future__ import annotations
 
-from .algebra import Algebra, IdentityKind, check_identity
+from .algebra import IDENTITY_TERMS, Algebra, IdentityKind, check_identity, expand_term, first_violation
 from .errors import DimensionMismatch, NotAssociative, NotDiassociative
 from .scalars import Field
 
@@ -43,8 +43,8 @@ class Dialgebra:
 
 
 #: The five defining axioms as (label, lhs, rhs); each side is a pair
-#: (outer, inner) of product tags applied as outer(inner(x, y), z) on the
-#: left side and outer(x, inner(y, z)) on the right side.
+#: (outer, inner) of product tags for one of the two associativity terms:
+#: lhs is outer(inner(x, y), z), rhs is outer(x, inner(y, z)).
 _AXIOMS = (
     ("(x-|y)-|z = x-|(y-|z)", ("L", "L"), ("L", "L")),
     ("(x-|y)-|z = x-|(y|-z)", ("L", "L"), ("L", "R")),
@@ -54,35 +54,16 @@ _AXIOMS = (
 )
 
 
-def _axiom_defect(d: Dialgebra, axiom, i: int, j: int, k: int) -> tuple:
-    """Coordinates of lhs - rhs of one axiom on basis triple (i, j, k)."""
-    label, (l_outer, l_inner), (r_outer, r_inner) = axiom
-    tables = {"L": d.left, "R": d.right}
-    zero = d.field.zero
-    out = [zero] * d.dim
-    inner = tables[l_inner].product(i, j)
-    for m, x in enumerate(inner):
-        if x:
-            for t, y in enumerate(tables[l_outer].product(m, k)):
-                if y:
-                    out[t] = out[t] + x * y
-    inner = tables[r_inner].product(j, k)
-    for m, x in enumerate(inner):
-        if x:
-            for t, y in enumerate(tables[r_outer].product(i, m)):
-                if y:
-                    out[t] = out[t] - x * y
-    return tuple(out)
-
-
 def diassociativity_violation(d: Dialgebra) -> tuple | None:
     """First failing (axiom label, basis triple), or None when all five hold."""
-    for axiom in _AXIOMS:
-        for i in range(d.dim):
-            for j in range(d.dim):
-                for k in range(d.dim):
-                    if any(_axiom_defect(d, axiom, i, j, k)):
-                        return (axiom[0], (i, j, k))
+    tables = {"L": d.left, "R": d.right}
+    for label, *sides in _AXIOMS:
+        triple = first_violation(
+            (tables[outer], expand_term(tables[inner], term))
+            for term, (outer, inner) in zip(IDENTITY_TERMS[IdentityKind.ASSOCIATIVE], sides)
+        )
+        if triple is not None:
+            return (label, triple)
     return None
 
 

@@ -19,16 +19,32 @@ from fractions import Fraction
 from .errors import FieldMismatch, UnsupportedField
 
 
+#: Miller-Rabin with the prime bases up to 41 is deterministic below this
+#: bound (Sorenson and Webster, 2015); larger moduli are refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -104,6 +120,8 @@ class Field:
             if self.p is not None:
                 raise UnsupportedField("the rational field takes no modulus")
         elif self.kind == "GF":
+            if self.p is not None and self.p >= _MR_BOUND:
+                raise UnsupportedField(f"GF modulus {self.p} is too large to certify as prime")
             if self.p is None or not _is_prime(self.p):
                 raise UnsupportedField(f"GF modulus must be prime, got {self.p}")
             if self.p == 2:

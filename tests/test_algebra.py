@@ -17,8 +17,10 @@ from extraspecial.algebra import (
     multiply,
 )
 from extraspecial.catalog import BlockDescriptor, make_canonical
+from extraspecial.dialg import Dialgebra, diassociativity_violation
 from extraspecial.errors import DimensionMismatch
 from extraspecial.scalars import Field
+from oracle_identity import naive_diassociativity_violation, naive_identity_violation
 
 Q = Field.rationals()
 
@@ -99,6 +101,39 @@ def test_leibniz_orientations_are_genuinely_different():
     assert check_identity(right_breaker, IdentityKind.LEIBNIZ_LEFT)
     assert not check_identity(right_breaker, IdentityKind.LEIBNIZ_RIGHT)
     assert identity_violation(right_breaker, IdentityKind.LEIBNIZ_RIGHT) == (0, 0, 0)
+
+
+def _random_products(rng, dim, entries):
+    products = {}
+    for _ in range(entries):
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        vec = list(products.get((i, j), [0] * dim))
+        vec[k] = rng.choice((-2, -1, 1, 2, 3))
+        products[(i, j)] = vec
+    return products
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(5), Field.gf(7)], ids=str)
+def test_identity_checks_agree_with_oracle(field):
+    # 25 random algebras and 25 random dialgebras per field; the densities
+    # make about half of them violate, so both answers and the reported
+    # first triple (or axiom) are compared
+    violations = []
+    for seed in range(25):
+        rng = random.Random(f"identity oracle {field} {seed}")
+        dim = rng.randint(2, 4)
+        a = Algebra(field, dim, _random_products(rng, dim, rng.randint(1, 2)))
+        for kind in IdentityKind:
+            expected = naive_identity_violation(a, kind.value)
+            assert identity_violation(a, kind) == expected, (seed, kind)
+            violations.append(expected is not None)
+        left = _random_products(rng, dim, 1)
+        right = dict(left) if rng.randrange(3) else _random_products(rng, dim, 1)
+        d = Dialgebra(field, dim, left, right)
+        expected = naive_diassociativity_violation(d)
+        assert diassociativity_violation(d) == expected, seed
+        violations.append(expected is not None)
+    assert 0.25 < sum(violations) / len(violations) < 0.75
 
 
 # -- derived ideal ----------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Field arithmetic: exactness, normalization, and field separation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from extraspecial.errors import FieldMismatch, UnsupportedField
-from extraspecial.scalars import Field, Fp
+from extraspecial.scalars import Field, Fp, _is_prime
 
 Q = Field.rationals()
 GF5 = Field.gf(5)
@@ -44,6 +45,41 @@ def test_characteristic_two_and_composites_rejected():
         Field.gf(9)
     with pytest.raises(UnsupportedField):
         Field.gf(1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if trial(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,  # Carmichael numbers
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+    ],
+)
+def test_pseudoprime_moduli_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(UnsupportedField):
+        Field.gf(n)
+
+
+def test_large_prime_field_builds_fast():
+    start = time.perf_counter()
+    field = Field.gf(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert field.coerce(-1) * field.coerce(-1) == field.one
+
+
+def test_modulus_beyond_certified_range_refused():
+    # 2^89 - 1 is prime, but above the range where the test is deterministic
+    with pytest.raises(UnsupportedField, match="too large"):
+        Field.gf(2**89 - 1)
 
 
 def test_rationals_always_in_lowest_terms():
