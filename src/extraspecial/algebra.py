@@ -1,10 +1,11 @@
 """Structure-constant algebras: products, identity checkers, center, derived ideal.
 
 An `Algebra` is a finite-dimensional vector space with a bilinear product
-given by a structure tensor: `product(i, j)` is the coordinate vector of
-(basis i) * (basis j).  Tensors are stored row-sparse (all-zero product
-vectors share one tuple), which keeps the large central extensions built by
-the cohomology layer cheap to create and scan.
+given by a structure tensor, held sparse: every reader walks the rows
+{k: nonzero scalar} of `nonzero_products()`, which keeps the large central
+extensions built by the cohomology layer cheap to create and scan.  Dense
+vectors appear only at the edges: dense constructor input, `product(i, j)`
+(the dense view, built on demand), `basis_vector` and `multiply`.
 
 Each defining identity is written once, as the signed terms of
 `IDENTITY_TERMS`; the identity check, the cohomology layer's cocycle rows
@@ -34,15 +35,20 @@ class IdentityKind(Enum):
 
 
 class Algebra:
-    """A finite-dimensional algebra presented by structure constants."""
+    """A finite-dimensional algebra presented by structure constants.
 
-    __slots__ = ("field", "dim", "basis_names", "_tensor", "_zero_row")
+    The structure tensor is held sparse, as {(i, j): {k: nonzero scalar}}
+    with the pairs in (i, j) order and each row in increasing k.
+    """
+
+    __slots__ = ("field", "dim", "basis_names", "_products")
 
     def __init__(self, field: Field, dim: int, products, basis_names=None):
-        """`products` maps (i, j) pairs to coordinate vectors of basis products.
+        """`products` maps (i, j) pairs to the coordinates of basis products.
 
-        Accepts either a dict {(i, j): vector} or a full dim x dim x dim
-        nested sequence.  Unlisted products are zero.
+        A sparse row {k: scalar} is taken as it is, with zero entries
+        dropped and every k checked in range; a dense vector of length `dim`
+        is coerced into the field.  Unlisted products are zero.
         """
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -53,58 +59,40 @@ class Algebra:
         if len(basis_names) != dim:
             raise ValueError("need one basis name per dimension")
         self.basis_names = tuple(basis_names)
-        zero_row = tuple([field.zero] * dim)
-        self._zero_row = zero_row
-        if isinstance(products, dict):
-            table = [[zero_row] * dim for _ in range(dim)]
-            for (i, j), vec in products.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise DimensionMismatch(f"product index ({i}, {j}) out of range")
-                row = tuple(field.coerce(x) for x in vec)
-                if len(row) != dim:
-                    raise DimensionMismatch("product vector has wrong length")
-                table[i][j] = row if any(row) else zero_row
-        else:
-            table = []
-            for i, plane in enumerate(products):
-                row_list = []
-                for j, vec in enumerate(plane):
-                    row = tuple(field.coerce(x) for x in vec)
-                    if len(row) != dim:
-                        raise DimensionMismatch("structure tensor is not cubical")
-                    row_list.append(row if any(row) else zero_row)
-                table.append(row_list)
-            if len(table) != dim or any(len(r) != dim for r in table):
-                raise DimensionMismatch("structure tensor is not cubical")
-        self._tensor = tuple(tuple(r) for r in table)
+        table = {}
+        for (i, j), vec in products.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatch(f"product index ({i}, {j}) out of range")
+            row = _product_row(field, dim, vec)
+            if row:
+                table[(i, j)] = row
+        self._products = dict(sorted(table.items()))
 
     @classmethod
     def zero(cls, field: Field, dim: int, basis_names=None) -> "Algebra":
         return cls(field, dim, {}, basis_names)
 
     def product(self, i: int, j: int) -> tuple:
-        return self._tensor[i][j]
+        """Dense coordinates of (basis i) * (basis j), built on demand."""
+        vec = [self.field.zero] * self.dim
+        for k, x in self._products.get((i, j), {}).items():
+            vec[k] = x
+        return tuple(vec)
 
     def structure_constant(self, i: int, j: int, k: int):
-        return self._tensor[i][j][k]
+        return self._products.get((i, j), {}).get(k, self.field.zero)
 
     def nonzero_products(self):
-        """Yield (i, j, vector) for every nonzero basis product."""
-        zero_row = self._zero_row
-        for i, plane in enumerate(self._tensor):
-            for j, vec in enumerate(plane):
-                if vec is not zero_row and any(vec):
-                    yield i, j, vec
+        """Yield (i, j, sparse row) for every nonzero basis product, in (i, j) order.
 
-    def tensor(self) -> tuple:
-        return self._tensor
+        The rows are the algebra's own; readers must not mutate them.
+        """
+        for (i, j), row in self._products.items():
+            yield i, j, row
 
     def same_field(self, other: "Algebra") -> None:
         if self.field != other.field:
             raise FieldMismatch(f"algebras over {self.field} and {other.field}")
-
-    def zero_vector(self) -> tuple:
-        return self._zero_row
 
     def basis_vector(self, i: int) -> tuple:
         vec = [self.field.zero] * self.dim
@@ -116,15 +104,27 @@ class Algebra:
             isinstance(other, Algebra)
             and self.field == other.field
             and self.dim == other.dim
-            and self._tensor == other._tensor
+            and self._products == other._products
         )
 
     def __hash__(self):
-        return hash((self.field, self.dim, self._tensor))
+        rows = tuple((key, tuple(row.items())) for key, row in self._products.items())
+        return hash((self.field, self.dim, rows))
 
     def __repr__(self):
-        nz = sum(1 for _ in self.nonzero_products())
-        return f"Algebra(dim {self.dim} over {self.field}, {nz} nonzero products)"
+        return f"Algebra(dim {self.dim} over {self.field}, {len(self._products)} nonzero products)"
+
+
+def _product_row(field: Field, dim: int, vec) -> dict:
+    """One product as {k: nonzero scalar} in increasing k (see `Algebra`)."""
+    if isinstance(vec, dict):
+        if not all(0 <= k < dim for k in vec):
+            raise DimensionMismatch("product coordinate out of range")
+        return {k: x for k, x in sorted(vec.items()) if x}
+    row = tuple(map(field.coerce, vec))
+    if len(row) != dim:
+        raise DimensionMismatch("product vector has wrong length")
+    return {k: x for k, x in enumerate(row) if x}
 
 
 def multiply(a: Algebra, u, v) -> tuple:
@@ -134,12 +134,11 @@ def multiply(a: Algebra, u, v) -> tuple:
     u = [a.field.coerce(x) for x in u]
     v = [a.field.coerce(x) for x in v]
     out = [a.field.zero] * a.dim
-    for i, j, vec in a.nonzero_products():
+    for i, j, row in a.nonzero_products():
         c = u[i] * v[j]
         if c:
-            for k, x in enumerate(vec):
-                if x:
-                    out[k] = out[k] + c * x
+            for k, x in row.items():
+                out[k] = out[k] + c * x
     return tuple(out)
 
 
@@ -166,9 +165,7 @@ def expand_term(inner: Algebra, term):
     sign, nesting, order = term
     i_slot, j_slot, k_slot = (order.index(position) for position in range(3))
     for p, q, w in inner.nonzero_products():
-        for m, x in enumerate(w):
-            if not x:
-                continue
+        for m, x in w.items():
             coef = x if sign > 0 else -x
             for r in range(inner.dim):
                 # bracket slots left to right, and the outer factors
@@ -180,18 +177,17 @@ def first_violation(expansions) -> tuple | None:
     """Least basis triple whose terms do not cancel, or None.
 
     `expansions` pairs an outer algebra with `expand_term` entries; each
-    entry adds coef * outer.product(u, v) to its triple's defect.
+    entry adds coef * (x_u x_v in `outer`) to its triple's defect.
     """
     defects: dict[tuple, dict] = {}
     for outer, entries in expansions:
         for triple, u, v, coef in entries:
-            vec = outer.product(u, v)
-            if vec is outer.zero_vector():
+            row = outer._products.get((u, v))
+            if row is None:
                 continue
             acc = defects.setdefault(triple, {})
-            for t, y in enumerate(vec):
-                if y:
-                    acc[t] = acc[t] + coef * y if t in acc else coef * y
+            for t, y in row.items():
+                acc[t] = acc[t] + coef * y if t in acc else coef * y
     return min((t for t, acc in defects.items() if any(acc.values())), default=None)
 
 
@@ -223,9 +219,7 @@ def derived_ideal(a: Algebra) -> Subspace:
     """
     field = a.field
     zero = field.zero
-    nonzero = [
-        (p, q, {k: y for k, y in enumerate(vec) if y}) for p, q, vec in a.nonzero_products()
-    ]
+    nonzero = list(a.nonzero_products())
     span = Subspace(field, a.dim, [row for _, _, row in nonzero])
     frontier = list(span.pivots.values())
     while frontier:
@@ -261,13 +255,12 @@ def center(a: Algebra) -> Subspace:
     the nonzero entries of the structure tensor.
     """
     rows: dict[tuple, dict] = {}
-    for i, j, vec in a.nonzero_products():
-        for k, x in enumerate(vec):
-            if x:
-                # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
-                rows.setdefault(("L", j, k), {})[i] = x
-                # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
-                rows.setdefault(("R", i, k), {})[j] = x
+    for i, j, row in a.nonzero_products():
+        for k, x in row.items():
+            # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
+            rows.setdefault(("L", j, k), {})[i] = x
+            # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
+            rows.setdefault(("R", i, k), {})[j] = x
     unique = {tuple(sorted(r.items())) for r in rows.values()}
     return kernel_basis(a.field, a.dim, (dict(r) for r in unique))
 

@@ -116,10 +116,10 @@ def make_canonical(d: BlockDescriptor, field: Field) -> Algebra:
         z = dim - 1
         products = {}
         if n == 1:
-            products[(0, 0)] = _unit(field, dim, z)
+            products[(0, 0)] = {z: one}
         else:
             for i in range(n - 1):
-                products[(i, i + 1)] = _unit(field, dim, z)
+                products[(i, i + 1)] = {z: one}
         names = [f"x{i + 1}" for i in range(n)] + ["z"]
         return Algebra(field, dim, products, names)
     if d.kind == "gamma":
@@ -131,10 +131,10 @@ def make_canonical(d: BlockDescriptor, field: Field) -> Algebra:
         # both with sign (-1)^(n-i); 1-based indices i
         for i in range(1, n + 1):
             sign = _sign_element(field, n - i)
-            products[(i - 1, n - i)] = _unit(field, dim, z, sign)
+            products[(i - 1, n - i)] = {z: sign}
         for i in range(2, n + 1):
             sign = _sign_element(field, n - i)
-            products[(i - 1, n + 1 - i)] = _unit(field, dim, z, sign)
+            products[(i - 1, n + 1 - i)] = {z: sign}
         names = [f"x{i + 1}" for i in range(n)] + ["z"]
         return Algebra(field, dim, products, names)
     # H blocks
@@ -142,8 +142,8 @@ def make_canonical(d: BlockDescriptor, field: Field) -> Algebra:
     if d.n == 1:
         dim = 3
         products = {
-            (0, 1): _unit(field, dim, 2),
-            (1, 0): _unit(field, dim, 2, lam),
+            (0, 1): {2: one},
+            (1, 0): {2: lam},
         }
         return Algebra(field, dim, products, ["x1", "x2", "z"])
     n = d.n
@@ -151,18 +151,12 @@ def make_canonical(d: BlockDescriptor, field: Field) -> Algebra:
     z = dim - 1
     products = {}
     for i in range(n):
-        products[(i, n + i)] = _unit(field, dim, z)
-        products[(n + i, i)] = _unit(field, dim, z, lam)
+        products[(i, n + i)] = {z: one}
+        products[(n + i, i)] = {z: lam}
     for i in range(n - 1):
-        products[(n + i, i + 1)] = _unit(field, dim, z)
+        products[(n + i, i + 1)] = {z: one}
     names = [f"x{i + 1}" for i in range(2 * n)] + ["z"]
     return Algebra(field, dim, products, names)
-
-
-def _unit(field: Field, dim: int, k: int, value=None) -> tuple:
-    vec = [field.zero] * dim
-    vec[k] = field.one if value is None else value
-    return tuple(vec)
 
 
 def central_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -177,36 +171,27 @@ def central_sum(a: Algebra, b: Algebra) -> Algebra:
     for alg in (a, b):
         if not is_extra_special(alg):
             raise NotExtraSpecial("central_sum needs extra special summands")
-        z = center(alg)
-        expected = alg.basis_vector(alg.dim - 1)
-        if z.basis != (expected,):
+        # a one-dimensional reduced echelon basis pivoting on the last
+        # column is exactly the last basis vector
+        if tuple(center(alg).pivots) != (alg.dim - 1,):
             raise NotExtraSpecial(
                 "central_sum expects the center spanned by the last basis vector"
             )
-    field = a.field
     na, nb = a.dim - 1, b.dim - 1
-    dim = na + nb + 1
-    z = dim - 1
-
-    def embed(vec, offset, source_dim):
-        out = [field.zero] * dim
-        for k, x in enumerate(vec):
-            if not x:
-                continue
-            out[z if k == source_dim - 1 else offset + k] = x
-        return tuple(out)
-
+    z = na + nb
     products = {}
-    for i, j, vec in a.nonzero_products():
-        products[(i, j)] = embed(vec, 0, a.dim)
-    for i, j, vec in b.nonzero_products():
-        products[(na + i, na + j)] = embed(vec, na, b.dim)
+    for alg, offset in ((a, 0), (b, na)):
+        last = alg.dim - 1
+        for i, j, row in alg.nonzero_products():
+            products[(offset + i, offset + j)] = {
+                z if k == last else offset + k: x for k, x in row.items()
+            }
     names = (
         [f"a_{n}" for n in a.basis_names[:na]]
         + [f"b_{n}" for n in b.basis_names[:nb]]
         + ["z"]
     )
-    return Algebra(field, dim, products, names)
+    return Algebra(a.field, z + 1, products, names)
 
 
 # ---------------------------------------------------------------------------

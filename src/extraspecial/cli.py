@@ -4,19 +4,21 @@ Every command prints a single JSON object on stdout.  Exit codes separate
 "computed" from "failed": 0 means the computation ran (boolean answers live
 in the payload), 2 flags bad input (a malformed command line included), 3
 flags an honest refusal over the base field, 4 flags an internal self-check
-failure, 5 flags an unexpected error (its traceback goes to stderr), and
-`verify-theorems` exits 1 when any row fails.
+failure, 5 flags an unexpected error (its traceback goes to stderr) or a
+stdout closed before the payload was written (its JSON error line goes to
+stderr), and `verify-theorems` exits 1 when any row fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 from .algebra import Algebra, IdentityKind, center, derived_ideal, identity_violation, is_extra_special
-from .catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
+from .catalog import BlockDescriptor, central_sum, make_canonical, make_from_text, parse_descriptor
 from .cohomology import VALIDATED_LEIBNIZ, cover, cover_z_star, is_capable, is_unicentral, multiplier_dim, z_star
 from .dialg import Dialgebra, diassociativity_violation
 from .errors import InputError, InternalCheckFailure, Unsupported
@@ -152,8 +154,6 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
         classify_ok = decomposition == BlockDecomposition(field, [descriptor])
     else:
         # sums: the decomposition must be the multiset union of the part names
-        from .catalog import parse_descriptor
-
         parts = [parse_descriptor(p, field) for p in name.split("+")]
         classify_ok = decomposition == BlockDecomposition(field, parts)
     ok = (
@@ -359,6 +359,14 @@ _COMMANDS = {
 }
 
 
+#: exit code of each package error class; any other exception exits 5
+_EXIT_CODES = ((InputError, 2), (Unsupported, 3), (InternalCheckFailure, 4))
+
+
+def _error_line(exc: Exception) -> str:
+    return json.dumps({"error": str(exc), "kind": type(exc).__name__})
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -366,22 +374,22 @@ def main(argv=None) -> int:
             payload, code = _cmd_verify(args)
         else:
             payload, code = _COMMANDS[args.command](args), 0
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
-        return 2
-    except Unsupported as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
-        return 3
-    except InternalCheckFailure as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
-        return 4
-    except Exception as exc:  # a bug or a resource limit; never a bare traceback
-        import traceback  # imported here: it costs every process ~4 ms of start-up
+        text = json.dumps(payload, indent=2)
+    except Exception as exc:
+        code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), 5)
+        if code == 5:  # a bug or a resource limit; never a bare traceback
+            import traceback  # imported here: it costs every process ~4 ms of start-up
 
-        traceback.print_exc(file=sys.stderr)
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
+            traceback.print_exc(file=sys.stderr)
+        text = _error_line(exc)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError as exc:
+        # the reader closed stdout: say so on stderr, and point stdout at
+        # devnull so the interpreter's final flush has nothing to complain of
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(_error_line(exc), file=sys.stderr)
         return 5
-    print(json.dumps(payload, indent=2))
     return code
 
 

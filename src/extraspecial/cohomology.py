@@ -85,9 +85,8 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     # row k is the coboundary of the k-th dual functional: f(x_i, x_j) = c[i][j][k]
     coboundary_rows = {}
     for i, j, w in a.nonzero_products():
-        for k, x in enumerate(w):
-            if x:
-                coboundary_rows.setdefault(k, {})[i * n + j] = x
+        for k, x in w.items():
+            coboundary_rows.setdefault(k, {})[i * n + j] = x
     b2 = Subspace(a.field, n * n, coboundary_rows.values())
     if not z2.contains_subspace(b2):
         raise InternalCheckFailure("a coboundary failed the cocycle condition")
@@ -99,9 +98,9 @@ def multiplier_dim(a: Algebra, theory: IdentityKind) -> int:
     return cocycle_space(a, theory).h2_dim
 
 
-def _complement_cocycles(cs: CocycleSpace) -> list[tuple]:
-    """Echelon completion: z2 basis rows whose pivot is not a b2 pivot."""
-    out = [v for c, v in zip(cs.z2.pivots, cs.z2.basis) if c not in cs.b2.pivots]
+def _complement_cocycles(cs: CocycleSpace) -> list[dict]:
+    """Echelon completion: z2 pivot rows whose pivot is not a b2 pivot."""
+    out = [row for c, row in cs.z2.pivots.items() if c not in cs.b2.pivots]
     if len(out) != cs.h2_dim:
         raise InternalCheckFailure("echelon complement has the wrong dimension")
     return out
@@ -110,23 +109,18 @@ def _complement_cocycles(cs: CocycleSpace) -> list[tuple]:
 def central_extension_by_cocycles(a: Algebra, cocycles) -> Algebra:
     """Total algebra on A + F^m with product (u,s)(v,t) = (uv, f_1(u,v), ...).
 
-    Each cocycle is a flattened bilinear map of length dim^2.  The new
-    coordinates multiply to zero on both sides, so they are always central.
+    Each cocycle is a sparse row {i * dim + j: f(x_i, x_j)} of a flattened
+    bilinear map.  The new coordinates multiply to zero on both sides, so
+    they are always central.
     """
     n = a.dim
     cocycles = list(cocycles)
-    m = len(cocycles)
-    field = a.field
-    dim = n + m
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            base = a.product(i, j)
-            vec = list(base) + [f[i * n + j] for f in cocycles]
-            if any(vec):
-                products[(i, j)] = tuple(vec)
-    names = list(a.basis_names) + [f"m{l + 1}" for l in range(m)]
-    return Algebra(field, dim, products, names)
+    products = {(i, j): dict(row) for i, j, row in a.nonzero_products()}
+    for l, f in enumerate(cocycles):
+        for c, x in f.items():
+            products.setdefault(divmod(c, n), {})[n + l] = x
+    names = list(a.basis_names) + [f"m{l + 1}" for l in range(len(cocycles))]
+    return Algebra(a.field, n + len(cocycles), products, names)
 
 
 def cover(a: Algebra) -> CoverExtension:

@@ -76,20 +76,17 @@ def embed_associative(a: Algebra) -> Dialgebra:
     if not check_identity(a, IdentityKind.ASSOCIATIVE):
         raise NotAssociative("only associative algebras embed as dialgebras")
     products = {(i, j): vec for i, j, vec in a.nonzero_products()}
-    return Dialgebra(a.field, a.dim, products, dict(products), a.basis_names)
+    return Dialgebra(a.field, a.dim, products, products, a.basis_names)
 
 
 def induced_leibniz(d: Dialgebra) -> Algebra:
     """The Leibniz algebra with product x * y = x -| y - y |- x."""
     if not is_diassociative(d):
         raise NotDiassociative("the induced bracket needs the five axioms")
-    field = d.field
-    products = {}
-    for i in range(d.dim):
-        for j in range(d.dim):
-            left = d.left.product(i, j)
-            right = d.right.product(j, i)
-            vec = tuple(x - y for x, y in zip(left, right))
-            if any(vec):
-                products[(i, j)] = vec
-    return Algebra(field, d.dim, products, d.basis_names)
+    zero = d.field.zero
+    products = {(i, j): dict(row) for i, j, row in d.left.nonzero_products()}
+    for j, i, row in d.right.nonzero_products():
+        acc = products.setdefault((i, j), {})
+        for k, x in row.items():
+            acc[k] = acc.get(k, zero) - x
+    return Algebra(d.field, d.dim, products, d.basis_names)

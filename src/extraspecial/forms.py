@@ -108,22 +108,17 @@ def form_of(a: Algebra) -> BilinearForm:
     """
     if not is_extra_special(a):
         raise NotExtraSpecial("forms are defined for extra special algebras")
-    z = center(a)
-    (pivot,) = z.pivots
-    (zvec,) = z.basis
+    ((pivot, zrow),) = center(a).pivots.items()
     complement = [i for i in range(a.dim) if i != pivot]
-    rows = []
-    for i in complement:
-        row = []
-        for j in complement:
-            prod = a.product(i, j)
-            coef = prod[pivot]
-            for k, x in enumerate(prod):
-                expected = coef * zvec[k]
-                if x != expected:
-                    raise InternalCheckFailure("a product escapes the center line")
-            row.append(coef)
-        rows.append(row)
+    position = {i: r for r, i in enumerate(complement)}
+    rows = [[a.field.zero] * len(complement) for _ in complement]
+    for i, j, row in a.nonzero_products():
+        if i == pivot or j == pivot:
+            continue
+        coef = row.get(pivot)
+        if not coef or row != {k: coef * x for k, x in zrow.items()}:
+            raise InternalCheckFailure("a product escapes the center line")
+        rows[position[i]][position[j]] = coef
     matrix = Matrix(a.field, rows) if rows else Matrix.zeros(a.field, 0, 0)
     return BilinearForm(matrix)
 
@@ -133,18 +128,10 @@ def algebra_from_form(m: Matrix, basis_names=None) -> Algebra:
     n = m.nrows
     if not m.is_square:
         raise ValueError("a bilinear form matrix must be square")
-    field = m.field
-    dim = n + 1
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            if m.rows[i][j]:
-                vec = [field.zero] * dim
-                vec[dim - 1] = m.rows[i][j]
-                products[(i, j)] = tuple(vec)
+    products = {(i, j): {n: x} for i, row in enumerate(m.rows) for j, x in enumerate(row) if x}
     if basis_names is None:
         basis_names = [f"x{i + 1}" for i in range(n)] + ["z"]
-    return Algebra(field, dim, products, basis_names)
+    return Algebra(m.field, n + 1, products, basis_names)
 
 
 def cosquare(f: BilinearForm) -> Matrix:

@@ -182,10 +182,5 @@ class Field:
         x = self.coerce(x)
         return str(x)
 
-    def contains(self, x) -> bool:
-        if self.kind == "Q":
-            return isinstance(x, Fraction)
-        return isinstance(x, Fp) and x.p == self.p
-
     def __str__(self):
         return "Q" if self.kind == "Q" else f"GF({self.p})"

@@ -42,8 +42,7 @@ def _parse_field(node, location: str) -> Field:
 def _parse_products(field: Field, dim: int, entries, location: str) -> dict:
     if not isinstance(entries, list):
         raise ParseError("products must be a list", location)
-    seen = set()
-    vectors: dict[tuple, list] = {}
+    rows: dict[tuple, dict] = {}
     for idx, entry in enumerate(entries):
         where = f"{location}[{idx}]"
         if not isinstance(entry, list) or len(entry) != 4:
@@ -52,18 +51,17 @@ def _parse_products(field: Field, dim: int, entries, location: str) -> dict:
         for name, val in (("i", i), ("j", j), ("k", k)):
             if not isinstance(val, int) or not 0 <= val < dim:
                 raise ParseError(f"index {name}={val!r} out of range 0..{dim - 1}", where)
-        if (i, j, k) in seen:
+        row = rows.setdefault((i, j), {})
+        if k in row:
             raise ParseError(f"duplicate product entry for ({i}, {j}, {k})", where)
-        seen.add((i, j, k))
         if isinstance(coeff, str):
             value = field.parse(coeff)
         elif isinstance(coeff, int):
             value = field.coerce(coeff)
         else:
             raise ParseError(f"coefficient {coeff!r} must be a string", where)
-        vec = vectors.setdefault((i, j), [field.zero] * dim)
-        vec[k] = value
-    return {key: tuple(vec) for key, vec in vectors.items()}
+        row[k] = value  # zeros are dropped by `Algebra`
+    return rows
 
 
 def parse_algebra(text: str):
@@ -102,13 +100,10 @@ def _field_doc(field: Field):
 
 
 def _product_entries(field: Field, algebra: Algebra):
-    entries = []
-    for i, j, vec in algebra.nonzero_products():
-        for k, x in enumerate(vec):
-            if x:
-                entries.append([i, j, k, field.format(x)])
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return entries
+    """[i, j, k, coeff] entries, sorted: `nonzero_products` keeps (i, j, k) order."""
+    return [
+        [i, j, k, field.format(x)] for i, j, row in algebra.nonzero_products() for k, x in row.items()
+    ]
 
 
 def algebra_to_doc(obj):

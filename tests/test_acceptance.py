@@ -196,7 +196,8 @@ def test_criterion_6_cover_integrity():
         assert ext0.total.dim == 2
         prods = list(ext0.total.nonzero_products())
         assert len(prods) == 1
-        i, j, vec = prods[0]
+        i, j, _ = prods[0]
+        vec = ext0.total.product(i, j)
         assert (i, j) == (0, 0) and not vec[0] and vec[1]
 
 

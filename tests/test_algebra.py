@@ -47,6 +47,32 @@ def cover_of_j1():
     )
 
 
+# -- the sparse structure tensor ------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(7)], ids=str)
+def test_dense_and_sparse_input_build_the_same_algebra(field):
+    one, zero = field.one, field.zero
+    dense = Algebra(field, 3, {(1, 0): (0, 0, -1), (0, 1): (2, 0, 1), (1, 1): (0, 0, 0)})
+    sparse = Algebra(field, 3, {(0, 1): {2: one, 0: one + one, 1: zero}, (1, 0): {2: -one}, (2, 2): {}})
+    assert dense == sparse and hash(dense) == hash(sparse)
+    # zero entries and all-zero rows are dropped; pairs and rows are ordered
+    assert list(sparse.nonzero_products()) == [(0, 1, {0: one + one, 2: one}), (1, 0, {2: -one})]
+    assert sparse.product(1, 1) == (zero, zero, zero)
+    assert sparse.product(0, 1) == (one + one, zero, one)
+    assert sparse.structure_constant(1, 0, 2) == -one and sparse.structure_constant(2, 2, 0) == zero
+
+
+@pytest.mark.parametrize(
+    "products",
+    [{(0, 1): {3: Q.one}}, {(0, 1): {-1: Q.one}}, {(0, 1): (0, 1)}, {(0, 1): (0, 0, 1, 0)}, {(3, 0): {0: Q.one}}],
+    ids=["sparse k = dim", "sparse k < 0", "dense too short", "dense too long", "pair out of range"],
+)
+def test_out_of_range_products_are_refused(products):
+    with pytest.raises(DimensionMismatch):
+        Algebra(Q, 3, products)
+
+
 # -- multiply -----------------------------------------------------------------
 
 
@@ -237,7 +263,8 @@ def test_center_and_derived_invariant_under_basis_permutation():
     rng.shuffle(perm)
     inv = [perm.index(i) for i in range(a.dim)]
     products = {}
-    for i, jdx, vec in a.nonzero_products():
+    for i, jdx, _ in a.nonzero_products():
+        vec = a.product(i, jdx)
         moved = [Q.zero] * a.dim
         for k, x in enumerate(vec):
             moved[inv[k]] = x

@@ -1,0 +1,82 @@
+"""Every invariant is a property of the algebra, not of its basis.
+
+Each case takes a sweep algebra or central sum, picks one seeded invertible
+P (its rows are the new basis in old coordinates, with the central z mixed
+into every x), rewrites the structure tensor in that basis, and checks that
+nothing the toolkit reports about the algebra moves.  GF(3) and GF(5)
+include shapes with p <= dim.
+"""
+
+import random
+
+import pytest
+
+from extraspecial.algebra import Algebra, IdentityKind, center, derived_ideal, is_extra_special, multiply
+from extraspecial.catalog import make_from_text
+from extraspecial.cohomology import VALIDATED_LEIBNIZ, is_capable, is_unicentral, multiplier_dim
+from extraspecial.forms import classify
+from extraspecial.linalg import Matrix
+from extraspecial.scalars import Field
+
+CASES = [
+    ("Q", "j:1"),
+    ("Q", "j:3"),
+    ("Q", "gamma:3"),
+    ("Q", "h2:3"),
+    ("Q", "h2n:2:2"),
+    ("Q", "j:2+h2:-1"),
+    ("GF:7", "j:4"),
+    ("GF:7", "gamma:4"),
+    ("GF:7", "h2n:2:3"),
+    ("GF:7", "j:1+gamma:3"),
+    ("GF:3", "j:2+gamma:2"),
+    ("GF:3", "gamma:3"),
+    ("GF:5", "j:1+h2:2+j:2"),
+    ("GF:5", "gamma:3+j:1"),
+]
+
+
+def _field(flag: str) -> Field:
+    return Field.rationals() if flag == "Q" else Field.gf(int(flag.split(":")[1]))
+
+
+def _random_basis(rng: random.Random, field: Field, dim: int) -> Matrix:
+    """Invertible P with entries in -2..2 whose z column is nonzero on every x row."""
+    while True:
+        p = Matrix(field, [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+        if p.rank() == dim and all(row[-1] for row in p.rows[:-1]):
+            return p
+
+
+def _in_basis(a: Algebra, p: Matrix) -> Algebra:
+    """The algebra with basis f_r = sum_i P[r][i] e_i: f_r f_s in f coordinates."""
+    to_new = p.inverse().transpose()  # e-coordinates w -> f-coordinates w P^-1
+    products = {
+        (r, s): to_new.apply(multiply(a, p.rows[r], p.rows[s]))
+        for r in range(a.dim)
+        for s in range(a.dim)
+    }
+    return Algebra(a.field, a.dim, products)
+
+
+def _invariants(a: Algebra) -> dict:
+    return {
+        "center_dim": center(a).dim,
+        "derived_dim": derived_ideal(a).dim,
+        "extra_special": is_extra_special(a),
+        "multiplier_assoc": multiplier_dim(a, IdentityKind.ASSOCIATIVE),
+        "multiplier_leibniz": multiplier_dim(a, VALIDATED_LEIBNIZ),
+        "capable": is_capable(a),
+        "unicentral": is_unicentral(a),
+        "classify": classify(a).text(),
+    }
+
+
+@pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])
+def test_invariants_survive_a_change_of_basis(flag, text):
+    field = _field(flag)
+    a = make_from_text(text, field)
+    p = _random_basis(random.Random(f"basis {flag} {text}"), field, a.dim)
+    moved = _in_basis(a, p)
+    assert moved != a  # the tensor really moved
+    assert _invariants(moved) == _invariants(a)

@@ -21,7 +21,7 @@ GF7 = Field.gf(7)
 
 
 def products_of(a):
-    return {(i, j): vec for i, j, vec in a.nonzero_products()}
+    return {(i, j): a.product(i, j) for i, j, _ in a.nonzero_products()}
 
 
 def z_vec(dim, coeff=1):

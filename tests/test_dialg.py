@@ -52,7 +52,7 @@ def test_induced_bracket_of_j1_vanishes():
 def test_induced_bracket_of_h2_lambda():
     a = make_canonical(BlockDescriptor("h", 1, 3), Q)
     lb = induced_leibniz(embed_associative(a))
-    prods = {(i, j): vec for i, j, vec in lb.nonzero_products()}
+    prods = {(i, j): lb.product(i, j) for i, j, _ in lb.nonzero_products()}
     assert prods == {
         (0, 1): (Fraction(0), Fraction(0), Fraction(-2)),
         (1, 0): (Fraction(0), Fraction(0), Fraction(2)),

@@ -68,6 +68,9 @@ COMMANDS = (
 )
 DIASSOC = ("check", "--identity", "diassoc")
 
+# `make` is run on every shape above and on these single blocks over Q
+MAKES = [*SHAPES, ("Q", "j:1"), ("Q", "gamma:4"), ("Q", "h2:-1"), ("Q", "h2n:3:2")]
+
 # x*y = x is not associative: cover and zstar refuse it before any cocycle
 # solve, classify refuses it as not extra special; x*x = y, x*y = z breaks
 # only the left Leibniz identity
@@ -81,6 +84,16 @@ ERROR_DOCS = {
         "products": [[0, 0, 1, "1"], [0, 1, 2, "1"]],
     },
 }
+
+# a document with an explicit "0" coefficient (alone in (1, 1), beside a
+# nonzero entry in (0, 1)) and integer coefficients; read only by the
+# commands of `SPARSE_COMMANDS`
+SPARSE_INPUT = "explicit zero and integer coefficients"
+SPARSE_DOC = {
+    "field": {"kind": "Q"}, "dim": 3, "basis": ["x", "y", "z"],
+    "products": [[0, 1, 0, "0"], [0, 1, 2, "1"], [1, 0, 2, -1], [1, 1, 2, "0"], [0, 0, 2, 2]],
+}
+SPARSE_COMMANDS = (("invariants",), ("cover",))
 
 # dialgebra documents, run only through `check --identity diassoc`: the
 # embedded j:3 (built in `_documents`) holds, the broken one fails an axiom
@@ -118,22 +131,28 @@ def _documents() -> dict:
         docs[f"{flag} {shape} scrambled"] = write_algebra(_scrambled(flag, shape))
     for name, doc in {**ERROR_DOCS, **DIALGEBRA_DOCS}.items():
         docs[name] = json.dumps(doc)
+    docs[SPARSE_INPUT] = json.dumps(SPARSE_DOC)
     docs[EMBEDDED] = write_algebra(embed_associative(make_from_text("j:3", Field.rationals())))
     return docs
 
 
 def _commands(name: str):
+    if name == SPARSE_INPUT:
+        return SPARSE_COMMANDS
     return (DIASSOC,) if name == EMBEDDED or name in DIALGEBRA_DOCS else COMMANDS
 
 
 DOC_NAMES = [f"{flag} {shape}{tag}" for flag, shape in SHAPES for tag in ("", " scrambled")]
-DOC_NAMES += [*ERROR_DOCS, *DIALGEBRA_DOCS, EMBEDDED]
-CASE_IDS = sorted([*SWEEPS, *(f"{' '.join(c)} {d}" for d in DOC_NAMES for c in _commands(d))])
+DOC_NAMES += [*ERROR_DOCS, *DIALGEBRA_DOCS, EMBEDDED, SPARSE_INPUT]
+MAKE_CASES = {f"make {shape} --field {flag}": ["make", shape, "--field", flag] for flag, shape in MAKES}
+CASE_IDS = sorted(
+    [*SWEEPS, *MAKE_CASES, *(f"{' '.join(c)} {d}" for d in DOC_NAMES for c in _commands(d))]
+)
 
 
 def _cases(directory: str) -> dict:
     """Case id -> argv, writing the documents the cases read into `directory`."""
-    cases = dict(SWEEPS)
+    cases = {**SWEEPS, **MAKE_CASES}
     for index, (name, text) in enumerate(sorted(_documents().items())):
         path = os.path.join(directory, f"doc{index}.json")
         with open(path, "w", encoding="utf-8") as fh:
