@@ -5,13 +5,15 @@ Every command prints a single JSON object on stdout.  Exit codes separate
 in the payload), 2 flags bad input (a malformed command line included), 3
 flags an honest refusal over the base field, 4 flags an internal self-check
 failure, 5 flags an unexpected error (its traceback goes to stderr) or a
-stdout closed before the payload was written (its JSON error line goes to
-stderr), and `verify-theorems` exits 1 when any row fails.
+stdout closed before start-up or before the payload was written (its JSON
+error line goes to stderr), and `verify-theorems` exits 1 when any row
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -382,6 +384,9 @@ def main(argv=None) -> int:
 
             traceback.print_exc(file=sys.stderr)
         text = _error_line(exc)
+    if sys.stdout is None:  # fd 1 was closed before start-up: the payload is lost
+        print(_error_line(OSError(errno.EBADF, "stdout is closed")), file=sys.stderr)
+        return 5
     try:
         print(text, flush=True)
     except BrokenPipeError as exc:

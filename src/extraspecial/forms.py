@@ -4,30 +4,35 @@ An extra special algebra is determined by the bilinear form M with
 x_i x_j = M[i][j] z on a complement of the center, up to congruence
 M -> P^T M P.  Classification therefore reduces to the congruence canonical
 blocks J_n, Gamma_n and H_2n(lambda) of Horn & Sergeichuk (LAA 2006), read
-straight from two congruence invariants:
+from the Kronecker structure of the pencil P(t) = A + tB, A = M^T, B = M,
+through scalar kernel computations only (the rank-sequence view of Van
+Dooren, LAA 27, 1979):
 
-* invariant factors of the pencil M^T + t M give the even singular sizes
-  (divisor t^k  <->  singular block J_2k) and the cosquare Jordan data of
-  the regular part (elementary divisor (t - t0)^e  <->  block (mu = -t0,
-  size e)); a block at mu = (-1)^(e+1) is Gamma_e (J1 when e = 1), and the
-  others pair up as {mu, 1/mu} into H_2e(mu);
-* kernel-preimage chains V1 = ker M, V_{s+1} = {v : Mv in M^T V_s} give the
-  odd singular sizes: a singular block of size m contributes min(s, ceil(m/2))
-  to dim V_s and regular blocks contribute nothing.
+* fraction-free elimination over F[t] gives the normal rank r of P(t) and
+  one nonzero r x r minor, a multiple of the invariant factors' product;
+* the n - r odd singular blocks J_(2 eps + 1) are the pencil's minimal
+  indices eps, counted by the nullities of the block-bidiagonal matrices
+  [A; B A; ...; B] without any evaluation point;
+* the candidate eigenvalues are the minor's roots in the field, and at
+  each candidate t0 the kernel-preimage chain V1 = ker P(t0),
+  V_{s+1} = {v : P(t0) v in B V_s}, less the odd blocks' share, gives the
+  Jordan sizes e: at t0 = 0 the even singular blocks J_2e, elsewhere the
+  cosquare Jordan data (mu = -t0, size e).  A block at mu = (-1)^(e+1) is
+  Gamma_e (J1 when e = 1), and the others pair up as {mu, 1/mu} into
+  H_2e(mu).  A candidate with no rank drop is dropped.
 
 These descriptors are the answer.  The pieces must tile the form exactly,
-so an internal disagreement raises instead of misclassifying.  The cosquare
+so an internal disagreement raises instead of misclassifying; blocks left
+over mean eigenvalues outside the base field, reported (`DoesNotSplit`)
+with the rootless factor of the invariant factors.  The cosquare
 M^(-T) M of an invertible form and its Jordan structure stay available
 (`cosquare`) as an independent route to the same blocks, which the tests
 use as an oracle.
-
-Everything is fully determined over the algebraic closure; over the base
-field itself, classification is reported whenever the pencil data splits
-and refused (`Unsupported`) otherwise.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .algebra import Algebra, center, is_extra_special
@@ -42,15 +47,13 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    pencil_minor,
     poly_degree,
     poly_divmod,
     poly_monic,
-    poly_mul,
-    poly_sub,
-    poly_trim,
-    preimage_of_columnspace,
     roots_in_field,
     scalar_sort_key,
+    sparse_reduce,
 )
 from .scalars import Field
 
@@ -152,120 +155,127 @@ def cosquare(f: BilinearForm) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _pencil_diagonal(field: Field, m: Matrix) -> list:
-    """Diagonalize the polynomial pencil M^T + t M by unimodular operations.
+def _odd_indices(field: Field, a_rows, b_rows, count: int) -> list[int]:
+    """Minimal indices eps of the odd singular blocks J_(2 eps + 1).
 
-    Returns the nonzero diagonal entries.  Any diagonalization reached by
-    row/column elimination has the same multiset of prime-power factors as
-    the Smith normal form, which is all the caller consumes.
+    N_k, the nullity of the (k+1)n x kn block-bidiagonal matrix T_k with A
+    on the diagonal and B below it, counts the polynomial kernel vectors of
+    P(t) = A + tB of degree < k, so N_k - N_(k-1) = #{eps < k}.  The
+    columns of T_k are those of T_(k-1) and n more, so each step adds only
+    the new columns (as rows) to the reduction.  `count` = n - normal rank
+    is the number of odd blocks.  eps = 0 would be a vector with zero row
+    and zero column, which is refused.
     """
-    n = m.nrows
-    mat = [
-        [poly_trim([m.rows[j][i], m.rows[i][j]]) for j in range(n)]
-        for i in range(n)
+    n = len(a_rows)
+    eps, pivots, k = [], {}, 0
+    while len(eps) < count:
+        if 2 * k + 1 > n - sum(2 * e + 1 for e in eps):
+            raise InternalCheckFailure("odd singular blocks do not fit the form")
+        before = len(pivots)
+        sparse_reduce(field, (
+            {k * n + r: x for r, x in b_rows[j].items()}
+            | {(k + 1) * n + r: x for r, x in a_rows[j].items()}
+            for j in range(n)
+        ), pivots)
+        k += 1
+        below = n - (len(pivots) - before)
+        if k == 1 and below:
+            raise DegenerateVector("the form has a vector with zero row and zero column")
+        eps += [k - 1] * (below - len(eps))
+    return eps
+
+
+def _jordan_sizes(field: Field, p_rows, b_columns, eps, bound: int, exact: bool) -> list[int]:
+    """Jordan block sizes of the pencil at a point t0, from its kernel-preimage chain.
+
+    V_1 = ker P(t0) and V_(s+1) = {v : P(t0) v in B V_s}.  A Jordan block
+    of size e at t0 adds min(s, e) to dim V_s, an odd block J_(2 eps + 1)
+    adds min(s, eps + 1), and every other block adds nothing.  Less the odd
+    share, dim V_s is j_s = sum of min(s, e); the chain stops when j_s stops
+    growing or reaches `bound`, the multiplicity of t0 as a root of a
+    multiple of the invariant factors.  So a first drop of 0 (no blocks at
+    t0) or of `bound` (blocks of size 1) ends it at once.  When `bound` is
+    `exact`, t0's multiplicity in the invariant factors, a simple root is
+    one block of size 1 and a first drop of 1 is one block of size `bound`.
+
+    One reduction of [P(t0) | I] gives ker P(t0), the cokernel rows L and
+    the pivot rows' combinations R: P(t0) v = y is solvable exactly when
+    L y = 0, and then v = R y (zero on the free columns) solves it.  So
+    V_(s+1) = ker P(t0) + {R B u : u in V_s, L B u = 0}: each chain vector
+    enters one echelon form once, as the row [L B u | R B u], and the rows
+    whose L part clears are the next step's new vectors.
+    """
+    n = len(p_rows)
+    if exact and bound == 1:
+        return [1]
+    drop = n - len(sparse_reduce(field, p_rows)) - len(eps)
+    if drop in (0, bound):
+        return [1] * drop
+    if exact and drop == 1:
+        return [bound]
+    one = field.one
+    reduced = sparse_reduce(field, [{**row, n + i: one} for i, row in enumerate(p_rows)])
+    cokernel = [_shifted(row, -n) for c, row in reduced.items() if c >= n]
+    solve = [(c, _shifted(row, -n)) for c, row in reduced.items() if c < n]
+    new = [
+        {f: one} | {c: -row[f] for c, row in reduced.items() if f in row}
+        for f in range(n) if f not in reduced
     ]
-    diag = []
-    for t in range(n):
-        while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    p = mat[i][j]
-                    if p and (best is None or len(p) < len(mat[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return diag
-            i0, j0 = best
-            if i0 != t:
-                mat[i0], mat[t] = mat[t], mat[i0]
-            if j0 != t:
-                for row in mat:
-                    row[j0], row[t] = row[t], row[j0]
-            remainder_seen = False
-            pivot = mat[t][t]
-            for i in range(t + 1, n):
-                if mat[i][t]:
-                    q, _ = poly_divmod(field, mat[i][t], pivot)
-                    for j in range(t, n):
-                        mat[i][j] = poly_sub(field, mat[i][j], poly_mul(field, q, mat[t][j]))
-                    if mat[i][t]:
-                        remainder_seen = True
-            for j in range(t + 1, n):
-                if mat[t][j]:
-                    q, _ = poly_divmod(field, mat[t][j], pivot)
-                    for i in range(t, n):
-                        mat[i][j] = poly_sub(field, mat[i][j], poly_mul(field, q, mat[i][t]))
-                    if mat[t][j]:
-                        remainder_seen = True
-            if not remainder_seen:
-                break
-        diag.append(poly_monic(field, mat[t][t]))
-    return diag
-
-
-def _pencil_invariants(field: Field, m: Matrix):
-    """Even singular sizes and regular cosquare blocks from the pencil.
-
-    Returns `(even_sizes, cosquare_blocks)` where cosquare_blocks is a list
-    of (eigenvalue, size) pairs.  Raises `DoesNotSplit` when the regular
-    data does not split over the base field.
-    """
-    even_sizes = []
-    cosquare_blocks = []
-    for entry in _pencil_diagonal(field, m):
-        k = 0
-        while k < len(entry) and not entry[k]:
-            k += 1
-        if k:
-            even_sizes.append(2 * k)
-            entry = entry[k:]
-        if poly_degree(entry) <= 0:
-            continue
-        roots, remainder = roots_in_field(field, entry)
-        if poly_degree(remainder) > 0:
-            raise DoesNotSplit(remainder)
-        for t0, mult in roots:
-            cosquare_blocks.append((-t0, mult))
-    return even_sizes, cosquare_blocks
-
-
-def _odd_singular_sizes(field: Field, m: Matrix, even_sizes) -> list[int]:
-    """Odd singular block sizes from the kernel-preimage chain dimensions.
-
-    With V_1 = ker M and V_{s+1} = {v : Mv in M^T V_s}, a singular block of
-    size k contributes min(s, ceil(k/2)) to dim V_s and a regular block
-    contributes nothing.  Subtracting the even blocks (already known from
-    the pencil) leaves the odd size multiset.
-    """
-    mt = m.transpose()
-    current = m.nullspace()
-    dims = [current.dim]
+    m, dim = len(cokernel), len(new)
+    store, drops = {}, [0]
     while True:
-        image = [mt.apply(v) for v in current.basis]
-        bigger = preimage_of_columnspace(m, image)
-        if bigger.dim == current.dim:
+        s = len(drops)
+        drop = dim - sum(min(s, e + 1) for e in eps)
+        if drop == drops[-1]:
             break
-        current = bigger
-        dims.append(current.dim)
+        drops.append(drop)
+        if drop == bound:
+            break
+        produced = []
+        for v in new:
+            y = _combine(field, b_columns, v)
+            row = {k: x for k, r in enumerate(cokernel) if (x := _dot(field, r, y))}
+            row |= {m + c: x for c, r in solve if (x := _dot(field, r, y))}
+            before = set(store)
+            sparse_reduce(field, [row], store)
+            for c in store.keys() - before:
+                if c >= m:
+                    produced.append(_shifted(store[c], -m))
+        dim += len(produced)
+        new = produced
+    drops.append(drops[-1])
+    sizes = []
+    for s in range(1, len(drops) - 1):
+        sizes += [s] * (2 * drops[s] - drops[s - 1] - drops[s + 1])
+    return sizes
 
-    def dim_v(s: int) -> int:
-        if s <= 0:
-            return 0
-        return dims[min(s, len(dims)) - 1]
 
-    odd = []
-    for s in range(1, len(dims) + 1):
-        # blocks whose half-length is exactly s
-        eq = (dim_v(s) - dim_v(s - 1)) - (dim_v(s + 1) - dim_v(s))
-        even_eq = sum(1 for e in even_sizes if e // 2 == s)
-        count = eq - even_eq
-        if count < 0:
-            raise InternalCheckFailure("chain dimensions disagree with pencil data")
-        if count:
-            if s == 1:
-                raise InternalCheckFailure("size-1 singular block after degeneracy check")
-            odd.extend([2 * s - 1] * count)
-    return odd
+def _shifted(row: dict, offset: int) -> dict:
+    """A sparse row with every column moved by `offset`, dropping those left below 0."""
+    return {c + offset: x for c, x in row.items() if c + offset >= 0}
+
+
+def _dot(field: Field, row: dict, v: dict):
+    return sum((x * v[c] for c, x in row.items() if c in v), field.zero)
+
+
+def _combine(field: Field, columns, v: dict) -> dict:
+    """The sparse vector sum of v[j] * columns[j]."""
+    zero = field.zero
+    out = {}
+    for j, c in v.items():
+        for i, x in columns[j].items():
+            out[i] = out.get(i, zero) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _pencil_at(field: Field, a_rows, b_rows, t0) -> list[dict]:
+    """Sparse rows of A + t0 B."""
+    zero = field.zero
+    return [
+        {j: x for j in a.keys() | b.keys() if (x := a.get(j, zero) + t0 * b.get(j, zero))}
+        for a, b in zip(a_rows, b_rows)
+    ]
 
 
 def _pair_cosquare_blocks(field: Field, blocks) -> list[BlockDescriptor]:
@@ -325,20 +335,64 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     n = f.m.nrows
     if n == 0:
         return [], ()
-    # vectors with zero row and zero column: ker M meet ker M^T, the kernel
-    # of M stacked on M^T
-    degenerate = Matrix(field, f.m.rows + f.m.transpose().rows).nullspace()
-    if degenerate.dim:
-        raise DegenerateVector(
-            "the form has a vector with zero row and zero column"
-        )
-    even_sizes, cosquare_blocks = _pencil_invariants(field, f.m)
-    odd_sizes = _odd_singular_sizes(field, f.m, even_sizes)
-    sizes = tuple(sorted(even_sizes + odd_sizes))
-    regular_dim = sum(size for _, size in cosquare_blocks)
-    if regular_dim + sum(sizes) != n:
+    m = f.m.rows
+    a_rows = [{j: m[j][i] for j in range(n) if m[j][i]} for i in range(n)]
+    b_rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    rank, minor = pencil_minor(field, a_rows, b_rows)
+    eps = _odd_indices(field, a_rows, b_rows, n - rank)
+    roots, rest = roots_in_field(field, minor)
+    # The minor is the invariant factors' product times a spurious factor,
+    # which is 1 for a regular pencil.  The product has degree
+    # n - sum(2 eps + 1) - m0, m0 being the size at 0 (the same size sits at
+    # infinity).  With the root 0 taken first, `slack` is the spurious
+    # degree not yet met at a root; once it is 0, every multiplicity left
+    # is exact.
+    roots.sort(key=lambda root: bool(root[0]))
+    slack = poly_degree(minor) - n + sum(2 * e + 1 for e in eps)
+    even_sizes, cosquare_blocks = [], []
+    for t0, mult in roots:
+        # B = M, so column j of B is row j of A = M^T
+        p_rows = _pencil_at(field, a_rows, b_rows, t0)
+        exact = slack == 0 if t0 else rank == n
+        found = _jordan_sizes(field, p_rows, a_rows, eps, mult, exact)
+        if t0:
+            cosquare_blocks += [(-t0, e) for e in found]
+            slack -= mult - sum(found)
+        else:
+            even_sizes = [2 * e for e in found]
+            slack += 2 * sum(found) - mult
+    sizes = tuple(sorted(even_sizes + [2 * e + 1 for e in eps]))
+    missing = n - sum(sizes) - sum(e for _, e in cosquare_blocks)
+    if missing > 0 and poly_degree(rest) >= missing:
+        raise DoesNotSplit(_rootless_part(field, a_rows, b_rows, rank, rest, missing))
+    if missing:
         raise InternalCheckFailure("block dimensions do not fill the form")
     return _pair_cosquare_blocks(field, cosquare_blocks), sizes
+
+
+def _rootless_part(field: Field, a_rows, b_rows, rank: int, rest, missing: int) -> list:
+    """The monic rootless factor of the invariant factors' product, of degree `missing`.
+
+    `rest`, the rootless part of one r x r minor, is a multiple of it.  By
+    Cauchy-Binet det(U P(t) V), for U (r x n) and V (n x r), is a
+    combination of all r x r minors, whose gcd is the invariant factors'
+    product; gcds with a few seeded compressions strip the rest.
+    """
+    n, rng = len(a_rows), random.Random(0)
+    for _ in range(20):
+        if poly_degree(rest) == missing:
+            return poly_monic(field, rest)
+        u = [{j: field.coerce(rng.randint(-3, 3)) for j in range(n)} for _ in range(rank)]
+        v = [{c: field.coerce(rng.randint(-3, 3)) for c in range(rank)} for _ in range(n)]
+        # row k of U X V combines the rows of X V by row k of U
+        squeezed = [
+            [_combine(field, [_combine(field, v, x) for x in rows], w) for w in u]
+            for rows in (a_rows, b_rows)
+        ]
+        full, c = pencil_minor(field, *squeezed)
+        while full == rank and c:
+            rest, c = c, poly_divmod(field, rest, c)[1]
+    raise InternalCheckFailure("the rootless factor does not match the missing blocks")
 
 
 def classify(a: Algebra) -> BlockDecomposition:

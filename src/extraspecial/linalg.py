@@ -13,31 +13,42 @@ Dense vectors appear only at the edges: `Matrix` rows, dense input to
 `Subspace`, and its `basis` property.
 
 Polynomials appear as ascending coefficient lists (index = degree) with no
-trailing zeros; the zero polynomial is the empty list.
+trailing zeros; the zero polynomial is the empty list.  `roots_in_field`
+finds roots without scanning the field (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 14-15): over GF(p), gcd(f, t^p - t) by repeated
+squaring mod f, split by seeded Cantor-Zassenhaus; over Q, the roots of
+the square-free part modulo a small prime that keeps it square-free,
+Hensel-lifted and reconstructed, then checked exactly.  That work runs on
+integer coefficient lists, as does `pencil_minor`'s fraction-free
+elimination over F[t].
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, zip_longest
+from math import gcd, lcm
 
 from .errors import DoesNotSplit, NotSquare, Singular
-from .scalars import Field, Fp
+from .scalars import Field, Fp, _is_prime
 
 # ---------------------------------------------------------------------------
 # sparse row reduction
 # ---------------------------------------------------------------------------
 
 
-def sparse_reduce(field: Field, rows) -> dict:
+def sparse_reduce(field: Field, rows, pivots=None) -> dict:
     """Fully reduce sparse rows; returns {pivot column: reduced row dict}.
 
     Rows are dicts mapping column index to a nonzero scalar.  Every returned
     pivot row is normalized (pivot entry 1) and carries no support on any
     other pivot column, so the collection is a reduced echelon basis of the
     row space.  That invariant is what makes kernel extraction a plain read.
+    `pivots`, the result of an earlier call, is extended in place.
     """
-    pivots: dict[int, dict] = {}
+    pivots = {} if pivots is None else pivots
     zero, one = field.zero, field.one
     for incoming in rows:
         row = _clear_pivots(pivots, {c: v for c, v in incoming.items() if v}, zero)
@@ -405,21 +416,6 @@ def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
     return {i: x for i, x in enumerate(map(field.coerce, vec)) if x}
 
 
-def preimage_of_columnspace(m: Matrix, column_vectors) -> Subspace:
-    """{v : M v lies in the span of the given column vectors}."""
-    n = m.ncols
-    extra = list(column_vectors)
-    rows = []
-    for i in range(m.nrows):
-        row = {j: m.rows[i][j] for j in range(n) if m.rows[i][j]}
-        for l, w in enumerate(extra):
-            if w[i]:
-                row[n + l] = -w[i]
-        if row:
-            rows.append(row)
-    return kernel_basis(m.field, n + len(extra), rows).project(n)
-
-
 # ---------------------------------------------------------------------------
 # polynomials (ascending coefficient lists)
 # ---------------------------------------------------------------------------
@@ -507,89 +503,215 @@ def _deflate(field: Field, p, root) -> list:
     return poly_trim(out)
 
 
-def _factor_int(n: int) -> dict[int, int]:
-    """Trial-division factorization; sound for cofactors below 1e12."""
-    n = abs(n)
-    factors: dict[int, int] = {}
-    for d in (2, 3):
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-    d = 5
-    while d * d <= n and d <= 1_000_000:
-        for cand in (d, d + 2):
-            while n % cand == 0:
-                factors[cand] = factors.get(cand, 0) + 1
-                n //= cand
-        d += 6
-    if n > 1:
-        if n >= 10**12:
-            raise ArithmeticError(f"integer {n} too large to factor for root search")
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for prime, exp in _factor_int(n).items():
-        divs = [d * prime**e for d in divs for e in range(exp + 1)]
-    return sorted(divs)
-
-
 def roots_in_field(field: Field, poly) -> tuple[list, list]:
     """All roots of `poly` in the field, with multiplicities.
 
     Returns `(roots, remainder)`: roots is a list of (root, multiplicity)
-    pairs and remainder is the rootless cofactor (constant exactly when the
-    polynomial splits into linear factors).  Over GF(p) the search is
-    exhaustive; over the rationals it runs on numerator/denominator divisor
-    candidates of the primitive integer form.
+    pairs in `scalar_sort_key` order and remainder is the rootless cofactor
+    (constant exactly when the polynomial splits into linear factors).
+    Candidates come from `_roots_mod` over GF(p) and `_rational_roots` over
+    Q; each is checked exactly and divided out as often as it divides.
     """
     p = poly_trim(list(poly))
     if poly_degree(p) <= 0:
         return [], p
+    if field.kind == "GF":
+        candidates = [Fp(r, field.p) for r in _roots_mod([c.value for c in p], field.p)]
+    else:
+        den = lcm(*(c.denominator for c in p))
+        candidates = _rational_roots([c.numerator * (den // c.denominator) for c in p])
     roots = []
-
-    def take_root(r):
-        nonlocal p
+    for r in sorted(candidates, key=scalar_sort_key):
         count = 0
         while poly_degree(p) > 0 and not poly_eval(field, p, r):
             p = _deflate(field, p, r)
             count += 1
         if count:
             roots.append((r, count))
-
-    if field.kind == "GF":
-        for x in range(field.p):
-            take_root(field.coerce(x))
-            if poly_degree(p) <= 0:
-                break
-        return roots, p
-
-    take_root(Fraction(0))
-    if poly_degree(p) > 0:
-        denom_lcm = 1
-        for c in p:
-            g = _gcd(denom_lcm, c.denominator)
-            denom_lcm = denom_lcm * (c.denominator // g)
-        ints = [int(c * denom_lcm) for c in p]
-        content = 0
-        for c in ints:
-            content = _gcd(content, c)
-        ints = [c // content for c in ints]
-        num_divs = _divisors(ints[0])
-        den_divs = _divisors(ints[-1])
-        for num in num_divs:
-            if poly_degree(p) <= 0:
-                break
-            for den in den_divs:
-                take_root(Fraction(num, den))
-                take_root(Fraction(-num, den))
     return roots, p
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+def _roots_mod(f, p: int) -> list[int]:
+    """Distinct roots in 0..p-1 of an integer polynomial read mod p.
+
+    gcd(f, t^p - t), with t^p taken by repeated squaring mod f, is the
+    product of the distinct linear factors of f; seeded Cantor-Zassenhaus
+    splitting then separates them by the quadratic character of t + a.
+    """
+    f = _ipoly(f, p)
+    if len(f) < 2:
+        return []
+    x = _ipowmod([0, 1], p, f, p) + [0, 0]
+    x[1] -= 1
+    rng = random.Random(p)
+    roots, stack = [], [_igcd_mod(f, _ipoly(x, p), p)]
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            w = _ipowmod([rng.randrange(p), 1], (p - 1) // 2, g, p) or [0]
+            w[0] -= 1
+            d = _igcd_mod(g, _ipoly(w, p), p)
+            stack += [d, _idivmod(g, d, p)[0]] if 1 < len(d) < len(g) else [g]
+    return roots
+
+
+def _rational_roots(f) -> list:
+    """Candidate rational roots of a nonzero integer polynomial.
+
+    The roots of its square-free part g modulo a small prime that keeps g
+    square-free are Hensel-lifted until p^k > 2|lc(g) g(0)|.  A rational
+    root u/v has u | g(0) and v | lc(g), so lc(g) u/v is the symmetric
+    residue of lc(g) times the lift.  Candidates still need an exact check.
+    """
+    candidates = []
+    if not f[0]:
+        candidates.append(Fraction(0))
+        while not f[0]:
+            f = f[1:]
+    g = _idivmod(f, _igcd(f, _derivative(f)))[0]
+    if len(g) < 2:
+        return candidates
+    dg = _derivative(g)
+    p = 1009
+    while g[-1] % p == 0 or len(_igcd_mod(g, _ipoly(dg, p), p)) > 1:
+        p = next(q for q in count(p + 2, 2) if _is_prime(q))
+    bound = 2 * abs(g[0] * g[-1])
+    for a in _roots_mod(g, p):
+        q = p
+        while q <= bound:
+            q *= q
+            a = (a - _ieval(g, a, q) * pow(_ieval(dg, a, q), -1, q)) % q
+        b = g[-1] * a % q
+        candidates.append(Fraction(b - q if 2 * b > q else b, g[-1]))
+    return candidates
+
+
+# Integer polynomials: ascending int lists with no trailing zeros, reduced
+# mod p when a modulus is given (GF(p)[t]) and over Z when it is None.
+
+
+def _ipoly(f, p=None) -> list:
+    return poly_trim([x % p for x in f] if p else list(f))
+
+
+def _imul(f, g, p=None) -> list:
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return _ipoly(out, p)
+
+
+def _idivmod(f, g, p=None) -> tuple[list, list]:
+    """Quotient and remainder by g over GF(p); over Z, g must divide f exactly."""
+    rem, d = list(f), len(g) - 1
+    inv = pow(g[-1], -1, p) if p else None
+    quot = [0] * max(0, len(rem) - d)
+    for shift in range(len(rem) - 1 - d, -1, -1):
+        c = rem[shift + d] * inv % p if p else rem[shift + d] // g[-1]
+        quot[shift] = c
+        for i, y in enumerate(g):
+            rem[shift + i] -= c * y
+    return _ipoly(quot, p), _ipoly(rem[:d], p)
+
+
+def _igcd_mod(f, g, p: int) -> list:
+    """Monic gcd over GF(p) of f (leading coefficient a unit mod p) and g."""
+    while g:
+        f, g = g, _idivmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [x * inv % p for x in f]
+
+
+def _igcd(f, g) -> list:
+    """The primitive gcd over Z[t] (deg f > deg g), by primitive pseudo-remainders."""
+    while g:
+        f, g = g, _primitive(_idivmod([x * g[-1] ** (len(f) - len(g) + 1) for x in f], g)[1])
+    return _primitive(f)
+
+
+def _primitive(f) -> list:
+    content = gcd(*f)
+    return [x // content for x in f] if f else f
+
+
+def _ipowmod(f, e: int, m, p: int) -> list:
+    """f^e mod m over GF(p)."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _idivmod(_imul(out, f, p), m, p)[1]
+        f = _idivmod(_imul(f, f, p), m, p)[1]
+        e >>= 1
+    return out
+
+
+def _ieval(f, x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _derivative(f) -> list:
+    return [i * x for i, x in enumerate(f)][1:]
+
+
+# ---------------------------------------------------------------------------
+# matrix pencils
+# ---------------------------------------------------------------------------
+
+
+def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
+    """Normal rank r of the square pencil A + tB and one nonzero r x r minor.
+
+    A and B are given by sparse rows.  Fraction-free (Bareiss) elimination
+    runs on integer polynomials: mod p over GF(p), and over Q after clearing
+    each row's denominators, which scales every minor by a nonzero
+    constant.  Each entry stays a minor of the pencil, so every division is
+    exact and no coefficient outgrows a determinant.  The last pivot is the
+    minor on the pivot rows and columns, returned as field scalars.
+    """
+    p = field.p
+    rows = []
+    for a, b in zip(a_rows, b_rows):
+        den = 1 if p else lcm(*(x.denominator for x in (*a.values(), *b.values())))
+        rows.append({
+            j: _ipoly([_as_int(a.get(j), den), _as_int(b.get(j), den)], p)
+            for j in a.keys() | b.keys()
+        })
+    n = len(rows)
+    rank, prev = 0, [1]
+    for c in range(n):
+        live = [i for i in range(rank, n) if c in rows[i]]
+        if not live:
+            continue
+        top = min(live, key=lambda i: len(rows[i][c]))
+        rows[rank], rows[top] = rows[top], rows[rank]
+        pivot_row = rows[rank]
+        pivot = pivot_row.pop(c)
+        for i in range(rank + 1, n):
+            row = rows[i]
+            lead = row.pop(c, None)
+            new = {}
+            for j in row.keys() | pivot_row.keys():
+                x = _imul(pivot, row.get(j, ()), p)
+                if lead:
+                    y = _imul(lead, pivot_row.get(j, ()), p)
+                    x = _ipoly([u - v for u, v in zip_longest(x, y, fillvalue=0)], p)
+                if x:
+                    new[j] = _idivmod(x, prev, p)[0]
+            rows[i] = new
+        prev = pivot
+        rank += 1
+    return rank, [field.coerce(x) for x in prev]
+
+
+def _as_int(x, den: int) -> int:
+    """A scalar (or None, read as 0) as an integer: its residue, or den * x."""
+    if x is None:
+        return 0
+    return x.value if isinstance(x, Fp) else x.numerator * (den // x.denominator)

@@ -8,9 +8,10 @@ Gamma_s (J1 when s = 1), and every other block pairs with one of the same
 size at the inverse eigenvalue into H_2s(mu).
 
 `classify` reads the same data from the pencil M^T + t M instead.  The two
-routes share only the form extraction and the final normalization: the
-inverse, the Berkowitz characteristic polynomial, its root search, the rank
-sequence and the pairing below run here and nowhere in `classify`.
+routes share the form extraction, the root search (`roots_in_field`, which
+`tests/test_linalg.py` checks against brute force on its own) and the final
+normalization: the inverse, the Berkowitz characteristic polynomial, the
+rank sequence and the pairing below run here and nowhere in `classify`.
 """
 
 from extraspecial.catalog import BlockDescriptor

@@ -11,7 +11,10 @@ import sys
 import pytest
 
 import extraspecial
+from extraspecial import forms
+from extraspecial.catalog import parse_descriptor
 from extraspecial.cli import main, verify_theorems
+from extraspecial.forms import BlockDecomposition
 from extraspecial.scalars import Field
 
 Q = Field.rationals()
@@ -87,16 +90,18 @@ def test_help_still_prints_usage(capsys):
     assert "usage: extraspecial" in capsys.readouterr().out
 
 
-def test_unexpected_error_exits_5_with_json(tmp_path, capsys):
-    # the rational root search gives up on integers it cannot factor
-    path = make_file(tmp_path, capsys, "h2:1000000000039")
+def test_unexpected_error_exits_5_with_json(tmp_path, capsys, monkeypatch):
+    # an exception outside the package's own hierarchy is a bug, not bad input
+    path = make_file(tmp_path, capsys, "h2:3")
+
+    def broken(*args):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(forms, "pencil_minor", broken)
     code = main(["classify", path])
     captured = capsys.readouterr()
     assert code == 5
-    assert json.loads(captured.out) == {
-        "error": "integer 1000000000039 too large to factor for root search",
-        "kind": "ArithmeticError",
-    }
+    assert json.loads(captured.out) == {"error": "planted failure", "kind": "RuntimeError"}
     assert "Traceback" in captured.err
 
 
@@ -119,6 +124,20 @@ def test_closed_stdout_exits_5_with_json_on_stderr(argv):
     (line,) = err.splitlines()
     report = json.loads(line)
     assert sorted(report) == ["error", "kind"] and report["kind"] == "BrokenPipeError"
+
+
+def test_closed_fd_1_exits_5_with_json_on_stderr():
+    # fd 1 closed before start-up: sys.stdout is None, so nothing could be written
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extraspecial.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m extraspecial make j:2 >&-', sys.executable],
+        stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+    assert proc.returncode == 5
+    (line,) = proc.stderr.decode().splitlines()
+    report = json.loads(line)
+    assert sorted(report) == ["error", "kind"] and report["kind"] == "OSError"
 
 
 def test_check_identity(tmp_path, capsys):
@@ -161,6 +180,28 @@ def test_classify_command(tmp_path, capsys):
     code, doc = run(capsys, "classify", path)
     assert code == 0
     assert doc["blocks"] == "j:2+gamma:3"
+
+
+@pytest.mark.parametrize(
+    "descriptor,field",
+    [
+        ("h2:1000000000039", "Q"),
+        ("h2:98765432109876543211/12345678901234567891", "Q"),
+        ("h2:3", "GF:1000003"),
+        ("j:3+h2:-12345678901234567890", "Q"),
+    ],
+)
+def test_classify_large_lambdas_round_trip(tmp_path, capsys, descriptor, field):
+    code = main(["make", descriptor, "--field", field])
+    path = tmp_path / "alg.json"
+    path.write_text(capsys.readouterr().out)
+    assert code == 0
+    code, doc = run(capsys, "classify", str(path))
+    assert code == 0
+    f = Q if field == "Q" else Field.gf(int(field.split(":")[1]))
+    assert doc["blocks"] == BlockDecomposition(
+        f, [parse_descriptor(part, f) for part in descriptor.split("+")]
+    ).text()
 
 
 def test_classify_unsupported_exits_3(tmp_path, capsys):

@@ -15,6 +15,7 @@ from extraspecial.catalog import (
 )
 from extraspecial.errors import (
     DegenerateVector,
+    DoesNotSplit,
     NotExtraSpecial,
     Singular,
     Unsupported,
@@ -363,6 +364,8 @@ INVERTIBLE_SHAPES = [
     (GF5, "gamma:5"),
     (GF5, "h2n:3:2"),
     (GF5, "j:1+gamma:4+h2:2"),
+    (Q, "j:1+gamma:3+h2n:4:5"),
+    (Q, "j:1+j:1+j:1+gamma:3+gamma:3+h2:2+h2:3+h2n:3:2"),
 ]
 
 
@@ -378,3 +381,41 @@ def test_classify_agrees_with_cosquare_oracle(field, shape):
     for _ in range(2):
         a2 = algebra_from_form(scrambled(rng, m))
         assert cosquare_blocks(a2) == classify(a2) == expected
+
+
+# every element of GF(3) (and infinity) is an eigenvalue of the first pencil,
+# so no evaluation point is free of regular blocks; the other two mix odd J
+# blocks with even J, Gamma and H blocks
+EDGE_SHAPES = [
+    (GF3, "j:2+j:1+gamma:2"),
+    (Q, "j:3+j:5+h2:2"),
+    (GF5, "j:3+j:2+gamma:3+h2:2"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,shape", EDGE_SHAPES, ids=lambda x: str(x) if isinstance(x, Field) else x
+)
+def test_classify_edge_shapes_canonical_and_scrambled(field, shape):
+    a = make_from_text(shape, field)
+    expected = BlockDecomposition(field, [parse_descriptor(p, field) for p in shape.split("+")])
+    assert classify(a) == expected
+    rng = random.Random(f"edge {field} {shape}")
+    m = form_of(a).m
+    for _ in range(2):
+        assert classify(algebra_from_form(scrambled(rng, m))) == expected
+
+
+def test_classify_names_the_rootless_factor_of_a_singular_pencil():
+    # J5 beside a rotation over Q: the pencil is singular, and only t^2 + 1
+    # of the invariant factors fails to split, whatever the basis
+    rows = [[0] * 7 for _ in range(7)]
+    for i in range(4):
+        rows[i][i + 1] = 1
+    rows[5][5], rows[5][6], rows[6][5], rows[6][6] = 1, 1, -1, 1
+    rng = random.Random(5)
+    m = Matrix(Q, rows)
+    for g in (m, scrambled(rng, m), scrambled(rng, m)):
+        with pytest.raises(DoesNotSplit) as exc:
+            classify(algebra_from_form(g))
+        assert exc.value.factor == [Fraction(1), Fraction(0), Fraction(1)]

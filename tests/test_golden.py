@@ -95,6 +95,27 @@ SPARSE_DOC = {
 }
 SPARSE_COMMANDS = (("invariants",), ("cover",))
 
+# run only through `classify`: forms whose pencil does not split (three 2x2
+# rotations, and J3 beside one: a singular pencil), then shapes that mix odd
+# J >= 3 with Gamma and H blocks, each canonical and scrambled
+CLASSIFY = ("classify",)
+NONSPLIT_FORMS = {
+    "nonsplit Q [[1,1],[-1,1]]": ("Q", [[1, 1], [-1, 1]]),
+    "nonsplit Q [[1,2],[-2,1]]": ("Q", [[1, 2], [-2, 1]]),
+    "nonsplit GF:7 [[1,1],[-1,1]]": ("GF:7", [[1, 1], [-1, 1]]),
+    "nonsplit Q j:3 beside [[1,1],[-1,1]]": (
+        "Q", [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, -1, 1]],
+    ),
+}
+ODD_J_SHAPES = [
+    ("Q", "j:3+gamma:2+h2:3"),
+    ("Q", "j:5+gamma:2+h2:-2"),
+    ("GF:3", "j:3+gamma:2+h2:2"),
+    ("GF:5", "j:3+j:2+gamma:3+h2:2"),
+    ("GF:10007", "j:3+gamma:4+h2:5"),
+]
+ODD_J_DOCS = [f"{flag} {shape}{tag}" for flag, shape in ODD_J_SHAPES for tag in ("", " scrambled")]
+
 # dialgebra documents, run only through `check --identity diassoc`: the
 # embedded j:3 (built in `_documents`) holds, the broken one fails an axiom
 EMBEDDED = "dialgebra embedded j:3"
@@ -125,13 +146,15 @@ def _scrambled(flag: str, shape: str):
 
 def _documents() -> dict:
     docs = {}
-    for flag, shape in SHAPES:
+    for flag, shape in SHAPES + ODD_J_SHAPES:
         field = _field(flag)
         docs[f"{flag} {shape}"] = write_algebra(make_from_text(shape, field))
         docs[f"{flag} {shape} scrambled"] = write_algebra(_scrambled(flag, shape))
     for name, doc in {**ERROR_DOCS, **DIALGEBRA_DOCS}.items():
         docs[name] = json.dumps(doc)
     docs[SPARSE_INPUT] = json.dumps(SPARSE_DOC)
+    for name, (flag, rows) in NONSPLIT_FORMS.items():
+        docs[name] = write_algebra(algebra_from_form(Matrix(_field(flag), rows)))
     docs[EMBEDDED] = write_algebra(embed_associative(make_from_text("j:3", Field.rationals())))
     return docs
 
@@ -139,11 +162,13 @@ def _documents() -> dict:
 def _commands(name: str):
     if name == SPARSE_INPUT:
         return SPARSE_COMMANDS
+    if name in NONSPLIT_FORMS or name in ODD_J_DOCS:
+        return (CLASSIFY,)
     return (DIASSOC,) if name == EMBEDDED or name in DIALGEBRA_DOCS else COMMANDS
 
 
 DOC_NAMES = [f"{flag} {shape}{tag}" for flag, shape in SHAPES for tag in ("", " scrambled")]
-DOC_NAMES += [*ERROR_DOCS, *DIALGEBRA_DOCS, EMBEDDED, SPARSE_INPUT]
+DOC_NAMES += [*ERROR_DOCS, *DIALGEBRA_DOCS, EMBEDDED, SPARSE_INPUT, *NONSPLIT_FORMS, *ODD_J_DOCS]
 MAKE_CASES = {f"make {shape} --field {flag}": ["make", shape, "--field", flag] for flag, shape in MAKES}
 CASE_IDS = sorted(
     [*SWEEPS, *MAKE_CASES, *(f"{' '.join(c)} {d}" for d in DOC_NAMES for c in _commands(d))]

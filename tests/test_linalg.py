@@ -10,9 +10,9 @@ from extraspecial.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
+    pencil_minor,
     poly_divmod,
     poly_mul,
-    preimage_of_columnspace,
     roots_in_field,
 )
 from extraspecial.scalars import Field
@@ -243,13 +243,6 @@ def test_subspace_sum_and_intersection():
     assert a.contains([0, 1, 0]) and b.contains([0, 1, 0])
 
 
-def test_preimage_of_columnspace():
-    m = M([[1, 0], [0, 1]])
-    pre = preimage_of_columnspace(m, [(Fraction(1), Fraction(0))])
-    assert pre.dim == 1
-    assert pre.contains([1, 0])
-
-
 def test_kernel_basis_sparse_rows():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}]
     kernel = kernel_basis(Q, 3, rows)
@@ -284,3 +277,72 @@ def test_roots_over_gf():
     poly = [gf5.coerce(-1), gf5.zero, gf5.one]
     roots, rem = roots_in_field(gf5, poly)
     assert sorted((r.value, m) for r, m in roots) == [(1, 1), (4, 1)]
+
+
+def _brute_roots(field, poly):
+    """Roots by trying every residue, each divided out while it divides."""
+    rest, roots = list(poly), []
+    for x in range(field.p):
+        r, count = field.coerce(x), 0
+        while len(rest) > 1:
+            q, rem = poly_divmod(field, rest, [-r, field.one])
+            if rem:
+                break
+            rest, count = q, count + 1
+        if count:
+            roots.append((r, count))
+    return roots, rest
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_roots_over_gf_agree_with_brute_force(p):
+    field = Field.gf(p)
+    rng = random.Random(f"roots mod {p}")
+    for _ in range(50):
+        poly = [field.coerce(rng.randrange(p)) for _ in range(rng.randint(0, 6))]
+        poly.append(field.coerce(rng.randrange(1, p)))
+        for _ in range(rng.randint(0, 4)):
+            poly = poly_mul(field, poly, [field.coerce(rng.randrange(p)), field.one])
+        # same roots, multiplicities, residue order and rootless cofactor
+        assert roots_in_field(field, poly) == _brute_roots(field, poly)
+
+
+def test_rational_roots_with_twenty_digit_parts():
+    rng = random.Random("twenty digits")
+    for _ in range(10):
+        poly, want = [Fraction(1), Fraction(0), Fraction(1)], []
+        for _ in range(rng.randint(1, 5)):
+            r = Fraction(rng.randrange(10**19, 10**20), rng.randrange(10**19, 10**20))
+            r *= rng.choice((1, -1))
+            poly = poly_mul(Q, poly, [-r, Fraction(1)])
+            want.append(r)
+        roots, rest = roots_in_field(Q, poly)
+        expected = sorted(set(want), key=lambda r: (r.numerator, r.denominator))
+        assert [r for r, _ in roots] == expected
+        assert [m for _, m in roots] == [want.count(r) for r in expected]
+        assert rest == [Fraction(1), Fraction(0), Fraction(1)]
+
+
+def test_roots_over_a_61_bit_prime_field():
+    field = Field.gf(2**61 - 1)
+    a, b = field.coerce(12345678901234567), field.coerce(-5)
+    poly = poly_mul(field, [-a, field.one], [-b, field.one])
+    poly = poly_mul(field, poly, [-a, field.one])
+    # -1 is not a square modulo 2^61 - 1, which is 3 mod 4
+    poly = poly_mul(field, poly, [field.one, field.zero, field.one])
+    roots, rest = roots_in_field(field, poly)
+    assert roots == [(a, 2), (b, 1)]
+    assert rest == [field.one, field.zero, field.one]
+
+
+def test_pencil_minor_reads_rank_and_a_nonzero_minor():
+    # J3's pencil M^T + tM has normal rank 2; any 2 x 2 minor is a monomial
+    m = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    a_rows = [{j: Fraction(m[j][i]) for j in range(3) if m[j][i]} for i in range(3)]
+    b_rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
+    rank, minor = pencil_minor(Q, a_rows, b_rows)
+    assert rank == 2
+    assert len(minor) >= 1 and all(not c for c in minor[:-1])
+    # a regular pencil: the minor is the determinant, up to a constant
+    rank, minor = pencil_minor(GF7, [{0: GF7.one}, {1: GF7.one}], [{1: GF7.one}, {0: GF7.one}])
+    assert rank == 2 and minor == [GF7.one, GF7.zero, GF7.coerce(-1)]
