@@ -209,43 +209,12 @@ def check_identity(a: Algebra, kind: IdentityKind) -> bool:
 
 
 def derived_ideal(a: Algebra) -> Subspace:
-    """Ideal generated by all products.
+    """A^2, the span of all products.
 
-    The span of basis products is closed under multiplication for every
-    algebra this toolkit produces, but the closure loop below makes the
-    operation correct on arbitrary tensors as well.  Each round multiplies
-    only the vectors added in the previous round; bilinearity makes that
-    sufficient for closure of the whole span.
+    The span is already an ideal of any bilinear product: for v in A^2 the
+    products vx and xv are themselves products.
     """
-    field = a.field
-    zero = field.zero
-    nonzero = list(a.nonzero_products())
-    span = Subspace(field, a.dim, [row for _, _, row in nonzero])
-    frontier = list(span.pivots.values())
-    while frontier:
-        fresh = []
-        for v in frontier:
-            # v * e_q lands in bucket (L, q); e_p * v in bucket (R, p)
-            buckets: dict[tuple, dict] = {}
-            for p, q, row in nonzero:
-                for coef, key in ((v.get(p), ("L", q)), (v.get(q), ("R", p))):
-                    if not coef:
-                        continue
-                    acc = buckets.setdefault(key, {})
-                    for k, y in row.items():
-                        nv = acc.get(k, zero) + coef * y
-                        if nv:
-                            acc[k] = nv
-                        else:
-                            acc.pop(k, None)
-            for acc in buckets.values():
-                if acc and not span.contains(acc):
-                    fresh.append(acc)
-        if not fresh:
-            break
-        span = span.sum(Subspace(field, a.dim, fresh))
-        frontier = fresh
-    return span
+    return Subspace(a.field, a.dim, [row for _, _, row in a.nonzero_products()])
 
 
 def center(a: Algebra) -> Subspace:

@@ -118,14 +118,11 @@ def verify_theorems(max_n: int, lambdas, field: Field | None = None, pair_dim_ca
         raise InputError("verify-theorems needs max_n >= 2")
     field = field or Field.rationals()
     members = _sweep_members(field, max_n, lambdas)
-    instances = []
-    for d, name in members:
-        instances.append((name, make_canonical(d, field), d))
-    for i, (d1, n1) in enumerate(members):
-        for d2, n2 in members[i:]:
+    singles = [(name, make_canonical(d, field), d) for d, name in members]
+    instances = list(singles)
+    for i, (n1, a, d1) in enumerate(singles):
+        for n2, b, d2 in singles[i:]:
             if d1.algebra_dim + d2.algebra_dim - 1 <= pair_dim_cap:
-                a = make_canonical(d1, field)
-                b = make_canonical(d2, field)
                 instances.append((f"{n1}+{n2}", central_sum(a, b), None))
     rows = []
     for name, alg, descriptor in instances:

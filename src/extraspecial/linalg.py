@@ -383,10 +383,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.pivots.values())
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        rows = list(self.pivots.values()) + list(other.pivots.values())
-        return Subspace(self.field, self.ambient_dim, rows)
-
     def project(self, n: int) -> "Subspace":
         """Image in F^n under dropping every coordinate >= n."""
         rows = [{c: x for c, x in row.items() if c < n} for row in self.pivots.values()]

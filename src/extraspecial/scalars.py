@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FieldMismatch, UnsupportedField
 
@@ -137,11 +138,12 @@ class Field:
     def gf(cls, p: int) -> "Field":
         return cls("GF", p)
 
-    @property
+    # built once per handle; equality and hashing stay on `kind` and `p`
+    @cached_property
     def zero(self):
         return Fraction(0) if self.kind == "Q" else Fp(0, self.p)
 
-    @property
+    @cached_property
     def one(self):
         return Fraction(1) if self.kind == "Q" else Fp(1, self.p)
 

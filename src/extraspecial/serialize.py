@@ -12,7 +12,8 @@ Schema:
 
 Indices are 0-based, coefficients are scalar strings ("3", "-1/2", or a
 GF(p) residue), unlisted products are zero, and at most one entry may
-address a given (i, j, k) cell.  `write_algebra` emits a canonical document
+address a given (i, j, k) cell.  `dim`, `p` and indices are JSON integers,
+never `true` or `false`.  `write_algebra` emits a canonical document
 (sorted product triples), so parse/write round-trips are stable.
 """
 
@@ -33,7 +34,7 @@ def _parse_field(node, location: str) -> Field:
     if kind == "Q":
         return Field.rationals()
     if kind == "GF":
-        if "p" not in node or not isinstance(node["p"], int):
+        if type(node.get("p")) is not int:
             raise ParseError("GF field needs an integer 'p'", location)
         return Field.gf(node["p"])  # rejects 2 and composites
     raise UnsupportedField(f"unknown field kind {kind!r}")
@@ -49,14 +50,14 @@ def _parse_products(field: Field, dim: int, entries, location: str) -> dict:
             raise ParseError("each product entry is [i, j, k, coeff]", where)
         i, j, k, coeff = entry
         for name, val in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(val, int) or not 0 <= val < dim:
+            if type(val) is not int or not 0 <= val < dim:
                 raise ParseError(f"index {name}={val!r} out of range 0..{dim - 1}", where)
         row = rows.setdefault((i, j), {})
         if k in row:
             raise ParseError(f"duplicate product entry for ({i}, {j}, {k})", where)
         if isinstance(coeff, str):
             value = field.parse(coeff)
-        elif isinstance(coeff, int):
+        elif type(coeff) is int:
             value = field.coerce(coeff)
         else:
             raise ParseError(f"coefficient {coeff!r} must be a string", where)
@@ -78,7 +79,7 @@ def algebra_from_doc(doc):
         raise ParseError("document must be a JSON object", "$")
     field = _parse_field(doc.get("field"), "field")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError("dim must be a positive integer", "dim")
     basis = doc.get("basis")
     if basis is not None:

@@ -17,8 +17,10 @@ from extraspecial.algebra import (
     multiply,
 )
 from extraspecial.catalog import BlockDescriptor, make_canonical
+from extraspecial.cohomology import cover
 from extraspecial.dialg import Dialgebra, diassociativity_violation
 from extraspecial.errors import DimensionMismatch
+from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
 from oracle_identity import naive_diassociativity_violation, naive_identity_violation
 
@@ -179,6 +181,52 @@ def test_derived_ideal_of_j1_cover():
     d = derived_ideal(cover_of_j1())
     assert d.dim == 2
     assert d.contains([0, 1, 0]) and d.contains([0, 0, 1])
+
+
+def _naive_ideal_closure(a):
+    """The ideal generated by all products, by dense brute force.
+
+    Starts from every product x_i x_j and multiplies the span's basis by
+    every basis vector on both sides until nothing new appears.
+    """
+    units = [a.basis_vector(i) for i in range(a.dim)]
+    span = Subspace(a.field, a.dim, [multiply(a, x, y) for x in units for y in units])
+    while True:
+        fresh = [
+            w
+            for v in span.basis
+            for x in units
+            for w in (multiply(a, v, x), multiply(a, x, v))
+            if not span.contains(w)
+        ]
+        if not fresh:
+            return span
+        span = Subspace(a.field, a.dim, list(span.basis) + fresh)
+
+
+def _random_tensor(field, seed):
+    rng = random.Random(f"derived oracle {field} {seed}")
+    dim = rng.randint(3, 5)
+    return Algebra(field, dim, _random_products(rng, dim, rng.randint(2, 6)))
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(5)], ids=str)
+def test_derived_ideal_agrees_with_closure_oracle(field):
+    # 20 random tensors that satisfy none of the identities, so nothing in
+    # the comparison leans on associativity or the Leibniz rule
+    drawn = (_random_tensor(field, seed) for seed in itertools.count())
+    lawless = (a for a in drawn if not any(check_identity(a, kind) for kind in IdentityKind))
+    proper = 0
+    for a in itertools.islice(lawless, 20):
+        expected = _naive_ideal_closure(a)
+        assert derived_ideal(a) == expected, a
+        proper += 0 < expected.dim < a.dim
+    assert proper >= 5
+
+
+def test_derived_ideal_of_cover_total_agrees_with_closure_oracle():
+    total = cover(make_canonical(BlockDescriptor("h", 1, 3), Field.gf(5))).total
+    assert derived_ideal(total) == _naive_ideal_closure(total)
 
 
 # -- center ------------------------------------------------------------------------

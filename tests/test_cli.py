@@ -225,6 +225,25 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"field": {"kind": "Q"}, "dim": true, "products": []}',
+        '{"field": {"kind": "GF", "p": true}, "dim": 2, "products": []}',
+        '{"field": {"kind": "Q"}, "dim": 3, "products": [[0, true, 2, "1"]]}',
+        '{"field": {"kind": "Q"}, "dim": 3, "products": [[false, 1, 2, "1"]]}',
+        '{"field": {"kind": "Q"}, "dim": 3, "products": [[0, 1, 2, true]]}',
+    ],
+    ids=["dim", "p", "index", "index-false", "coefficient"],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(doc)
+    code, payload = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert payload["kind"] == "ParseError"
+
+
 def test_classify_non_extra_special_exits_2(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text('{"field": {"kind": "Q"}, "dim": 2, "products": []}')
