@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Subspace, kernel_basis
+from .linalg import Subspace, field_row, kernel_basis
 from .scalars import Field
 
 
@@ -46,9 +46,9 @@ class Algebra:
     def __init__(self, field: Field, dim: int, products, basis_names=None):
         """`products` maps (i, j) pairs to the coordinates of basis products.
 
-        A sparse row {k: scalar} is taken as it is, with zero entries
-        dropped and every k checked in range; a dense vector of length `dim`
-        is coerced into the field.  Unlisted products are zero.
+        A sparse row {k: scalar} goes through `linalg.field_row` (zeros
+        dropped, non-scalars coerced) with every k checked in range; a dense
+        vector of length `dim` is coerced.  Unlisted products are zero.
         """
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -120,7 +120,7 @@ def _product_row(field: Field, dim: int, vec) -> dict:
     if isinstance(vec, dict):
         if not all(0 <= k < dim for k in vec):
             raise DimensionMismatch("product coordinate out of range")
-        return {k: x for k, x in sorted(vec.items()) if x}
+        return {k: x for k, x in sorted(field_row(field, vec).items()) if x}
     row = tuple(map(field.coerce, vec))
     if len(row) != dim:
         raise DimensionMismatch("product vector has wrong length")

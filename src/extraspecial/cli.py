@@ -76,14 +76,14 @@ def _sweep_members(field: Field, max_n: int, lambdas):
     for n in range(2, max_n + 1):
         members.append((BlockDescriptor("gamma", n), f"gamma:{n}"))
     one = field.one
+    # lambdas naming the same field element (2, -1 and 5 over GF(3)) give one row
+    lambdas = list(dict.fromkeys(map(field.coerce, lambdas)))
     for lam in lambdas:
-        lam = field.coerce(lam)
         if lam and lam != one:
             members.append((BlockDescriptor("h", 1, lam), f"h2:{field.format(lam)}"))
     for n in range(2, max_n // 2 + 1):
         bad = one if (n + 1) % 2 == 0 else -one
         for lam in lambdas:
-            lam = field.coerce(lam)
             if lam and lam != bad:
                 members.append(
                     (BlockDescriptor("h", n, lam), f"h2n:{n}:{field.format(lam)}")

@@ -62,12 +62,13 @@ def _cocycle_rows(a: Algebra, theory: IdentityKind):
     f (the linearization of the identity table), so only triples touching a
     nonzero product produce a row.
     """
-    n, zero = a.dim, a.field.zero
+    n = a.dim
     rows: dict[tuple, dict] = {}
     for term in IDENTITY_TERMS[theory]:
         for triple, u, v, coef in expand_term(a, term):
             row = rows.setdefault(triple, {})
-            row[u * n + v] = row.get(u * n + v, zero) + coef  # zeros are dropped by the solver
+            k = u * n + v
+            row[k] = row[k] + coef if k in row else coef  # zeros are dropped by the solver
     return rows.values()
 
 

@@ -5,7 +5,8 @@ characteristic polynomials (Berkowitz's division-free scheme, so small prime
 fields are safe), and Jordan block data via rank sequences.  One sparse
 row-reduction engine backs every elimination; the hot callers
 (annihilator and cocycle systems) produce rows that are mostly zero, and the
-sparse path keeps those cheap without changing any result.
+sparse path keeps those cheap without changing any result; a column index
+(`holders`) sends each back-substitution only to the rows that need it.
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
@@ -42,14 +43,22 @@ from .scalars import Field, Fp, _is_prime
 def sparse_reduce(field: Field, rows, pivots=None) -> dict:
     """Fully reduce sparse rows; returns {pivot column: reduced row dict}.
 
-    Rows are dicts mapping column index to a nonzero scalar.  Every returned
-    pivot row is normalized (pivot entry 1) and carries no support on any
-    other pivot column, so the collection is a reduced echelon basis of the
-    row space.  That invariant is what makes kernel extraction a plain read.
-    `pivots`, the result of an earlier call, is extended in place.
+    Rows are dicts mapping column index to a scalar; zeros are dropped.
+    Every returned pivot row is normalized (pivot entry 1) and carries no
+    support on any other pivot column, so the collection is a reduced
+    echelon basis of the row space.  That invariant is what makes kernel
+    extraction a plain read.  `pivots`, the result of an earlier call, is
+    extended in place.  `holders` maps each non-pivot column to the pivots
+    whose rows hold it, so a new pivot is cleared only from those rows
+    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).
     """
     pivots = {} if pivots is None else pivots
     zero, one = field.zero, field.one
+    holders: dict[int, set] = {}
+    for pc, prow in pivots.items():
+        for cc in prow:
+            if cc != pc:
+                holders.setdefault(cc, set()).add(pc)
     for incoming in rows:
         row = _clear_pivots(pivots, {c: v for c, v in incoming.items() if v}, zero)
         if not row:
@@ -58,19 +67,20 @@ def sparse_reduce(field: Field, rows, pivots=None) -> dict:
         lead = row.pop(c)
         if lead != one:
             row = {cc: vv / lead for cc, vv in row.items()}
+        for cc in row:
+            holders.setdefault(cc, set()).add(c)
+        for pc in holders.pop(c, ()):
+            existing = pivots[pc]
+            coef = existing.pop(c)
+            for cc, vv in row.items():
+                nv = existing.get(cc, zero) - coef * vv
+                if nv:
+                    existing[cc] = nv
+                    holders[cc].add(pc)
+                else:
+                    del existing[cc]
+                    holders[cc].discard(pc)
         row[c] = one
-        for existing in pivots.values():
-            coef = existing.get(c)
-            if coef:
-                del existing[c]
-                for cc, vv in row.items():
-                    if cc == c:
-                        continue
-                    nv = existing.get(cc, zero) - coef * vv
-                    if nv:
-                        existing[cc] = nv
-                    else:
-                        existing.pop(cc, None)
         pivots[c] = row
     return pivots
 
@@ -79,8 +89,8 @@ def _clear_pivots(pivots: dict, row: dict, zero) -> dict:
     """Subtract pivot rows from `row`, in place, until no pivot column is left.
 
     Reductions only add non-pivot support, so one sweep over the initial
-    hits suffices.  The returned remainder is empty exactly when the row
-    lies in the span of the pivot rows.
+    hits suffices.  The returned remainder has no nonzero entry exactly
+    when the row lies in the span of the pivot rows.
     """
     for c in [c for c in row if c in pivots]:
         coef = row.pop(c, None)
@@ -348,8 +358,8 @@ class Subspace:
     1 in its own pivot column and nothing in the others.  That basis is
     unique, so equality is structural and containment is one sweep.
 
-    `vectors` may mix sparse rows (dicts of field scalars, taken as they
-    are) and dense vectors of length `ambient_dim` (coerced into the field).
+    `vectors` may mix sparse rows (dicts, read by `field_row`) and dense
+    vectors of length `ambient_dim` (coerced into the field).
     """
 
     __slots__ = ("field", "ambient_dim", "pivots")
@@ -378,7 +388,7 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         row = dict(_sparse_row(self.field, self.ambient_dim, vec))
-        return not _clear_pivots(self.pivots, row, self.field.zero)
+        return not any(_clear_pivots(self.pivots, row, self.field.zero).values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.pivots.values())
@@ -404,12 +414,20 @@ class Subspace:
 
 
 def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
-    """A sparse row as it is, or a dense vector coerced into a sparse row."""
+    """A sparse row through `field_row`, or a dense vector coerced into a sparse row."""
     if isinstance(vec, dict):
-        return vec
+        return field_row(field, vec)
     if len(vec) != ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
     return {i: x for i, x in enumerate(map(field.coerce, vec)) if x}
+
+
+def field_row(field: Field, row: dict) -> dict:
+    """`row` if all its entries are field scalars, else a copy with the others coerced."""
+    scalar = type(field.zero)
+    if set(map(type, row.values())) <= {scalar}:
+        return row
+    return {c: x if type(x) is scalar else field.coerce(x) for c, x in row.items()}
 
 
 # ---------------------------------------------------------------------------

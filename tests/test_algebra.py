@@ -65,6 +65,16 @@ def test_dense_and_sparse_input_build_the_same_algebra(field):
     assert sparse.structure_constant(1, 0, 2) == -one and sparse.structure_constant(2, 2, 0) == zero
 
 
+def test_int_entries_of_sparse_rows_are_coerced_exactly():
+    # ints in a sparse row used to stay ints, and 2 / 3 came out a float
+    d = derived_ideal(Algebra(Q, 3, {(0, 1): {0: 3, 2: 2}}))
+    assert d.pivots == {0: {0: Q.one, 2: Fraction(2, 3)}}
+    assert all(type(x) is Fraction for row in d.pivots.values() for x in row.values())
+    gf7 = Field.gf(7)
+    a = Algebra(gf7, 3, {(0, 1): {0: 7, 2: 3}, (1, 0): {2: -4}})
+    assert list(a.nonzero_products()) == [(0, 1, {2: gf7.coerce(3)}), (1, 0, {2: gf7.coerce(3)})]
+
+
 @pytest.mark.parametrize(
     "products",
     [{(0, 1): {3: Q.one}}, {(0, 1): {-1: Q.one}}, {(0, 1): (0, 1)}, {(0, 1): (0, 0, 1, 0)}, {(3, 0): {0: Q.one}}],

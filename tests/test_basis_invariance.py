@@ -33,6 +33,8 @@ CASES = [
     ("GF:3", "gamma:3"),
     ("GF:5", "j:1+h2:2+j:2"),
     ("GF:5", "gamma:3+j:1"),
+    ("GF:3", "j:4+gamma:4"),
+    ("GF:7", "j:2+h2n:3:3"),
 ]
 
 

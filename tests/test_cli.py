@@ -299,6 +299,17 @@ def test_verify_theorems_over_prime_field():
     assert rows and all(r.ok for r in rows)
 
 
+def test_verify_theorems_row_names_are_unique(capsys):
+    # 2, -1 and 5 are all 2 mod 3: one h2:2 row, not three
+    code, doc = run(
+        capsys, "verify-theorems", "--max-n", "4", "--field", "GF:3", "--dim-cap", "5"
+    )
+    names = [row["name"] for row in doc["rows"]]
+    assert code == 0
+    assert len(names) == len(set(names)) == 20
+    assert names.count("h2:2") == 1
+
+
 # sha256 of "<exit code>\n<stdout>" of the full sweep below, captured from a
 # known-good build; a refactor must leave the whole payload byte-identical
 FULL_SWEEP_DIGEST = "fbc62457e15da607a317fdbcf2e04d5958747753f8f8a22c79b36e2fee392e85"

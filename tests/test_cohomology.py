@@ -65,6 +65,22 @@ def test_b2_dim_equals_derived_dim():
         assert cs.b2.dim == derived_ideal(a).dim
 
 
+def test_int_row_algebra_over_gf7_has_the_multipliers_of_its_scalar_twin():
+    gf7 = Field.gf(7)
+    a = central_sum(
+        make_canonical(BlockDescriptor("gamma", 2), gf7),
+        make_canonical(BlockDescriptor("h", 1, gf7.coerce(3)), gf7),
+    )
+    # the same tensor with int entries, some of them not reduced mod 7
+    ints = {
+        (i, j): {k: x.value - 7 * (k % 2) for k, x in row.items()} for i, j, row in a.nonzero_products()
+    }
+    b = Algebra(gf7, a.dim, ints)
+    assert b == a
+    for theory in (IdentityKind.ASSOCIATIVE, VALIDATED_LEIBNIZ):
+        assert multiplier_dim(b, theory) == multiplier_dim(a, theory)
+
+
 def test_cocycle_space_rejects_wrong_theory():
     bad = Algebra(Q, 2, {(0, 1): (1, 0)})  # not associative
     with pytest.raises(IdentityViolated):

@@ -14,6 +14,7 @@ from extraspecial.linalg import (
     poly_divmod,
     poly_mul,
     roots_in_field,
+    sparse_reduce,
 )
 from extraspecial.scalars import Field
 
@@ -234,6 +235,13 @@ def test_subspace_canonical_equality():
         assert reference.contains({0: field.one, 1: field.coerce(2), 4: field.one})
 
 
+def test_subspace_coerces_int_entries_of_sparse_rows():
+    assert Subspace(Q, 3, [{0: 3, 2: 2}]).pivots == {0: {0: Q.one, 2: Fraction(2, 3)}}
+    sub = Subspace(GF7, 3, [{0: 7, 1: 2}, {1: 1, 2: 3}])
+    assert sub.pivots == {1: {1: GF7.one}, 2: {2: GF7.one}}
+    assert sub.contains({1: 5, 2: 14}) and not sub.contains({0: 1, 1: 0})
+
+
 def test_subspace_sum_and_intersection():
     a = Subspace(Q, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace(Q, 3, [[0, 1, 0], [0, 0, 1]])
@@ -245,6 +253,73 @@ def test_kernel_basis_sparse_rows():
     kernel = kernel_basis(Q, 3, rows)
     assert kernel.dim == 1
     assert kernel.basis == ((Fraction(1), Fraction(0), Fraction(1)),)
+
+
+def _dense_rref(field, ncols, rows):
+    """{pivot column: sparse row} of the reduced echelon form, by dense Gauss-Jordan."""
+    mat = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        top = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if top is None:
+            continue
+        mat[r], mat[top] = mat[top], mat[r]
+        inv = field.one / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        support = [j for j, y in enumerate(mat[r]) if y]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                for j in support:
+                    mat[i][j] = mat[i][j] - f * mat[r][j]
+        pivots.append(c)
+    return {c: {j: x for j, x in enumerate(mat[i]) if x} for i, c in enumerate(pivots)}
+
+
+def _random_sparse_rows(rng, field, ncols):
+    """Up to 2 ncols rows of density 0.05-0.4, some zero entries, some dependent rows."""
+    density = rng.uniform(0.05, 0.4)
+    rows = []
+    for _ in range(rng.randint(1, 2 * ncols)):
+        if len(rows) >= 2 and rng.random() < 0.2:
+            a, b = rng.sample(rows, 2)
+            k = field.coerce(rng.choice((1, -1, 2)))
+            zero = field.zero
+            # may hold zeros where entries cancel
+            rows.append({c: a.get(c, zero) + k * b.get(c, zero) for c in a.keys() | b.keys()})
+            continue
+        row = {}
+        for c in range(ncols):
+            if rng.random() < density:
+                # zero now and then: input rows may hold zeros
+                x = rng.randint(0, 6) if field.p else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                row[c] = field.coerce(x)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), GF7], ids=str)
+def test_sparse_reduce_agrees_with_dense_rref(field):
+    for seed in range(40):
+        rng = random.Random(f"sparse_reduce {field} {seed}")
+        ncols = rng.randint(5, 40)
+        rows = _random_sparse_rows(rng, field, ncols)
+        snapshot = [dict(r) for r in rows]
+        expected = _dense_rref(field, ncols, rows)
+        assert sparse_reduce(field, rows) == expected, seed
+        assert rows == snapshot, "input rows were mutated"
+        # three chunks through pivots=, extended in place
+        cuts = sorted(rng.randint(0, len(rows)) for _ in range(2))
+        pivots = {}
+        for chunk in (rows[: cuts[0]], rows[cuts[0] : cuts[1]], rows[cuts[1] :]):
+            assert sparse_reduce(field, chunk, pivots) is pivots
+        assert pivots == expected, seed
+        kernel = kernel_basis(field, ncols, rows)
+        assert kernel.dim == ncols - len(expected)
+        for v in kernel.pivots.values():
+            for row in rows:
+                assert not sum((x * v[c] for c, x in row.items() if c in v), field.zero)
 
 
 # -- polynomial helpers --------------------------------------------------------
