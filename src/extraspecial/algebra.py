@@ -177,18 +177,27 @@ def first_violation(expansions) -> tuple | None:
     """Least basis triple whose terms do not cancel, or None.
 
     `expansions` pairs an outer algebra with `expand_term` entries; each
-    entry adds coef * (x_u x_v in `outer`) to its triple's defect.
+    entry adds coef * (x_u x_v in `outer`) to its triple's defect.  Over
+    GF(p) each defect is an int sum of residues, tested mod p at the end.
     """
     defects: dict[tuple, dict] = {}
+    residues, p = {}, None
     for outer, entries in expansions:
+        p, table = outer.field.p, outer._products
+        cache = residues.setdefault(id(outer), {})
         for triple, u, v, coef in entries:
-            row = outer._products.get((u, v))
+            row = table.get((u, v))
             if row is None:
                 continue
+            if p:
+                if (u, v) not in cache:
+                    cache[u, v] = {t: y.value for t, y in row.items()}
+                coef, row = coef.value, cache[u, v]
             acc = defects.setdefault(triple, {})
             for t, y in row.items():
                 acc[t] = acc[t] + coef * y if t in acc else coef * y
-    return min((t for t, acc in defects.items() if any(acc.values())), default=None)
+    live = any if p is None else (lambda acc: any(x % p for x in acc))
+    return min((t for t, acc in defects.items() if live(acc.values())), default=None)
 
 
 def identity_violation(a: Algebra, kind: IdentityKind) -> tuple | None:

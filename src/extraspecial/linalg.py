@@ -7,6 +7,8 @@ row-reduction engine backs every elimination; the hot callers
 (annihilator and cocycle systems) produce rows that are mostly zero, and the
 sparse path keeps those cheap without changing any result; a column index
 (`holders`) sends each back-substitution only to the rows that need it.
+Over GF(p) the engine runs on int residues mod p, with `Fp` only at its
+boundary (word-size modular elimination: Dumas & Villard, CASC 2002).
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
@@ -50,9 +52,12 @@ def sparse_reduce(field: Field, rows, pivots=None) -> dict:
     extraction a plain read.  `pivots`, the result of an earlier call, is
     extended in place.  `holders` maps each non-pivot column to the pivots
     whose rows hold it, so a new pivot is cleared only from those rows
-    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).
+    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).  Over GF(p)
+    the same loop runs on int residues mod p, in `_sparse_reduce_mod`.
     """
     pivots = {} if pivots is None else pivots
+    if field.p:
+        return _sparse_reduce_mod(field, rows, pivots)
     zero, one = field.zero, field.one
     holders: dict[int, set] = {}
     for pc, prow in pivots.items():
@@ -105,6 +110,59 @@ def _clear_pivots(pivots: dict, row: dict, zero) -> dict:
             else:
                 row.pop(cc, None)
     return row
+
+
+def _sparse_reduce_mod(field: Field, rows, pivots: dict) -> dict:
+    """`sparse_reduce` over GF(p) on int residues; `Fp` is only its boundary.
+
+    Rows and `pivots` are read as residues on entry.  Only the pivot rows
+    created or changed here are written back, with one `Fp` per residue.
+    """
+    p, res, holders, touched = field.p, {}, {}, {}
+    for pc, prow in pivots.items():
+        res[pc] = {c: x.value for c, x in prow.items()}
+        for cc in prow:
+            if cc != pc:
+                holders.setdefault(cc, set()).add(pc)
+    for incoming in rows:
+        row = {c: x for c, v in incoming.items() if (x := v.value)}
+        for h in [h for h in row if h in res]:  # the `_clear_pivots` sweep
+            coef = row[h]
+            for cc, vv in res[h].items():
+                nv = (row.get(cc, 0) - coef * vv) % p
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+        if not row:
+            continue
+        c = min(row)
+        lead = row.pop(c)
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            row = {cc: vv * inv % p for cc, vv in row.items()}
+        for cc in row:
+            holders.setdefault(cc, set()).add(c)
+        for pc in holders.pop(c, ()):
+            existing = res[pc]
+            coef = existing.pop(c)
+            for cc, vv in row.items():
+                nv = (existing.get(cc, 0) - coef * vv) % p
+                if nv:
+                    existing[cc] = nv
+                    holders[cc].add(pc)
+                else:
+                    del existing[cc]
+                    holders[cc].discard(pc)
+            touched[pc] = existing
+        row[c] = 1
+        res[c] = touched[c] = row
+    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} | {1: field.one}
+    for row in touched.values():
+        for c, x in row.items():
+            row[c] = fp[x]
+    pivots.update(touched)
+    return pivots
 
 
 def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
@@ -423,11 +481,14 @@ def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
 
 
 def field_row(field: Field, row: dict) -> dict:
-    """`row` if all its entries are field scalars, else a copy with the others coerced."""
-    scalar = type(field.zero)
-    if set(map(type, row.values())) <= {scalar}:
+    """`row` if all its entries are field scalars, else a copy with every entry coerced.
+
+    An `Fp` of another modulus is no field scalar: `field.coerce` refuses it.
+    """
+    p, vals = field.p, row.values()
+    if all(type(x) is Fp and x.p == p for x in vals) if p else set(map(type, vals)) <= {Fraction}:
         return row
-    return {c: x if type(x) is scalar else field.coerce(x) for c, x in row.items()}
+    return {c: field.coerce(x) for c, x in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Rational scalars are plain `fractions.Fraction` objects (always in lowest
 terms with positive denominator).  Prime-field scalars are `Fp` instances
 carrying their modulus, so that arithmetic between different fields fails
-loudly instead of silently reducing.  Every other module treats scalars
-generically through the `Field` handle: `field.zero`, `field.one`,
-`field.coerce`, `field.parse`, `field.format`.
+loudly instead of silently reducing.  Other modules use the `Field` handle
+(`zero`, `one`, `coerce`, `parse`, `format`); only the GF(p) kernels
+`linalg.sparse_reduce` and `algebra.first_violation` compute on `Fp.value`.
 
 Fields of characteristic 2 are rejected outright; the whole theory assumes
 2 is invertible.

@@ -19,9 +19,9 @@ from extraspecial.algebra import (
 from extraspecial.catalog import BlockDescriptor, make_canonical
 from extraspecial.cohomology import cover
 from extraspecial.dialg import Dialgebra, diassociativity_violation
-from extraspecial.errors import DimensionMismatch
+from extraspecial.errors import DimensionMismatch, FieldMismatch
 from extraspecial.linalg import Subspace
-from extraspecial.scalars import Field
+from extraspecial.scalars import Field, Fp
 from oracle_identity import naive_diassociativity_violation, naive_identity_violation
 
 Q = Field.rationals()
@@ -73,6 +73,14 @@ def test_int_entries_of_sparse_rows_are_coerced_exactly():
     gf7 = Field.gf(7)
     a = Algebra(gf7, 3, {(0, 1): {0: 7, 2: 3}, (1, 0): {2: -4}})
     assert list(a.nonzero_products()) == [(0, 1, {2: gf7.coerce(3)}), (1, 0, {2: gf7.coerce(3)})]
+
+
+def test_an_element_of_another_prime_field_is_refused():
+    # Fp(1, 5) is no scalar of GF(7): a residue kernel would read it mod 7
+    with pytest.raises(FieldMismatch):
+        derived_ideal(Algebra(Field.gf(7), 2, {(0, 0): {1: Fp(1, 5)}}))
+    with pytest.raises(FieldMismatch):
+        Algebra(Field.gf(7), 2, {(0, 0): {0: Field.gf(7).one, 1: Fp(1, 5)}})
 
 
 @pytest.mark.parametrize(
@@ -149,6 +157,24 @@ def _random_products(rng, dim, entries):
         vec[k] = rng.choice((-2, -1, 1, 2, 3))
         products[(i, j)] = vec
     return products
+
+
+@pytest.mark.parametrize(
+    "products,kind,q_triple",
+    [
+        ({(1, 0): [0, 1], (0, 1): [0, 2]}, IdentityKind.LEIBNIZ_RIGHT, (1, 0, 0)),
+        ({(2, 0): [1, 0, 0], (0, 2): [2, 0, 0]}, IdentityKind.LEIBNIZ_LEFT, (2, 2, 0)),
+    ],
+    ids=["leibniz-right", "leibniz-left"],
+)
+def test_identity_that_holds_only_mod_p(products, kind, q_triple):
+    # the defect at q_triple is 3 times a basis vector: nonzero over Q, zero
+    # over GF(3), so the residue sums must be reduced mod p before the test
+    dim = len(next(iter(products.values())))
+    over_q, over_gf3 = Algebra(Q, dim, products), Algebra(Field.gf(3), dim, products)
+    assert identity_violation(over_q, kind) == q_triple == naive_identity_violation(over_q, kind.value)
+    assert identity_violation(over_gf3, kind) is None
+    assert naive_identity_violation(over_gf3, kind.value) is None
 
 
 @pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(5), Field.gf(7)], ids=str)

@@ -35,6 +35,8 @@ CASES = [
     ("GF:5", "gamma:3+j:1"),
     ("GF:3", "j:4+gamma:4"),
     ("GF:7", "j:2+h2n:3:3"),
+    ("GF:7", "gamma:12"),
+    ("GF:5", "gamma:4+h2n:3:2"),
 ]
 
 

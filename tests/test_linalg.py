@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial.errors import DoesNotSplit, NotSquare, Singular
+from extraspecial.errors import DoesNotSplit, FieldMismatch, NotSquare, Singular
 from extraspecial.linalg import (
     Matrix,
     Subspace,
@@ -16,7 +16,7 @@ from extraspecial.linalg import (
     roots_in_field,
     sparse_reduce,
 )
-from extraspecial.scalars import Field
+from extraspecial.scalars import Field, Fp
 
 Q = Field.rationals()
 GF7 = Field.gf(7)
@@ -242,6 +242,14 @@ def test_subspace_coerces_int_entries_of_sparse_rows():
     assert sub.contains({1: 5, 2: 14}) and not sub.contains({0: 1, 1: 0})
 
 
+def test_subspace_refuses_an_element_of_another_prime_field():
+    # an Fp of another modulus is no scalar of GF(7): it must not be read as a residue mod 7
+    with pytest.raises(FieldMismatch):
+        Subspace(GF7, 3, [{0: Fp(2, 5), 1: Fp(1, 7)}])
+    with pytest.raises(FieldMismatch):
+        Subspace(GF7, 3, [{0: Fp(2, 5)}])
+
+
 def test_subspace_sum_and_intersection():
     a = Subspace(Q, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace(Q, 3, [[0, 1, 0], [0, 0, 1]])
@@ -299,7 +307,23 @@ def _random_sparse_rows(rng, field, ncols):
     return rows
 
 
-@pytest.mark.parametrize("field", [Q, Field.gf(3), GF7], ids=str)
+def _assert_field_scalars(field, pivots):
+    """Every entry is a scalar of `field`.
+
+    `Fp.__eq__` accepts ints, so comparing with an expected result alone
+    would not see a raw residue leak out of the GF(p) kernel.
+    """
+    for row in pivots.values():
+        for x in row.values():
+            if field.p:
+                assert type(x) is Fp and x.p == field.p, repr(x)
+            else:
+                assert type(x) is Fraction, repr(x)
+
+
+@pytest.mark.parametrize(
+    "field", [Q, Field.gf(3), GF7, Field.gf(10007), Field.gf(2**61 - 1)], ids=str
+)
 def test_sparse_reduce_agrees_with_dense_rref(field):
     for seed in range(40):
         rng = random.Random(f"sparse_reduce {field} {seed}")
@@ -307,7 +331,9 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
         rows = _random_sparse_rows(rng, field, ncols)
         snapshot = [dict(r) for r in rows]
         expected = _dense_rref(field, ncols, rows)
-        assert sparse_reduce(field, rows) == expected, seed
+        reduced = sparse_reduce(field, rows)
+        assert reduced == expected, seed
+        _assert_field_scalars(field, reduced)
         assert rows == snapshot, "input rows were mutated"
         # three chunks through pivots=, extended in place
         cuts = sorted(rng.randint(0, len(rows)) for _ in range(2))
@@ -315,7 +341,9 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
         for chunk in (rows[: cuts[0]], rows[cuts[0] : cuts[1]], rows[cuts[1] :]):
             assert sparse_reduce(field, chunk, pivots) is pivots
         assert pivots == expected, seed
+        _assert_field_scalars(field, pivots)
         kernel = kernel_basis(field, ncols, rows)
+        _assert_field_scalars(field, kernel.pivots)
         assert kernel.dim == ncols - len(expected)
         for v in kernel.pivots.values():
             for row in rows:
