@@ -156,45 +156,48 @@ IDENTITY_TERMS = {
 }
 
 
-def expand_term(inner: Algebra, term):
+def expand_term(inner: Algebra, term, partners=None):
     """Yield (triple, u, v, coef) over the nonzero inner products of `inner`.
 
     coef * outer(x_u, x_v) is the term's value on that basis triple; the
     outer product is left open for the caller to multiply out or linearize.
+    Given the `partners` of an `outer_index`, r runs only where x_u x_v != 0.
     """
     sign, nesting, order = term
     i_slot, j_slot, k_slot = (order.index(position) for position in range(3))
     for p, q, w in inner.nonzero_products():
         for m, x in w.items():
             coef = x if sign > 0 else -x
-            for r in range(inner.dim):
+            for r in range(inner.dim) if partners is None else partners.get((nesting, m), ()):
                 # bracket slots left to right, and the outer factors
                 slots, u, v = ((p, q, r), m, r) if nesting == "L" else ((r, p, q), r, m)
                 yield (slots[i_slot], slots[j_slot], slots[k_slot]), u, v, coef
 
 
+def outer_index(outer: Algebra) -> tuple[dict, dict]:
+    """The product rows of `outer` (int residues over GF(p)) and its `expand_term` partners."""
+    partners, table = {}, outer._products
+    for i, j in table:
+        partners.setdefault(("L", i), []).append(j)  # x_m x_r != 0 for m = i, r = j
+        partners.setdefault(("R", j), []).append(i)  # x_r x_m != 0 for r = i, m = j
+    if outer.field.p:
+        table = {uv: {t: y.value for t, y in row.items()} for uv, row in table.items()}
+    return table, partners
+
+
 def first_violation(expansions) -> tuple | None:
     """Least basis triple whose terms do not cancel, or None.
 
-    `expansions` pairs an outer algebra with `expand_term` entries; each
-    entry adds coef * (x_u x_v in `outer`) to its triple's defect.  Over
-    GF(p) each defect is an int sum of residues, tested mod p at the end.
+    `expansions` yields (outer_index(outer), inner, term); each entry of the
+    term on `inner` adds coef * (x_u x_v in `outer`) to its triple's defect.
+    Over GF(p) each defect is an int sum of residues, tested mod p at the end.
     """
-    defects: dict[tuple, dict] = {}
-    residues, p = {}, None
-    for outer, entries in expansions:
-        p, table = outer.field.p, outer._products
-        cache = residues.setdefault(id(outer), {})
-        for triple, u, v, coef in entries:
-            row = table.get((u, v))
-            if row is None:
-                continue
-            if p:
-                if (u, v) not in cache:
-                    cache[u, v] = {t: y.value for t, y in row.items()}
-                coef, row = coef.value, cache[u, v]
-            acc = defects.setdefault(triple, {})
-            for t, y in row.items():
+    defects, p = {}, None
+    for (table, partners), inner, term in expansions:
+        p = inner.field.p
+        for triple, u, v, coef in expand_term(inner, term, partners):
+            acc, coef = defects.setdefault(triple, {}), coef.value if p else coef
+            for t, y in table[u, v].items():
                 acc[t] = acc[t] + coef * y if t in acc else coef * y
     live = any if p is None else (lambda acc: any(x % p for x in acc))
     return min((t for t, acc in defects.items() if live(acc.values())), default=None)
@@ -205,12 +208,13 @@ def identity_violation(a: Algebra, kind: IdentityKind) -> tuple | None:
 
     Checking basis triples is exhaustive: the defect is trilinear, so
     vanishing on all basis triples forces vanishing everywhere.  Every term
-    has an inner product, so only triples touching a nonzero product are
-    visited.
+    is a product of two products, so only triples on which both are
+    nonzero are visited.
     """
     if kind not in IDENTITY_TERMS:
         raise ValueError(f"unknown identity kind {kind}")
-    return first_violation((a, expand_term(a, term)) for term in IDENTITY_TERMS[kind])
+    index = outer_index(a)
+    return first_violation((index, a, term) for term in IDENTITY_TERMS[kind])
 
 
 def check_identity(a: Algebra, kind: IdentityKind) -> bool:
@@ -239,8 +243,7 @@ def center(a: Algebra) -> Subspace:
             rows.setdefault(("L", j, k), {})[i] = x
             # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
             rows.setdefault(("R", i, k), {})[j] = x
-    unique = {tuple(sorted(r.items())) for r in rows.values()}
-    return kernel_basis(a.field, a.dim, (dict(r) for r in unique))
+    return kernel_basis(a.field, a.dim, rows.values())
 
 
 def is_extra_special(a: Algebra) -> bool:

@@ -14,7 +14,7 @@ the induced bracket are implemented.
 
 from __future__ import annotations
 
-from .algebra import IDENTITY_TERMS, Algebra, IdentityKind, check_identity, expand_term, first_violation
+from .algebra import IDENTITY_TERMS, Algebra, IdentityKind, check_identity, first_violation, outer_index
 from .errors import DimensionMismatch, NotAssociative, NotDiassociative
 from .scalars import Field
 
@@ -57,9 +57,10 @@ _AXIOMS = (
 def diassociativity_violation(d: Dialgebra) -> tuple | None:
     """First failing (axiom label, basis triple), or None when all five hold."""
     tables = {"L": d.left, "R": d.right}
+    index = {tag: outer_index(table) for tag, table in tables.items()}
     for label, *sides in _AXIOMS:
         triple = first_violation(
-            (tables[outer], expand_term(tables[inner], term))
+            (index[outer], tables[inner], term)
             for term, (outer, inner) in zip(IDENTITY_TERMS[IdentityKind.ASSOCIATIVE], sides)
         )
         if triple is not None:

@@ -3,12 +3,12 @@
 Everything is computed exactly: ranks, kernels, inverses,
 characteristic polynomials (Berkowitz's division-free scheme, so small prime
 fields are safe), and Jordan block data via rank sequences.  One sparse
-row-reduction engine backs every elimination; the hot callers
-(annihilator and cocycle systems) produce rows that are mostly zero, and the
-sparse path keeps those cheap without changing any result; a column index
-(`holders`) sends each back-substitution only to the rows that need it.
-Over GF(p) the engine runs on int residues mod p, with `Fp` only at its
-boundary (word-size modular elimination: Dumas & Villard, CASC 2002).
+row-reduction engine backs every elimination; a column index (`holders`)
+sends each back-substitution only to the rows that need it, and over GF(p)
+it runs on int residues mod p (Dumas & Villard, CASC 2002).  A kernel first
+drops the columns that single-entry rows fix to zero, then eliminates the
+other rows in reversed column order, so the kernel vectors read off the
+result already are a reduced echelon basis.
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
@@ -168,17 +168,21 @@ def _sparse_reduce_mod(field: Field, rows, pivots: dict) -> dict:
 def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
     """The subspace {v : row . v = 0 for every constraint row} of F^ncols.
 
-    Each free column f gives the kernel vector e_f - sum of prow[f] e_pc
-    over the pivot rows; those rows are not echelon in column order, so the
-    `Subspace` reduces them once more.
+    Presolve: a one-entry row {c: x != 0} fixes v_c = 0, and c is dropped
+    from the other rows; those are reduced in reversed column order (c ->
+    ncols - 1 - c), so e_f - sum of prow[f] e_pc, the kernel vector of a free
+    column f, starts at f.  These vectors are already the reduced echelon basis.
     """
-    pivots = sparse_reduce(field, rows)
-    kernel = {f: {f: field.one} for f in range(ncols) if f not in pivots}
+    last, rows = ncols - 1, list(rows)
+    fixed = {c for row in rows if len(row) == 1 for c, x in row.items() if x}
+    rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if len(row) > 1)
+    pivots = sparse_reduce(field, rest)
+    kernel = {f: {f: field.one} for f in range(ncols) if f not in fixed and last - f not in pivots}
     for pc, prow in pivots.items():
         for f, coef in prow.items():
             if f != pc:
-                kernel[f][pc] = -coef
-    return Subspace(field, ncols, kernel.values())
+                kernel[last - f][last - pc] = -coef
+    return Subspace._echelon(field, ncols, kernel)
 
 
 def scalar_sort_key(x):
@@ -427,6 +431,13 @@ class Subspace:
         self.ambient_dim = ambient_dim
         rows = (_sparse_row(field, ambient_dim, v) for v in vectors)
         self.pivots = dict(sorted(sparse_reduce(field, rows).items()))
+
+    @classmethod
+    def _echelon(cls, field: Field, ambient_dim: int, pivots: dict) -> "Subspace":
+        # `pivots` must already be the reduced echelon basis, keys increasing
+        sub = cls.__new__(cls)
+        sub.field, sub.ambient_dim, sub.pivots = field, ambient_dim, pivots
+        return sub
 
     @property
     def dim(self) -> int:

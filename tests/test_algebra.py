@@ -200,6 +200,44 @@ def test_identity_checks_agree_with_oracle(field):
     assert 0.25 < sum(violations) / len(violations) < 0.75
 
 
+def _sink_products(rng, dim, sinks, entries):
+    """Random products of the first dim - sinks basis vectors, mostly landing on the rest.
+
+    The last `sinks` basis vectors have no products of their own, so any
+    outer product with one of them is zero: the terms the identity checks skip.
+    """
+    products, sources = {}, dim - sinks
+    for _ in range(entries):
+        i, j = rng.randrange(sources), rng.randrange(sources)
+        k = rng.randrange(sources) if rng.random() < 0.2 else rng.randrange(sources, dim)
+        vec = list(products.get((i, j), [0] * dim))
+        vec[k] = rng.choice((-2, -1, 1, 2, 3))
+        products[(i, j)] = vec
+    return products
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(7)], ids=str)
+def test_identity_checks_skipping_zero_outer_products_agree_with_oracle(field):
+    # dim 5-7 with most products on sink vectors, where the checks visit
+    # only the nonzero outer products; 20 algebras and 20 dialgebras per field
+    violations = []
+    for seed in range(20):
+        rng = random.Random(f"sink oracle {field} {seed}")
+        dim, sinks = rng.randint(5, 7), rng.randint(2, 3)
+        a = Algebra(field, dim, _sink_products(rng, dim, sinks, rng.randint(3, 6)))
+        for kind in IdentityKind:
+            expected = naive_identity_violation(a, kind.value)
+            assert identity_violation(a, kind) == expected, (seed, kind)
+            violations.append(expected is not None)
+        left = _sink_products(rng, dim, sinks, rng.randint(3, 5))
+        right = dict(left) if rng.randrange(3) else _sink_products(rng, dim, sinks, rng.randint(3, 5))
+        d = Dialgebra(field, dim, left, right)
+        expected = naive_diassociativity_violation(d)
+        assert diassociativity_violation(d) == expected, seed
+        violations.append(expected is not None)
+    assert 0.25 < sum(violations) / len(violations) < 0.75
+
+
 # -- derived ideal ----------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from extraspecial.algebra import (
     check_identity,
     derived_ideal,
 )
-from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical
+from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
 from extraspecial.cohomology import (
     VALIDATED_LEIBNIZ,
     central_extension_by_cocycles,
@@ -24,6 +24,7 @@ from extraspecial.cohomology import (
     z_star,
 )
 from extraspecial.errors import IdentityViolated, NotAssociative
+from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
 
 Q = Field.rationals()
@@ -85,6 +86,18 @@ def test_cocycle_space_rejects_wrong_theory():
     bad = Algebra(Q, 2, {(0, 1): (1, 0)})  # not associative
     with pytest.raises(IdentityViolated):
         cocycle_space(bad, IdentityKind.ASSOCIATIVE)
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(5)], ids=str)
+@pytest.mark.parametrize("text", ["j:4", "gamma:5", "h2:3"])
+def test_cocycle_space_z2_is_already_reduced(text, field):
+    # z2 comes from kernel_basis without a second reduction; reducing it
+    # again must give the same pivot rows
+    a = make_from_text(text, field)
+    for kind in IdentityKind:
+        z2 = cocycle_space(a, kind).z2
+        assert z2.pivots == Subspace(field, z2.ambient_dim, list(z2.pivots.values())).pivots
+        assert list(z2.pivots) == sorted(z2.pivots)
 
 
 # -- multiplier dimensions -------------------------------------------------------

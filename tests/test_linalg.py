@@ -350,6 +350,61 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
                 assert not sum((x * v[c] for c, x in row.items() if c in v), field.zero)
 
 
+def _singleton_heavy_rows(rng, field, ncols):
+    """Rows shaped like a cocycle system: mostly repeated single entries, a few longer rows.
+
+    Fixed columns get duplicated singletons with different scalars, some
+    padded with explicit zeros; a single zero entry fixes nothing; some
+    longer rows lie inside the fixed columns, so the presolve empties them.
+    """
+    zero, fixed, rows = field.zero, rng.sample(range(ncols), rng.randint(1, ncols // 2)), []
+    for c in fixed:
+        for _ in range(rng.randint(1, 3)):
+            rows.append({c: field.coerce(rng.choice((1, 2, -1, -2)))})
+        if rng.random() < 0.3:
+            rows.append({c: field.coerce(rng.choice((1, -1))), rng.randrange(ncols): zero})
+        if rng.random() < 0.3:
+            rows.append({rng.randrange(ncols): zero})  # fixes nothing
+    for _ in range(rng.randint(0, ncols // 2)):
+        pool = fixed if rng.random() < 0.3 else range(ncols)
+        support = rng.sample(pool, min(len(pool), rng.randint(2, 4)))
+        rows.append({c: field.coerce(rng.choice((0, 1, 2, -1, 3))) for c in support})
+    rng.shuffle(rows)
+    return rows
+
+
+def _dense_kernel(field, ncols, rows):
+    """The kernel, read from the dense reduced echelon form in plain column order."""
+    reduced = _dense_rref(field, ncols, rows)
+    vectors = []
+    for f in (f for f in range(ncols) if f not in reduced):
+        vec = {f: field.one}
+        vec.update({pc: -row[f] for pc, row in reduced.items() if f in row})
+        vectors.append(vec)
+    return Subspace(field, ncols, vectors)
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), GF7, Field.gf(2**61 - 1)], ids=str)
+def test_kernel_basis_returns_the_canonical_basis(field):
+    # kernel_basis hands its vectors to Subspace unreduced, so they must
+    # already be the reduced echelon basis: pivots increasing, each row
+    # starting at its pivot, and a second reduction changing nothing
+    one = field.one
+    systems = [(6, []), (4, [{0: one}, {0: one + one, 1: one}, {1: one, 2: one}, {3: -one, 2: one}])]
+    for seed in range(30):
+        rng = random.Random(f"kernel_basis {field} {seed}")
+        ncols = rng.randint(3, 30)
+        systems.append((ncols, _singleton_heavy_rows(rng, field, ncols)))
+    for ncols, rows in systems:
+        kernel = kernel_basis(field, ncols, rows)
+        assert kernel.pivots == Subspace(field, ncols, list(kernel.pivots.values())).pivots
+        assert list(kernel.pivots) == sorted(kernel.pivots)
+        assert all(min(row) == c for c, row in kernel.pivots.items())
+        assert kernel == _dense_kernel(field, ncols, rows), (ncols, rows)
+        _assert_field_scalars(field, kernel.pivots)
+    assert kernel_basis(field, 6, []).dim == 6 and kernel_basis(field, *systems[1]).dim == 0
+
+
 # -- polynomial helpers --------------------------------------------------------
 
 
