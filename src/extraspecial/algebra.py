@@ -230,20 +230,26 @@ def derived_ideal(a: Algebra) -> Subspace:
     return Subspace(a.field, a.dim, [row for _, _, row in a.nonzero_products()])
 
 
-def center(a: Algebra) -> Subspace:
-    """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}.
+def annihilator(field: Field, n: int, products) -> Subspace:
+    """Two-sided annihilator {v in F^n : v x_j = 0 and x_i v = 0} of a bilinear map.
 
-    Solved as one kernel computation; the constraint rows come straight from
-    the nonzero entries of the structure tensor.
+    `products` yields (i, j, row): the value on (x_i, x_j) as a sparse row,
+    in any coordinates k.  Solved as one kernel computation whose
+    constraint rows come straight from the nonzero entries.
     """
     rows: dict[tuple, dict] = {}
-    for i, j, row in a.nonzero_products():
+    for i, j, row in products:
         for k, x in row.items():
             # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
             rows.setdefault(("L", j, k), {})[i] = x
             # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
             rows.setdefault(("R", i, k), {})[j] = x
-    return kernel_basis(a.field, a.dim, rows.values())
+    return kernel_basis(field, n, rows.values())
+
+
+def center(a: Algebra) -> Subspace:
+    """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}."""
+    return annihilator(a.field, a.dim, a.nonzero_products())
 
 
 def is_extra_special(a: Algebra) -> bool:

@@ -7,7 +7,8 @@ flags an honest refusal over the base field, 4 flags an internal self-check
 failure, 5 flags an unexpected error (its traceback goes to stderr) or a
 stdout closed before start-up or before the payload was written (its JSON
 error line goes to stderr), and `verify-theorems` exits 1 when any row
-fails.
+disagrees with the paper; the first row that raises sets the exit code of
+its exception instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, IdentityKind, center, derived_ideal, identity_violation, is_extra_special
 from .catalog import BlockDescriptor, central_sum, make_canonical, make_from_text, parse_descriptor
-from .cohomology import VALIDATED_LEIBNIZ, cover, cover_z_star, is_capable, is_unicentral, multiplier_dim, z_star
+from .cohomology import VALIDATED_LEIBNIZ, associative_cocycle_space, cocycle_z_star, cover, multiplier_dim
+from .cohomology import is_capable, is_unicentral, z_star
 from .dialg import Dialgebra, diassociativity_violation
 from .errors import InputError, InternalCheckFailure, Unsupported
 from .forms import BlockDecomposition, classify
@@ -67,6 +69,7 @@ class SweepRow:
     dim: int
     ok: bool
     detail: dict
+    raised: Exception | None = None
 
 
 def _sweep_members(field: Field, max_n: int, lambdas):
@@ -129,9 +132,7 @@ def verify_theorems(max_n: int, lambdas, field: Field | None = None, pair_dim_ca
         try:
             rows.append(_sweep_row(name, alg, descriptor, field))
         except Exception as exc:  # row-level containment, never abort the sweep
-            rows.append(
-                SweepRow(name, alg.dim, False, {"error": f"{type(exc).__name__}: {exc}"})
-            )
+            rows.append(SweepRow(name, alg.dim, False, {"error": f"{type(exc).__name__}: {exc}"}, exc))
     return rows
 
 
@@ -139,13 +140,13 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
     dim = alg.dim
     is_j1 = descriptor is not None and descriptor.kind == "j" and descriptor.n == 1
     predicted = 1 if is_j1 else (dim - 1) ** 2 - 1
-    # one cover per row: it holds the assoc multiplier and Z*, from which
-    # capability and unicentrality are both read
-    cov = cover(alg)
-    m_assoc = cov.kernel.dim
+    # one assoc cocycle space per row: it holds the assoc multiplier and Z*,
+    # from which capability and unicentrality are both read
+    cs = associative_cocycle_space(alg)
+    m_assoc = cs.h2_dim
     m_leib = multiplier_dim(alg, VALIDATED_LEIBNIZ)
     leib_predicted = _leibniz_expected(descriptor, field, dim)
-    zs = cover_z_star(alg, cov)
+    zs = cocycle_z_star(alg, cs)
     capable = zs.dim == 0
     unicentral = zs == center(alg)
     decomposition = classify(alg)
@@ -266,11 +267,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     field = _parse_field_flag(args.field)
-    lambdas = []
-    for part in args.lambdas.split(","):
-        part = part.strip()
-        if part:
-            lambdas.append(field.parse(part))
+    lambdas = [field.parse(part) for part in args.lambdas.split(",") if part.strip()]
     rows = verify_theorems(args.max_n, lambdas, field, args.dim_cap)
     fails = [r for r in rows if not r.ok]
     payload = {
@@ -281,7 +278,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
         "fail_count": len(fails),
         "pass": not fails,
     }
-    return payload, (1 if fails else 0)
+    raised = next((r.raised for r in rows if r.raised), None)
+    return payload, (1 if fails else 0) if raised is None else _exit_code(raised)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -362,6 +360,15 @@ _COMMANDS = {
 _EXIT_CODES = ((InputError, 2), (Unsupported, 3), (InternalCheckFailure, 4))
 
 
+def _exit_code(exc: Exception) -> int:
+    code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), 5)
+    if code == 5:  # a bug or a resource limit; never a bare traceback
+        import traceback  # imported here: it costs every process ~4 ms of start-up
+
+        traceback.print_exception(exc, file=sys.stderr)
+    return code
+
+
 def _error_line(exc: Exception) -> str:
     return json.dumps({"error": str(exc), "kind": type(exc).__name__})
 
@@ -375,11 +382,7 @@ def main(argv=None) -> int:
             payload, code = _COMMANDS[args.command](args), 0
         text = json.dumps(payload, indent=2)
     except Exception as exc:
-        code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), 5)
-        if code == 5:  # a bug or a resource limit; never a bare traceback
-            import traceback  # imported here: it costs every process ~4 ms of start-up
-
-            traceback.print_exc(file=sys.stderr)
+        code = _exit_code(exc)
         text = _error_line(exc)
     if sys.stdout is None:  # fd 1 was closed before start-up: the payload is lost
         print(_error_line(OSError(errno.EBADF, "stdout is closed")), file=sys.stderr)

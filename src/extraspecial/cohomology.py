@@ -9,6 +9,13 @@ linear functionals g.  The quotient dimension is the Schur multiplier
 dimension, and a cover is the central extension built from a complement of
 the coboundaries inside the cocycles.
 
+Z* (Beyl, Felgner & Schmid, J. Algebra 1979), the cover's center projected
+to A, needs no cover: the cover's product is A's product plus the complement
+cocycles f_l in central new coordinates, so (u, s) is central iff u
+annihilates A and f_l(u, x_j) = f_l(x_j, u) = 0 for all l and j.  The
+coboundaries g(x_i x_j) in z2 already force u x_j = x_j u = 0, so Z* is the
+annihilator of all of z2, one kernel in dim A unknowns.
+
 Two Leibniz orientations are implemented.  The orientation whose multiplier
 dimensions match the published low-dimensional Leibniz values is
 LEIBNIZ_LEFT (x(yz) = (xy)z - (xz)y); the test suite re-derives that choice
@@ -19,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import IDENTITY_TERMS, Algebra, IdentityKind, center, check_identity, derived_ideal, expand_term
+from .algebra import (
+    IDENTITY_TERMS, Algebra, IdentityKind, annihilator, center, check_identity, derived_ideal, expand_term,
+)
 from .errors import IdentityViolated, InternalCheckFailure, NotAssociative, StemFailure
 from .linalg import Subspace, kernel_basis
 
@@ -49,9 +58,6 @@ class CoverExtension:
     def project(self, vec) -> tuple:
         """Apply the defining projection (drop kernel coordinates)."""
         return tuple(vec[: self.base_dim])
-
-    def project_subspace(self, sub: Subspace) -> Subspace:
-        return sub.project(self.base_dim)
 
 
 def _cocycle_rows(a: Algebra, theory: IdentityKind):
@@ -94,6 +100,14 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     return CocycleSpace(n, z2, b2, z2.dim - b2.dim)
 
 
+def associative_cocycle_space(a: Algebra) -> CocycleSpace:
+    """The associative `cocycle_space`, refusing other algebras with `NotAssociative`."""
+    try:
+        return cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    except IdentityViolated:
+        raise NotAssociative("covers are defined for associative algebras") from None
+
+
 def multiplier_dim(a: Algebra, theory: IdentityKind) -> int:
     """Dimension of the Schur multiplier in the chosen theory."""
     return cocycle_space(a, theory).h2_dim
@@ -133,10 +147,7 @@ def cover(a: Algebra) -> CoverExtension:
     (kernel inside center and derived ideal of the total algebra) is
     checked, not assumed; a failure raises `StemFailure`.
     """
-    try:
-        cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
-    except IdentityViolated:
-        raise NotAssociative("covers are defined for associative algebras") from None
+    cs = associative_cocycle_space(a)
     n, m = a.dim, cs.h2_dim
     total = central_extension_by_cocycles(a, _complement_cocycles(cs))
     kernel = Subspace(a.field, n + m, [{n + l: a.field.one} for l in range(m)])
@@ -154,18 +165,21 @@ def z_star(a: Algebra) -> Subspace:
     """Image of the cover's center under the covering projection.
 
     This is the intersection of the central images over all central
-    extensions; computing it through the (finite-dimensional) cover avoids
-    free presentations entirely.
+    extensions, read as the annihilator of the associative cocycles (see the
+    module docstring): neither the cover nor a free presentation is built.
     """
-    return cover_z_star(a, cover(a))
+    return cocycle_z_star(a, associative_cocycle_space(a))
 
 
-def cover_z_star(a: Algebra, cov: CoverExtension) -> Subspace:
-    """Z* of `a` read from its cover `cov`, as `z_star` does."""
-    projected = cov.project_subspace(center(cov.total))
-    if not center(a).contains_subspace(projected):
-        raise InternalCheckFailure("Z* escaped the center; projection bug")
-    return projected
+def cocycle_z_star(a: Algebra, cs: CocycleSpace) -> Subspace:
+    """Z* of `a` read from its associative cocycle space `cs`, as `z_star` does:
+    the u with f(u, x_j) = f(x_j, u) = 0 for every z2 basis row f and every j."""
+    n = a.dim  # basis row l is the bilinear map (x_i, x_j) -> f_l[i * n + j]
+    values = (divmod(c, n) + ({l: x},) for l, f in enumerate(cs.z2.pivots.values()) for c, x in f.items())
+    zs = annihilator(a.field, n, values)
+    if not center(a).contains_subspace(zs):
+        raise InternalCheckFailure("Z* escaped the center; cocycle annihilator bug")
+    return zs
 
 
 def is_capable(a: Algebra) -> bool:

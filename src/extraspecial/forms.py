@@ -282,44 +282,21 @@ def _pair_cosquare_blocks(field: Field, blocks) -> list[BlockDescriptor]:
     """Map cosquare Jordan data to Gamma / H / J1 descriptors.
 
     A block of size s at eigenvalue (-1)^(s+1) stands alone (Gamma_s, or J1
-    when s = 1); everything else must pair up as {mu, 1/mu} with equal
-    sizes.
+    when s = 1); any other pairs with a block of its size at 1/mu (a second
+    copy if mu = 1/mu) into H_2s(mu), or raises `UnpairedEigenvalue`.
     """
-    counts: dict[tuple, int] = {}
-    for mu, size in blocks:
-        counts[(mu, size)] = counts.get((mu, size), 0) + 1
+    blocks = sorted(blocks, key=lambda b: (b[1], scalar_sort_key(b[0])))
     descriptors = []
-    for (mu, size), _ in sorted(
-        counts.items(), key=lambda kv: (kv[0][1], scalar_sort_key(kv[0][0]))
-    ):
-        cnt = counts[(mu, size)]
-        if cnt == 0:
+    while blocks:
+        mu, size = blocks.pop(0)
+        if mu == (field.one if size % 2 else -field.one):
+            descriptors.append(BlockDescriptor("j", 1) if size == 1 else BlockDescriptor("gamma", size))
             continue
-        gamma_sign = field.one if (size + 1) % 2 == 0 else -field.one
-        if mu == gamma_sign:
-            kind = BlockDescriptor("j", 1) if size == 1 else BlockDescriptor("gamma", size)
-            descriptors.extend([kind] * cnt)
-            counts[(mu, size)] = 0
-            continue
-        if not mu:
-            raise UnpairedEigenvalue("cosquare has eigenvalue zero")
-        inv = field.one / mu
-        if inv == mu:
-            if cnt % 2:
-                raise UnpairedEigenvalue(
-                    f"odd number of self-paired blocks at {mu} of size {size}"
-                )
-            descriptors.extend([BlockDescriptor("h", size, mu)] * (cnt // 2))
-            counts[(mu, size)] = 0
-            continue
-        other = counts.get((inv, size), 0)
-        if other != cnt:
-            raise UnpairedEigenvalue(
-                f"blocks of size {size} at {mu} and {inv} do not pair up"
-            )
-        descriptors.extend([BlockDescriptor("h", size, mu)] * cnt)
-        counts[(mu, size)] = 0
-        counts[(inv, size)] = 0
+        partner = (field.one / mu, size)
+        if partner not in blocks:
+            raise UnpairedEigenvalue(f"cosquare block of size {size} at {mu} has no partner")
+        blocks.remove(partner)
+        descriptors.append(BlockDescriptor("h", size, mu))
     return [normalize_descriptor(field, d) for d in descriptors]
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import count, zip_longest
 from math import gcd, lcm
 
-from .errors import DoesNotSplit, NotSquare, Singular
+from .errors import DimensionMismatch, DoesNotSplit, NotSquare, Singular
 from .scalars import Field, Fp, _is_prime
 
 # ---------------------------------------------------------------------------
@@ -168,15 +168,15 @@ def _sparse_reduce_mod(field: Field, rows, pivots: dict) -> dict:
 def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
     """The subspace {v : row . v = 0 for every constraint row} of F^ncols.
 
-    Presolve: a one-entry row {c: x != 0} fixes v_c = 0, and c is dropped
-    from the other rows; those are reduced in reversed column order (c ->
+    Presolve: a one-entry row {c: x != 0} fixes v_c = 0, and c is dropped from
+    the other rows; the nonzero rest is reduced in reversed column order (c ->
     ncols - 1 - c), so e_f - sum of prow[f] e_pc, the kernel vector of a free
     column f, starts at f.  These vectors are already the reduced echelon basis.
     """
     last, rows = ncols - 1, list(rows)
     fixed = {c for row in rows if len(row) == 1 for c, x in row.items() if x}
     rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if len(row) > 1)
-    pivots = sparse_reduce(field, rest)
+    pivots = sparse_reduce(field, (row for row in rest if any(row.values())))
     kernel = {f: {f: field.one} for f in range(ncols) if f not in fixed and last - f not in pivots}
     for pc, prow in pivots.items():
         for f, coef in prow.items():
@@ -462,11 +462,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.pivots.values())
 
-    def project(self, n: int) -> "Subspace":
-        """Image in F^n under dropping every coordinate >= n."""
-        rows = [{c: x for c, x in row.items() if c < n} for row in self.pivots.values()]
-        return Subspace(self.field, n, rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -485,6 +480,8 @@ class Subspace:
 def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
     """A sparse row through `field_row`, or a dense vector coerced into a sparse row."""
     if isinstance(vec, dict):
+        if not all(0 <= c < ambient_dim for c in vec):
+            raise DimensionMismatch("vector coordinate out of range")
         return field_row(field, vec)
     if len(vec) != ambient_dim:
         raise ValueError("vector length does not match ambient dimension")

@@ -11,9 +11,10 @@ import sys
 import pytest
 
 import extraspecial
-from extraspecial import forms
+from extraspecial import cli, forms
 from extraspecial.catalog import parse_descriptor
 from extraspecial.cli import main, verify_theorems
+from extraspecial.errors import InternalCheckFailure
 from extraspecial.forms import BlockDecomposition
 from extraspecial.scalars import Field
 
@@ -308,6 +309,48 @@ def test_verify_theorems_row_names_are_unique(capsys):
     assert code == 0
     assert len(names) == len(set(names)) == 20
     assert names.count("h2:2") == 1
+
+
+SMALL_SWEEP = ["verify-theorems", "--max-n", "2", "--lambdas", "3", "--dim-cap", "3"]
+
+
+def test_verify_theorems_rows_that_only_disagree_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_leibniz_expected", lambda descriptor, field, dim: -1)
+    code, doc = run(capsys, *SMALL_SWEEP)
+    assert code == 1
+    assert doc["fail_count"] == len(doc["rows"]) > 0 and doc["pass"] is False
+    assert not any("error" in row for row in doc["rows"])
+
+
+@pytest.mark.parametrize("error,code", [(RuntimeError, 5), (InternalCheckFailure, 4)])
+def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monkeypatch, error, code):
+    # exit 1 means a row disagrees with the paper; a row that raised is not that
+    def broken(a):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert main(SMALL_SWEEP) == code
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["fail_count"] == len(doc["rows"]) > 0 and doc["pass"] is False
+    assert {row["error"] for row in doc["rows"]} == {f"{error.__name__}: planted failure"}
+    assert ("Traceback" in captured.err) == (code == 5)
+
+
+def test_verify_theorems_first_row_that_raises_sets_the_exit_code(capsys, monkeypatch):
+    classify = cli.classify
+
+    def broken(a):
+        if a.dim == 2:  # j:1, the first row
+            raise InternalCheckFailure("planted failure")
+        if a.dim == 3:
+            raise RuntimeError("planted failure")
+        return classify(a)
+
+    monkeypatch.setattr(cli, "classify", broken)
+    code, doc = run(capsys, *SMALL_SWEEP)
+    assert code == 4
+    assert [row["name"] for row in doc["rows"] if "error" in row][:2] == ["j:1", "j:2"]
 
 
 # sha256 of "<exit code>\n<stdout>" of the full sweep below, captured from a

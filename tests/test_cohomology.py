@@ -1,16 +1,19 @@
 """Cocycle spaces, multiplier dimensions, covers, Z*, capability."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from extraspecial import cli, cohomology, linalg
 from extraspecial.algebra import (
     Algebra,
     IdentityKind,
     center,
     check_identity,
     derived_ideal,
+    is_extra_special,
 )
 from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
 from extraspecial.cohomology import (
@@ -26,8 +29,11 @@ from extraspecial.cohomology import (
 from extraspecial.errors import IdentityViolated, NotAssociative
 from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
+from oracle_zstar import cover_z_star
+from test_basis_invariance import CASES, _field, _in_basis, _random_basis
 
 Q = Field.rationals()
+FIELDS = [Q, Field.gf(3), Field.gf(5), Field.gf(7)]
 
 
 def j(n):
@@ -98,6 +104,22 @@ def test_cocycle_space_z2_is_already_reduced(text, field):
         z2 = cocycle_space(a, kind).z2
         assert z2.pivots == Subspace(field, z2.ambient_dim, list(z2.pivots.values())).pivots
         assert list(z2.pivots) == sorted(z2.pivots)
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(5)], ids=str)
+def test_kernel_basis_passes_no_emptied_row_to_sparse_reduce(field, monkeypatch):
+    # the singleton presolve empties rows; those are no constraint and must not be reduced
+    seen, reduce = [], linalg.sparse_reduce
+
+    def recording(f, rows, pivots=None):
+        rows = list(rows)
+        seen.extend(rows)
+        return reduce(f, rows, pivots)
+
+    monkeypatch.setattr(linalg, "sparse_reduce", recording)
+    cs = cocycle_space(make_from_text("gamma:5", field), IdentityKind.ASSOCIATIVE)
+    assert cs.h2_dim == (cs.algebra_dim - 1) ** 2 - 1
+    assert seen and all(any(row.values()) for row in seen)
 
 
 # -- multiplier dimensions -------------------------------------------------------
@@ -253,6 +275,95 @@ def test_z_star_values():
 def test_z_star_contained_in_center():
     for a in [j(1), j(4), gamma(2), h(1, -1), Algebra.zero(Q, 2)]:
         assert center(a).contains_subspace(z_star(a))
+
+
+def _assert_cover_route_agrees(a):
+    expected = cover_z_star(a)
+    assert z_star(a) == expected, a
+    assert is_capable(a) == (expected.dim == 0), a
+    assert is_unicentral(a) == (expected == center(a)), a
+    return expected
+
+
+def _seeded_associative(rng, field, kind):
+    """A seeded associative algebra of the given kind, in a seeded dense basis.
+
+    "class 2": V + W with a random product V x V -> W and every other
+    product zero, so every triple product vanishes.  Otherwise a subalgebra
+    of the incidence algebra of a seeded poset on four points: e_xy for
+    x < y, plus one idempotent e_xx unless `kind` is "nilpotent"; e_xy e_yz
+    = e_xz.
+    """
+    if kind == "class 2":
+        v, w = rng.randint(2, 3), rng.randint(1, 3)
+        products = {
+            (i, j): {v + k: rng.randint(-2, 2) for k in range(w)} for i in range(v) for j in range(v)
+        }
+        return _in_basis(Algebra(field, v + w, products), _random_basis(rng, field, v + w))
+    less = {(x, y) for x in range(4) for y in range(x + 1, 4) if rng.random() < 0.6}
+    for k in range(4):  # transitive closure (Warshall)
+        less |= {(x, z) for x, y in less for w, z in less if y == k == w}
+    basis = sorted(less)
+    if kind != "nilpotent":
+        basis.append((rng.randrange(4),) * 2)
+    index = {pair: n for n, pair in enumerate(basis)}
+    products = {
+        (index[x, y], index[w, z]): {index[x, z]: 1} for x, y in basis for w, z in basis if y == w
+    }
+    a = Algebra(field, len(basis), products)
+    return _in_basis(a, _random_basis(rng, field, a.dim)) if a.dim else a
+
+
+CATALOG_TEXTS = [
+    "j:1", "j:2", "j:4", "gamma:2", "gamma:3", "gamma:5", "h2:-1", "h2n:2:1",
+    "j:1+j:1", "j:1+gamma:3", "j:2+h2:-1", "gamma:2+h2n:2:1",
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_z_star_agrees_with_the_cover_route_on_catalog_and_zero_algebras(field):
+    for text in CATALOG_TEXTS:
+        _assert_cover_route_agrees(make_from_text(text, field))
+    for dim in (1, 2, 4):
+        assert _assert_cover_route_agrees(Algebra.zero(field, dim)).dim == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", ["nilpotent", "idempotent", "class 2"])
+def test_z_star_agrees_with_the_cover_route_on_seeded_associative_algebras(field, kind):
+    rng = random.Random(f"z_star {field} {kind}")
+    drawn = (_seeded_associative(rng, field, kind) for _ in itertools.count())
+    shapes = set()
+    for a in itertools.islice((a for a in drawn if not is_extra_special(a)), 6):
+        assert check_identity(a, IdentityKind.ASSOCIATIVE)
+        shapes.add((a.dim, center(a).dim, _assert_cover_route_agrees(a).dim))
+    assert len(shapes) >= 3
+
+
+@pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])
+def test_z_star_agrees_with_the_cover_route_in_a_dense_basis(flag, text):
+    field = _field(flag)
+    a = make_from_text(text, field)
+    _assert_cover_route_agrees(_in_basis(a, _random_basis(random.Random(f"basis {flag} {text}"), field, a.dim)))
+
+
+@pytest.mark.parametrize("fn", [z_star, is_capable, is_unicentral])
+def test_z_star_refuses_a_non_associative_algebra(fn):
+    bad = Algebra(Q, 2, {(0, 1): (1, 0)})
+    with pytest.raises(NotAssociative, match="^covers are defined for associative algebras$"):
+        fn(bad)
+
+
+def test_z_star_and_the_sweep_build_no_cover(monkeypatch):
+    def no_cover(a):
+        raise AssertionError("a cover was built")
+
+    monkeypatch.setattr(cohomology, "cover", no_cover)
+    monkeypatch.setattr(cli, "cover", no_cover)
+    assert z_star(j(2)) == center(j(2))
+    assert is_capable(j(1)) and is_unicentral(gamma(3))
+    rows = cli.verify_theorems(2, [Q.coerce(3)], Q, pair_dim_cap=5)
+    assert rows and all(r.ok for r in rows)
 
 
 def test_capability_dichotomy():

@@ -18,11 +18,13 @@ from extraspecial.errors import (
     DoesNotSplit,
     NotExtraSpecial,
     Singular,
+    UnpairedEigenvalue,
     Unsupported,
 )
 from extraspecial.forms import (
     BilinearForm,
     BlockDecomposition,
+    _pair_cosquare_blocks,
     algebra_from_form,
     classify,
     cosquare,
@@ -328,6 +330,17 @@ def test_classify_gamma_pair_vs_excluded_h_block():
     assert classify(s) == BlockDecomposition(
         Q, [BlockDescriptor("gamma", 2), BlockDescriptor("gamma", 2)]
     )
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[(Fraction(2), 1), (Fraction(2), 1), (Fraction(1, 2), 1)], [(Fraction(-1), 1)]],
+    ids=["no partner at 1/mu", "one half of H2(-1)"],
+)
+def test_unpaired_cosquare_blocks_are_refused(blocks):
+    # the cosquare data of a form always pair up; anything else is a bug upstream
+    with pytest.raises(UnpairedEigenvalue, match="has no partner"):
+        _pair_cosquare_blocks(Q, blocks)
 
 
 def test_block_decomposition_text_ordering():

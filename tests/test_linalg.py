@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial.errors import DoesNotSplit, FieldMismatch, NotSquare, Singular
+from extraspecial.errors import DimensionMismatch, DoesNotSplit, FieldMismatch, InputError, NotSquare, Singular
 from extraspecial.linalg import (
     Matrix,
     Subspace,
@@ -248,6 +248,15 @@ def test_subspace_refuses_an_element_of_another_prime_field():
         Subspace(GF7, 3, [{0: Fp(2, 5), 1: Fp(1, 7)}])
     with pytest.raises(FieldMismatch):
         Subspace(GF7, 3, [{0: Fp(2, 5)}])
+
+
+@pytest.mark.parametrize("row", [{3: 1}, {5: 1}, {-1: 1}, {0: 1, 7: 1}], ids=str)
+def test_subspace_refuses_sparse_columns_out_of_range(row):
+    with pytest.raises(DimensionMismatch):
+        Subspace(Q, 3, [row])
+    with pytest.raises(DimensionMismatch):
+        Subspace(Q, 3, [{0: 1}]).contains(row)
+    assert issubclass(DimensionMismatch, InputError)
 
 
 def test_subspace_sum_and_intersection():
