@@ -8,8 +8,9 @@ from the Kronecker structure of the pencil P(t) = A + tB, A = M^T, B = M,
 through scalar kernel computations only (the rank-sequence view of Van
 Dooren, LAA 27, 1979):
 
-* fraction-free elimination over F[t] gives the normal rank r of P(t) and
-  one nonzero r x r minor, a multiple of the invariant factors' product;
+* Bareiss elimination on one integer matrix, a lift of A + 2^s B (P(t)
+  packed at t = 2^s), gives the normal rank r of P(t) and one nonzero
+  r x r minor, a multiple of the invariant factors' product;
 * the n - r odd singular blocks J_(2 eps + 1) are the pencil's minimal
   indices eps, counted by the nullities of the block-bidiagonal matrices
   [A; B A; ...; B] without any evaluation point;
@@ -35,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import Algebra, center, is_extra_special
+from .algebra import Algebra, center, derived_ideal
 from .catalog import BlockDescriptor, normalize_descriptor
 from .errors import (
     DegenerateVector,
@@ -109,9 +110,10 @@ def form_of(a: Algebra) -> BilinearForm:
     The spanning central vector is the echelon basis vector of the center;
     the complement consists of the remaining coordinate axes.
     """
-    if not is_extra_special(a):
+    z = center(a)
+    if z.dim != 1 or z != derived_ideal(a):
         raise NotExtraSpecial("forms are defined for extra special algebras")
-    ((pivot, zrow),) = center(a).pivots.items()
+    ((pivot, zrow),) = z.pivots.items()
     complement = [i for i in range(a.dim) if i != pivot]
     position = {i: r for r, i in enumerate(complement)}
     rows = [[a.field.zero] * len(complement) for _ in complement]

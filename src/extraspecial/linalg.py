@@ -22,8 +22,9 @@ Computer Algebra*, ch. 14-15): over GF(p), gcd(f, t^p - t) by repeated
 squaring mod f, split by seeded Cantor-Zassenhaus; over Q, the roots of
 the square-free part modulo a small prime that keeps it square-free,
 Hensel-lifted and reconstructed, then checked exactly.  That work runs on
-integer coefficient lists, as does `pencil_minor`'s fraction-free
-elimination over F[t].
+integer coefficient lists.  `pencil_minor` packs each pencil entry a + tb
+into the integer a + b 2^s (Kronecker substitution, ibid. 8.4) and runs
+Bareiss's fraction-free elimination on those ints, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import count
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, DoesNotSplit, NotSquare, Singular
@@ -657,7 +658,7 @@ def _rational_roots(f) -> list:
     if len(g) < 2:
         return candidates
     dg = _derivative(g)
-    p = 1009
+    p = 3
     while g[-1] % p == 0 or len(_igcd_mod(g, _ipoly(dg, p), p)) > 1:
         p = next(q for q in count(p + 2, 2) if _is_prime(q))
     bound = 2 * abs(g[0] * g[-1])
@@ -751,50 +752,64 @@ def _derivative(f) -> list:
 def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     """Normal rank r of the square pencil A + tB and one nonzero r x r minor.
 
-    A and B are given by sparse rows.  Fraction-free (Bareiss) elimination
-    runs on integer polynomials: mod p over GF(p), and over Q after clearing
-    each row's denominators, which scales every minor by a nonzero
-    constant.  Each entry stays a minor of the pencil, so every division is
-    exact and no coefficient outgrows a determinant.  The last pivot is the
-    minor on the pivot rows and columns, returned as field scalars.
+    The sparse rows of A and B are lifted to integers: over Q each row times
+    the lcm of its denominators, over GF(p) as symmetric residues.  H, the
+    product over rows of max(1, sum of |a_ij| + |b_ij|), bounds every
+    coefficient of every minor of the lift, so at s = H.bit_length() + 2 the
+    entry a_ij + t b_ij is packed as a_ij + b_ij 2^s (Kronecker substitution)
+    and a minor is read back from its signed base-2^s digits.  Bareiss runs
+    on these ints: t -> 2^s is a ring map Z[t] -> Z, so each division by the
+    previous pivot stays exact.  The pivot is the live entry of lowest degree
+    in t, the lowest row on ties; over GF(p) both are read from the digits
+    mod p, which replays the elimination over GF(p)[t], since a minor of the
+    lift reduces mod p to the same minor.  The last pivot is the minor.
     """
-    p = field.p
-    rows = []
+    p, lifted, bound = field.p, [], 1
     for a, b in zip(a_rows, b_rows):
         den = 1 if p else lcm(*(x.denominator for x in (*a.values(), *b.values())))
-        rows.append({
-            j: _ipoly([_as_int(a.get(j), den), _as_int(b.get(j), den)], p)
-            for j in a.keys() | b.keys()
-        })
-    n = len(rows)
-    rank, prev = 0, [1]
+        lifted.append({j: (_as_int(a.get(j), den), _as_int(b.get(j), den)) for j in a.keys() | b.keys()})
+        bound *= max(1, sum(abs(x) + abs(y) for x, y in lifted[-1].values()))
+    s = bound.bit_length() + 2
+    rows = [{j: x + (y << s) for j, (x, y) in row.items() if x or y} for row in lifted]
+    n, rank, prev = len(rows), 0, 1
     for c in range(n):
-        live = [i for i in range(rank, n) if c in rows[i]]
+        # (1 + degree in t, row) of each entry that is not 0 in the field; a column
+        # with none is skipped, and its entries, still minors of the lift, are not read
+        live = [
+            (d, i) for i in range(rank, n)
+            if (x := rows[i].get(c)) and (d := len(_digits(x, s, p)) if p else abs(x).bit_length() // s + 1)
+        ]
         if not live:
             continue
-        top = min(live, key=lambda i: len(rows[i][c]))
+        top = min(live)[1]
         rows[rank], rows[top] = rows[top], rows[rank]
         pivot_row = rows[rank]
         pivot = pivot_row.pop(c)
         for i in range(rank + 1, n):
             row = rows[i]
-            lead = row.pop(c, None)
-            new = {}
-            for j in row.keys() | pivot_row.keys():
-                x = _imul(pivot, row.get(j, ()), p)
-                if lead:
-                    y = _imul(lead, pivot_row.get(j, ()), p)
-                    x = _ipoly([u - v for u, v in zip_longest(x, y, fillvalue=0)], p)
-                if x:
-                    new[j] = _idivmod(x, prev, p)[0]
-            rows[i] = new
+            lead = row.pop(c, 0)
+            rows[i] = {
+                j: x for j in row.keys() | pivot_row.keys()
+                if (x := (pivot * row.get(j, 0) - lead * pivot_row.get(j, 0)) // prev)
+            }
         prev = pivot
         rank += 1
-    return rank, [field.coerce(x) for x in prev]
+    return rank, [field.coerce(x) for x in _digits(prev, s, p)]
 
 
 def _as_int(x, den: int) -> int:
-    """A scalar (or None, read as 0) as an integer: its residue, or den * x."""
+    """A scalar (or None, read as 0) as an integer: its symmetric residue, or den * x."""
     if x is None:
         return 0
-    return x.value if isinstance(x, Fp) else x.numerator * (den // x.denominator)
+    if isinstance(x, Fp):
+        return x.value - x.p if 2 * x.value > x.p else x.value
+    return x.numerator * (den // x.denominator)
+
+
+def _digits(x: int, s: int, p=None) -> list:
+    """The signed base-2^s digits of x, lowest first, read mod p when p is given."""
+    out, half, mask = [], 1 << (s - 1), (1 << s) - 1
+    while x:
+        out.append(d := ((x + half) & mask) - half)
+        x = (x - d) >> s
+    return _ipoly(out, p)

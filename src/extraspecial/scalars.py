@@ -168,15 +168,13 @@ class Field:
         raise FieldMismatch(f"cannot coerce {x!r} into {self}")
 
     def parse(self, text: str):
-        """Parse "n" or "n/d" (rationals) or a decimal residue (GF(p))."""
+        """Parse "n" or "n/d" through `int` (no exponent, no decimal point), in either field."""
         text = text.strip()
         try:
-            if self.kind == "Q":
-                return Fraction(text)
             if "/" in text:
                 num, den = text.split("/", 1)
                 return self.coerce(Fraction(int(num), int(den)))
-            return Fp(int(text), self.p)
+            return self.coerce(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise UnsupportedField(f"cannot parse scalar {text!r} over {self}: {exc}") from exc
 

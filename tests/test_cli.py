@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,6 +244,26 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, doc):
     code, payload = run(capsys, "invariants", str(path))
     assert code == 2
     assert payload["kind"] == "ParseError"
+
+
+# a Q scalar is "n" or "n/d" of integers; reading an exponent would build
+# 10^10000000 before anything could refuse it
+@pytest.mark.parametrize("scalar", ["1e10000000", "2.5"])
+@pytest.mark.parametrize("where", ["make", "lambdas", "document"])
+def test_scalar_that_is_not_an_integer_quotient_exits_2_at_once(tmp_path, capsys, where, scalar):
+    if where == "make":
+        argv = ["make", f"h2:{scalar}"]
+    elif where == "lambdas":
+        argv = ["verify-theorems", "--max-n", "2", "--lambdas", f"2,{scalar}"]
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": 3, "products": [[0, 1, 2, scalar]]}))
+        argv = ["classify", str(path)]
+    start = time.perf_counter()
+    code, payload = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert payload["kind"] == "UnsupportedField"
 
 
 def test_classify_non_extra_special_exits_2(tmp_path, capsys):

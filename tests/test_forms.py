@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial.algebra import Algebra
+from extraspecial import algebra, forms
+from extraspecial.algebra import Algebra, center
 from extraspecial.catalog import (
     BlockDescriptor,
     central_sum,
@@ -89,6 +90,26 @@ def test_form_of_j1():
 def test_form_of_rejects_non_extra_special():
     with pytest.raises(NotExtraSpecial):
         form_of(Algebra.zero(Q, 2))
+
+
+def test_classify_solves_the_center_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return center(a)
+
+    monkeypatch.setattr(algebra, "center", counted)
+    monkeypatch.setattr(forms, "center", counted)
+    for shape, field in [("j:3+h2:2", Q), ("gamma:3+j:1", GF5), ("h2n:2:3", GF7)]:
+        a = make_from_text(shape, field)
+        calls.clear()
+        classify(a)
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NotExtraSpecial, match="forms are defined for extra special algebras"):
+        classify(Algebra.zero(Q, 2))
+    assert len(calls) == 1
 
 
 def test_form_has_no_degenerate_index():

@@ -17,6 +17,7 @@ from extraspecial.linalg import (
     sparse_reduce,
 )
 from extraspecial.scalars import Field, Fp
+from oracle_pencil import oracle_pencil_minor
 
 Q = Field.rationals()
 GF7 = Field.gf(7)
@@ -499,6 +500,52 @@ def test_roots_over_a_61_bit_prime_field():
     assert rest == [field.one, field.zero, field.one]
 
 
+def _divisors(n):
+    n, out, d = abs(n), {1}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out |= {x * d for x in out}
+            n //= d
+        d += 1
+    return out | {x * n for x in out} if n > 1 else out
+
+
+def _brute_rational_roots(coeffs):
+    """{root: multiplicity} over all u/v with u | a0 and v | lc, a0 the lowest nonzero coefficient."""
+    a0 = next(c for c in coeffs if c)
+    candidates = {Fraction(s * u, v) for u in _divisors(a0) for v in _divisors(coeffs[-1]) for s in (1, -1)}
+    candidates |= {Fraction(0)} if not coeffs[0] else set()
+    roots = {}
+    for r in candidates:
+        # the multiplicity is the number of derivatives, the 0th included, that
+        # vanish at r = u/v, that is sum of c_k u^k v^(deg - k) = 0
+        f, u, v = list(coeffs), r.numerator, r.denominator
+        while f and not sum(c * u**k * v ** (len(f) - k) for k, c in enumerate(f)):
+            roots[r] = roots.get(r, 0) + 1
+            f = [k * c for k, c in enumerate(f)][1:]
+    return roots
+
+
+def test_rational_roots_agree_with_brute_force():
+    # roots r and r + 105 meet mod 3, 5 and 7, so none of those primes keeps the
+    # square-free part square-free; every other case has 105 | lc, which rules
+    # them out by the leading coefficient
+    rng = random.Random("rational roots")
+    for case in range(40):
+        r = rng.choice([x for x in range(-12, 13) if x])
+        factors = [[-r, 1], [-r - 105, 1], [rng.choice([-2, -1, 1, 2, 4]), 3]]
+        factors += [[-rng.randint(-9, 9), rng.randint(1, 2)] for _ in range(rng.randint(0, 2))]
+        factors += [[rng.randint(1, 5), 0, 1]] * rng.randint(0, 1)  # no rational root
+        factors += [factors[rng.randrange(len(factors))]] * rng.randint(0, 1)  # a repeated factor
+        poly = [Fraction(105 if case % 2 else rng.randint(1, 2))]
+        for f in factors:
+            poly = poly_mul(Q, poly, [Fraction(c) for c in f])
+        roots, rest = roots_in_field(Q, poly)
+        expected = _brute_rational_roots([int(c) for c in poly])
+        assert dict(roots) == expected
+        assert len(rest) - 1 == len(poly) - 1 - sum(expected.values())
+
+
 def test_pencil_minor_reads_rank_and_a_nonzero_minor():
     # J3's pencil M^T + tM has normal rank 2; any 2 x 2 minor is a monomial
     m = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
@@ -510,3 +557,73 @@ def test_pencil_minor_reads_rank_and_a_nonzero_minor():
     # a regular pencil: the minor is the determinant, up to a constant
     rank, minor = pencil_minor(GF7, [{0: GF7.one}, {1: GF7.one}], [{1: GF7.one}, {0: GF7.one}])
     assert rank == 2 and minor == [GF7.one, GF7.zero, GF7.coerce(-1)]
+
+
+def _pencil_of(m):
+    """The sparse rows of A = M^T and B = M, as `forms.regularize` builds them."""
+    n = len(m)
+    return (
+        [{j: m[j][i] for j in range(n) if m[j][i]} for i in range(n)],
+        [{j: x for j, x in enumerate(row) if x} for row in m],
+    )
+
+
+def _block_form(field, sizes, lam):
+    """A singular form: J blocks of the given sizes, then a Gamma_3 and an H_2(lam) block."""
+    n = sum(sizes) + 5
+    m = [[field.zero] * n for _ in range(n)]
+    at = 0
+    for size in sizes:
+        for i in range(at, at + size - 1):
+            m[i][i + 1] = field.one
+        at += size
+    m[at][at + 2] = field.one
+    m[at + 1][at + 1], m[at + 1][at + 2] = -field.one, -field.one
+    m[at + 2][at], m[at + 2][at + 1] = field.one, field.one
+    m[at + 3][at + 4], m[at + 4][at + 3] = field.one, field.coerce(lam)
+    return m
+
+
+def _congruent(rng, field, m):
+    p = _random_invertible(rng, field, len(m))
+    return [list(row) for row in p.transpose().matmul(Matrix(field, m)).matmul(p).rows]
+
+
+def _pencil_cases(field, rng):
+    for sizes in [(3,), (2,), (1, 3), (2, 4), (3, 5, 2), (1, 1, 2)]:
+        m = _block_form(field, sizes, 2)
+        yield _pencil_of(m)
+        yield _pencil_of(_congruent(rng, field, m))
+    for n in (1, 4, 7, 12):
+        # zero rows and columns among dense random ones, then the last row a copy of the first
+        m = [[field.coerce(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        for k in rng.sample(range(n), n // 3):
+            m[k] = [field.zero] * n
+            for row in m:
+                row[k] = field.zero
+        yield _pencil_of(m)
+        a_rows, b_rows = _pencil_of(m)
+        yield a_rows[:-1] + a_rows[:1], b_rows[:-1] + b_rows[:1]
+    for n in (10, 14, 18):
+        m = _block_form(field, (n - 5,), 3)
+        yield _pencil_of(_congruent(rng, field, m))
+    if field.p is None:
+        for n in (3, 6, 9):
+            # every row with its own large denominators
+            m = [
+                [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**15)) if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            yield _pencil_of(m)
+
+
+@pytest.mark.parametrize(
+    "field", [Q, Field.gf(3), Field.gf(5), GF7, Field.gf(10007), Field.gf(2**61 - 1)], ids=str
+)
+def test_pencil_minor_agrees_with_polynomial_elimination(field):
+    rng = random.Random(f"pencil {field}")
+    for a_rows, b_rows in _pencil_cases(field, rng):
+        expected = oracle_pencil_minor(field, a_rows, b_rows)
+        assert pencil_minor(field, a_rows, b_rows) == expected
+        assert expected[1] and expected[1][-1]

@@ -101,6 +101,18 @@ def test_parse_format_round_trip():
     assert GF5.parse("1/2") == Fp(3, 5)  # 2 * 3 = 6 = 1 mod 5
 
 
+@pytest.mark.parametrize("field", [Q, GF7], ids=str)
+def test_parse_reads_integers_and_integer_quotients_only(field):
+    assert field.parse("3") == field.coerce(3)
+    assert field.parse("-1/2") == field.coerce(Fraction(-1, 2))
+    assert field.parse(" 7 ") == field.coerce(7)
+    for text in ["2.5", "1e5", "1e10000000", "1/2.5", "3/", "/2", "", "1/0", "x"]:
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedField):
+            field.parse(text)
+        assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("field", [Q, GF5, GF7])
 def test_field_axioms_on_random_triples(field):
     rng = random.Random(20240815)
