@@ -3,9 +3,10 @@
 Everything is computed exactly: ranks, kernels, inverses,
 characteristic polynomials (Berkowitz's division-free scheme, so small prime
 fields are safe), and Jordan block data via rank sequences.  One sparse
-row-reduction engine backs every elimination; a column index (`holders`)
-sends each back-substitution only to the rows that need it, and over GF(p)
-it runs on int residues mod p (Dumas & Villard, CASC 2002).  A kernel first
+row-reduction loop, `sparse_reduce`, backs every elimination over both
+fields; a column index (`holders`) sends each back-substitution only to the
+rows that need it, and over GF(p) the same loop runs on int residues mod p
+(Dumas & Villard, CASC 2002).  A kernel first
 drops the columns that single-entry rows fix to zero, then eliminates the
 other rows in reversed column order, so the kernel vectors read off the
 result already are a reduced echelon basis.
@@ -54,49 +55,63 @@ def sparse_reduce(field: Field, rows, pivots=None) -> dict:
     extended in place.  `holders` maps each non-pivot column to the pivots
     whose rows hold it, so a new pivot is cleared only from those rows
     (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).  Over GF(p)
-    the same loop runs on int residues mod p, in `_sparse_reduce_mod`.
+    the loop runs on int residues mod p: rows and `pivots` are read into a
+    working copy, and only the pivot rows created or changed here are
+    written back, with one `Fp` per residue.
     """
     pivots = {} if pivots is None else pivots
-    if field.p:
-        return _sparse_reduce_mod(field, rows, pivots)
-    zero, one = field.zero, field.one
-    holders: dict[int, set] = {}
-    for pc, prow in pivots.items():
+    p, holders, touched = field.p, {}, {}
+    zero, one = (0, 1) if p else (field.zero, field.one)
+    # over GF(p) a working copy of residues, over Q `pivots` itself
+    work = {pc: {c: x.value for c, x in prow.items()} for pc, prow in pivots.items()} if p else pivots
+    for pc, prow in work.items():
         for cc in prow:
             if cc != pc:
                 holders.setdefault(cc, set()).add(pc)
     for incoming in rows:
-        row = _clear_pivots(pivots, {c: v for c, v in incoming.items() if v}, zero)
+        row = {c: x for c, v in incoming.items() if (x := v.value if p else v)}
+        row = _clear_pivots(work, row, zero, p)
         if not row:
             continue
         c = min(row)
         lead = row.pop(c)
         if lead != one:
-            row = {cc: vv / lead for cc, vv in row.items()}
+            inv = pow(lead, -1, p) if p else one / lead
+            row = {cc: vv * inv % p if p else vv * inv for cc, vv in row.items()}
         for cc in row:
             holders.setdefault(cc, set()).add(c)
         for pc in holders.pop(c, ()):
-            existing = pivots[pc]
+            existing = work[pc]
             coef = existing.pop(c)
             for cc, vv in row.items():
                 nv = existing.get(cc, zero) - coef * vv
+                if p:
+                    nv %= p
                 if nv:
                     existing[cc] = nv
                     holders[cc].add(pc)
                 else:
                     del existing[cc]
                     holders[cc].discard(pc)
+            touched[pc] = existing
         row[c] = one
-        pivots[c] = row
+        work[c] = touched[c] = row
+    if p:
+        fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} | {1: field.one}
+        for row in touched.values():
+            for c, x in row.items():
+                row[c] = fp[x]
+        pivots.update(touched)
     return pivots
 
 
-def _clear_pivots(pivots: dict, row: dict, zero) -> dict:
+def _clear_pivots(pivots: dict, row: dict, zero, p=None) -> dict:
     """Subtract pivot rows from `row`, in place, until no pivot column is left.
 
     Reductions only add non-pivot support, so one sweep over the initial
     hits suffices.  The returned remainder has no nonzero entry exactly
-    when the row lies in the span of the pivot rows.
+    when the row lies in the span of the pivot rows.  Given `p`, the rows
+    hold int residues and every update is reduced mod p.
     """
     for c in [c for c in row if c in pivots]:
         coef = row.pop(c, None)
@@ -106,64 +121,13 @@ def _clear_pivots(pivots: dict, row: dict, zero) -> dict:
             if cc == c:
                 continue
             nv = row.get(cc, zero) - coef * vv
+            if p:
+                nv %= p
             if nv:
                 row[cc] = nv
             else:
                 row.pop(cc, None)
     return row
-
-
-def _sparse_reduce_mod(field: Field, rows, pivots: dict) -> dict:
-    """`sparse_reduce` over GF(p) on int residues; `Fp` is only its boundary.
-
-    Rows and `pivots` are read as residues on entry.  Only the pivot rows
-    created or changed here are written back, with one `Fp` per residue.
-    """
-    p, res, holders, touched = field.p, {}, {}, {}
-    for pc, prow in pivots.items():
-        res[pc] = {c: x.value for c, x in prow.items()}
-        for cc in prow:
-            if cc != pc:
-                holders.setdefault(cc, set()).add(pc)
-    for incoming in rows:
-        row = {c: x for c, v in incoming.items() if (x := v.value)}
-        for h in [h for h in row if h in res]:  # the `_clear_pivots` sweep
-            coef = row[h]
-            for cc, vv in res[h].items():
-                nv = (row.get(cc, 0) - coef * vv) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        if not row:
-            continue
-        c = min(row)
-        lead = row.pop(c)
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            row = {cc: vv * inv % p for cc, vv in row.items()}
-        for cc in row:
-            holders.setdefault(cc, set()).add(c)
-        for pc in holders.pop(c, ()):
-            existing = res[pc]
-            coef = existing.pop(c)
-            for cc, vv in row.items():
-                nv = (existing.get(cc, 0) - coef * vv) % p
-                if nv:
-                    existing[cc] = nv
-                    holders[cc].add(pc)
-                else:
-                    del existing[cc]
-                    holders[cc].discard(pc)
-            touched[pc] = existing
-        row[c] = 1
-        res[c] = touched[c] = row
-    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} | {1: field.one}
-    for row in touched.values():
-        for c, x in row.items():
-            row[c] = fp[x]
-    pivots.update(touched)
-    return pivots
 
 
 def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
