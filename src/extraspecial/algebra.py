@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Subspace, field_row, kernel_basis
+from .linalg import Subspace, _sparse_row, kernel_basis
 from .scalars import Field
 
 
@@ -46,9 +46,10 @@ class Algebra:
     def __init__(self, field: Field, dim: int, products, basis_names=None):
         """`products` maps (i, j) pairs to the coordinates of basis products.
 
-        A sparse row {k: scalar} goes through `linalg.field_row` (zeros
-        dropped, non-scalars coerced) with every k checked in range; a dense
-        vector of length `dim` is coerced.  Unlisted products are zero.
+        Each value is read by `linalg._sparse_row`, as `Subspace` reads its
+        vectors: a sparse row {k: scalar} with every k in range, or a dense
+        vector of length `dim`; non-scalars are coerced and zeros dropped.
+        Unlisted products are zero.
         """
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -63,7 +64,7 @@ class Algebra:
         for (i, j), vec in products.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(f"product index ({i}, {j}) out of range")
-            row = _product_row(field, dim, vec)
+            row = {k: x for k, x in sorted(_sparse_row(field, dim, vec).items()) if x}
             if row:
                 table[(i, j)] = row
         self._products = dict(sorted(table.items()))
@@ -113,18 +114,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field}, {len(self._products)} nonzero products)"
-
-
-def _product_row(field: Field, dim: int, vec) -> dict:
-    """One product as {k: nonzero scalar} in increasing k (see `Algebra`)."""
-    if isinstance(vec, dict):
-        if not all(0 <= k < dim for k in vec):
-            raise DimensionMismatch("product coordinate out of range")
-        return {k: x for k, x in sorted(field_row(field, vec).items()) if x}
-    row = tuple(map(field.coerce, vec))
-    if len(row) != dim:
-        raise DimensionMismatch("product vector has wrong length")
-    return {k: x for k, x in enumerate(row) if x}
 
 
 def multiply(a: Algebra, u, v) -> tuple:
@@ -252,9 +241,12 @@ def center(a: Algebra) -> Subspace:
     return annihilator(a.field, a.dim, a.nonzero_products())
 
 
+def extra_special_center(a: Algebra) -> Subspace | None:
+    """The center if it is a line equal to the derived ideal, else None."""
+    z = center(a)
+    return z if z.dim == 1 and z == derived_ideal(a) else None
+
+
 def is_extra_special(a: Algebra) -> bool:
     """True iff the center equals the derived ideal and both are lines."""
-    z = center(a)
-    if z.dim != 1:
-        return False
-    return z == derived_ideal(a)
+    return extra_special_center(a) is not None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, center, is_extra_special
+from .algebra import Algebra, extra_special_center
 from .errors import FieldMismatch, InvalidDescriptor, NotExtraSpecial
 from .linalg import scalar_sort_key
 from .scalars import Field
@@ -169,11 +169,12 @@ def central_sum(a: Algebra, b: Algebra) -> Algebra:
     """
     a.same_field(b)
     for alg in (a, b):
-        if not is_extra_special(alg):
+        z = extra_special_center(alg)
+        if z is None:
             raise NotExtraSpecial("central_sum needs extra special summands")
         # a one-dimensional reduced echelon basis pivoting on the last
         # column is exactly the last basis vector
-        if tuple(center(alg).pivots) != (alg.dim - 1,):
+        if tuple(z.pivots) != (alg.dim - 1,):
             raise NotExtraSpecial(
                 "central_sum expects the center spanned by the last basis vector"
             )

@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import Algebra, center, derived_ideal
+from .algebra import Algebra, extra_special_center
 from .catalog import BlockDescriptor, normalize_descriptor
 from .errors import (
     DegenerateVector,
@@ -110,8 +110,8 @@ def form_of(a: Algebra) -> BilinearForm:
     The spanning central vector is the echelon basis vector of the center;
     the complement consists of the remaining coordinate axes.
     """
-    z = center(a)
-    if z.dim != 1 or z != derived_ideal(a):
+    z = extra_special_center(a)
+    if z is None:
         raise NotExtraSpecial("forms are defined for extra special algebras")
     ((pivot, zrow),) = z.pivots.items()
     complement = [i for i in range(a.dim) if i != pivot]

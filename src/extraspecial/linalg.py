@@ -69,13 +69,16 @@ def sparse_reduce(field: Field, rows, pivots=None) -> dict:
             if cc != pc:
                 holders.setdefault(cc, set()).add(pc)
     for incoming in rows:
-        row = {c: x for c, v in incoming.items() if (x := v.value if p else v)}
+        if p:
+            row = {c: x for c, v in incoming.items() if (x := v.value)}
+        else:
+            row = {c: v for c, v in incoming.items() if v}
         row = _clear_pivots(work, row, zero, p)
         if not row:
             continue
         c = min(row)
         lead = row.pop(c)
-        if lead != one:
+        if row and lead != one:  # a row with no other entry needs no scaling
             inv = pow(lead, -1, p) if p else one / lead
             row = {cc: vv * inv % p if p else vv * inv for cc, vv in row.items()}
         for cc in row:
@@ -449,7 +452,7 @@ def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
             raise DimensionMismatch("vector coordinate out of range")
         return field_row(field, vec)
     if len(vec) != ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
+        raise DimensionMismatch("vector length does not match ambient dimension")
     return {i: x for i, x in enumerate(map(field.coerce, vec)) if x}
 
 

@@ -4,8 +4,12 @@ Rational scalars are plain `fractions.Fraction` objects (always in lowest
 terms with positive denominator).  Prime-field scalars are `Fp` instances
 carrying their modulus, so that arithmetic between different fields fails
 loudly instead of silently reducing.  Other modules use the `Field` handle
-(`zero`, `one`, `coerce`, `parse`, `format`); only the GF(p) kernels
-`linalg.sparse_reduce` and `algebra.first_violation` compute on `Fp.value`.
+(`zero`, `one`, `coerce`, `parse`, `format`); the loops that compute on
+`Fp.value` read the residues where values enter and build `Fp` where they
+leave: `linalg.sparse_reduce` (over GF(p), one loop with the rationals, on a
+working copy of residues), `algebra.first_violation`, and the integer
+polynomial and pencil code behind `roots_in_field` and `pencil_minor`.
+`Field.parse` echoes at most 40 characters of a text it refuses.
 
 Fields of characteristic 2 are rejected outright; the whole theory assumes
 2 is invertible.
@@ -176,7 +180,10 @@ class Field:
                 return self.coerce(Fraction(int(num), int(den)))
             return self.coerce(int(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise UnsupportedField(f"cannot parse scalar {text!r} over {self}: {exc}") from exc
+            shown, reason = repr(text), str(exc)
+            if len(text) > 40:  # a long text, and the reason that may quote it, are cut
+                shown, reason = f"{text[:40]!r}... ({len(text)} characters)", f"{reason[:40]}..."
+            raise UnsupportedField(f"cannot parse scalar {shown} over {self}: {reason}") from exc
 
     def format(self, x) -> str:
         x = self.coerce(x)

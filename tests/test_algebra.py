@@ -12,6 +12,7 @@ from extraspecial.algebra import (
     center,
     check_identity,
     derived_ideal,
+    extra_special_center,
     identity_violation,
     is_extra_special,
     multiply,
@@ -333,6 +334,14 @@ def test_gamma4_is_extra_special():
 
 def test_zero_algebra_is_not_extra_special():
     assert not is_extra_special(Algebra.zero(Q, 2))
+
+
+def test_extra_special_center_is_the_center_line_or_none():
+    a = gamma(4)
+    assert extra_special_center(a) == center(a) == derived_ideal(a)
+    # the center is a line other than A^2 (twice), or a plane
+    for b in (Algebra.zero(Q, 1), Algebra(Q, 2, {(0, 0): (1, 0)}), Algebra.zero(Q, 2)):
+        assert extra_special_center(b) is None
 
 
 def test_unglued_direct_sum_is_not_extra_special():

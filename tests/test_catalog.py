@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial.algebra import Algebra, IdentityKind, check_identity, is_extra_special
+from extraspecial import algebra
+from extraspecial.algebra import Algebra, IdentityKind, center, check_identity, is_extra_special
 from extraspecial.catalog import (
     BlockDescriptor,
     central_sum,
@@ -159,8 +160,25 @@ def test_central_sum_rejects_non_extra_special():
 def test_central_sum_requires_canonical_center_position():
     # extra special, but the center sits in the first coordinate
     shuffled = Algebra(Q, 3, {(1, 2): (1, 0, 0)}, ["z", "x1", "x2"])
-    with pytest.raises(NotExtraSpecial):
+    with pytest.raises(NotExtraSpecial, match="central_sum expects the center spanned by the last basis vector"):
         central_sum(shuffled, make_canonical(BlockDescriptor("j", 1), Q))
+
+
+def test_central_sum_solves_each_center_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return center(a)
+
+    monkeypatch.setattr(algebra, "center", counted)
+    a, b = make_canonical(BlockDescriptor("j", 2), Q), make_canonical(BlockDescriptor("gamma", 2), Q)
+    central_sum(a, b)
+    assert calls == [a, b]
+    calls.clear()
+    with pytest.raises(NotExtraSpecial, match="central_sum needs extra special summands"):
+        central_sum(a, Algebra.zero(Q, 2))
+    assert calls == [a, Algebra.zero(Q, 2)]
 
 
 def test_central_sum_rejects_field_mixes():

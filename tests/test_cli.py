@@ -266,6 +266,16 @@ def test_scalar_that_is_not_an_integer_quotient_exits_2_at_once(tmp_path, capsys
     assert payload["kind"] == "UnsupportedField"
 
 
+def test_refusal_of_a_long_scalar_echoes_a_bounded_prefix(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": 3, "products": [[0, 1, 2, "1" * 200_000]]}))
+    code = main(["classify", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["kind"] == "UnsupportedField"
+    assert len(out.encode()) < 1024 and "(200000 characters)" in out
+
+
 def test_classify_non_extra_special_exits_2(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text('{"field": {"kind": "Q"}, "dim": 2, "products": []}')

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial import algebra, forms
+from extraspecial import algebra
 from extraspecial.algebra import Algebra, center
 from extraspecial.catalog import (
     BlockDescriptor,
@@ -99,8 +99,8 @@ def test_classify_solves_the_center_once(monkeypatch):
         calls.append(a)
         return center(a)
 
+    # forms reads the center through algebra.extra_special_center
     monkeypatch.setattr(algebra, "center", counted)
-    monkeypatch.setattr(forms, "center", counted)
     for shape, field in [("j:3+h2:2", Q), ("gamma:3+j:1", GF5), ("h2n:2:3", GF7)]:
         a = make_from_text(shape, field)
         calls.clear()

@@ -251,7 +251,8 @@ def test_subspace_refuses_an_element_of_another_prime_field():
         Subspace(GF7, 3, [{0: Fp(2, 5)}])
 
 
-@pytest.mark.parametrize("row", [{3: 1}, {5: 1}, {-1: 1}, {0: 1, 7: 1}], ids=str)
+# the last two are dense vectors of the wrong length
+@pytest.mark.parametrize("row", [{3: 1}, {5: 1}, {-1: 1}, {0: 1, 7: 1}, [1, 0], [0, 0, 0, 1]], ids=str)
 def test_subspace_refuses_sparse_columns_out_of_range(row):
     with pytest.raises(DimensionMismatch):
         Subspace(Q, 3, [row])
@@ -335,6 +336,7 @@ def _assert_field_scalars(field, pivots):
     "field", [Q, Field.gf(3), GF7, Field.gf(10007), Field.gf(2**61 - 1)], ids=str
 )
 def test_sparse_reduce_agrees_with_dense_rref(field):
+    outside = 0
     for seed in range(40):
         rng = random.Random(f"sparse_reduce {field} {seed}")
         ncols = rng.randint(5, 40)
@@ -352,12 +354,27 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
             assert sparse_reduce(field, chunk, pivots) is pivots
         assert pivots == expected, seed
         _assert_field_scalars(field, pivots)
+        # Subspace.contains runs the pivot sweep on field scalars: a vector is
+        # inside exactly when it leaves the rank unchanged
+        sub = Subspace(field, ncols, rows)
+        for _ in range(4):
+            inside = {}
+            for row in rng.sample(rows, min(3, len(rows))):
+                k = field.coerce(rng.randint(1, 5))
+                for c, x in row.items():
+                    inside[c] = inside.get(c, field.zero) + k * x
+            other = {c: field.coerce(rng.randint(1, 6)) for c in rng.sample(range(ncols), rng.randint(1, 3))}
+            assert sub.contains(inside), seed
+            in_span = len(_dense_rref(field, ncols, [*expected.values(), other])) == len(expected)
+            assert sub.contains(other) == in_span, seed
+            outside += not in_span
         kernel = kernel_basis(field, ncols, rows)
         _assert_field_scalars(field, kernel.pivots)
         assert kernel.dim == ncols - len(expected)
         for v in kernel.pivots.values():
             for row in rows:
                 assert not sum((x * v[c] for c, x in row.items() if c in v), field.zero)
+    assert outside >= 40, "too few vectors outside the span"
 
 
 def _singleton_heavy_rows(rng, field, ncols):

@@ -113,6 +113,16 @@ def test_parse_reads_integers_and_integer_quotients_only(field):
         assert time.perf_counter() - start < 0.1
 
 
+def test_parse_refusal_echoes_at_most_40_characters_of_the_text():
+    with pytest.raises(UnsupportedField) as short:
+        Q.parse("x" * 40)
+    assert str(short.value) == f"cannot parse scalar {'x' * 40!r} over Q: invalid literal for int() with base 10: {'x' * 40!r}"
+    with pytest.raises(UnsupportedField) as long:
+        GF7.parse("1/" + "7" * 1000)
+    assert str(long.value).startswith(f"cannot parse scalar {'1/' + '7' * 38!r}... (1002 characters) over GF(7): ")
+    assert len(str(long.value)) < 200
+
+
 @pytest.mark.parametrize("field", [Q, GF5, GF7])
 def test_field_axioms_on_random_triples(field):
     rng = random.Random(20240815)
