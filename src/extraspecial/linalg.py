@@ -6,10 +6,10 @@ fields are safe), and Jordan block data via rank sequences.  One sparse
 row-reduction loop, `sparse_reduce`, backs every elimination over both
 fields; a column index (`holders`) sends each back-substitution only to the
 rows that need it, and over GF(p) the same loop runs on int residues mod p
-(Dumas & Villard, CASC 2002).  A kernel first
-drops the columns that single-entry rows fix to zero, then eliminates the
-other rows in reversed column order, so the kernel vectors read off the
-result already are a reduced echelon basis.
+(Dumas & Villard, CASC 2002).  A kernel first drops the columns that
+single-entry rows fix to zero, then eliminates the other rows in reversed
+column order, so the kernel vectors read off the result already are a
+reduced echelon basis.
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
