@@ -241,10 +241,11 @@ def center(a: Algebra) -> Subspace:
     return annihilator(a.field, a.dim, a.nonzero_products())
 
 
-def extra_special_center(a: Algebra) -> Subspace | None:
-    """The center if it is a line equal to the derived ideal, else None."""
-    z = center(a)
-    return z if z.dim == 1 and z == derived_ideal(a) else None
+def extra_special_center(a: Algebra, z=None, d=None) -> Subspace | None:
+    """The center if it is a line equal to the derived ideal, else None; a caller
+    that holds the center `z` or the derived ideal `d` already passes it."""
+    z = center(a) if z is None else z
+    return z if z.dim == 1 and z == (derived_ideal(a) if d is None else d) else None
 
 
 def is_extra_special(a: Algebra) -> bool:

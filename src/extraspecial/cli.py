@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .algebra import Algebra, IdentityKind, center, derived_ideal, identity_violation, is_extra_special
+from .algebra import Algebra, IdentityKind, center, derived_ideal, extra_special_center, identity_violation
 from .catalog import BlockDescriptor, central_sum, make_canonical, make_from_text, parse_descriptor
 from .cohomology import VALIDATED_LEIBNIZ, associative_cocycle_space, cocycle_z_star, cover, multiplier_dim
 from .cohomology import is_capable, is_unicentral, z_star
@@ -215,11 +215,12 @@ def _cmd_check(args) -> dict:
 
 def _cmd_invariants(args) -> dict:
     alg = _load_plain_algebra(args.file)
+    z, d = center(alg), derived_ideal(alg)
     return {
         "dim": alg.dim,
-        "center_dim": center(alg).dim,
-        "derived_dim": derived_ideal(alg).dim,
-        "extra_special": is_extra_special(alg),
+        "center_dim": z.dim,
+        "derived_dim": d.dim,
+        "extra_special": extra_special_center(alg, z, d) is not None,
     }
 
 

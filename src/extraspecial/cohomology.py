@@ -9,6 +9,11 @@ linear functionals g.  The quotient dimension is the Schur multiplier
 dimension, and a cover is the central extension built from a complement of
 the coboundaries inside the cocycles.
 
+The rows are read only up to their rank.  Every row lies in the columns
+f(x_m, x_r) and f(x_r, x_m), m in M, the union of the product supports; once
+|M x A u A x M| pivots are found they span every unread row, so the kernel,
+whose reduced echelon basis is unique, is already z2.
+
 Z* (Beyl, Felgner & Schmid, J. Algebra 1979), the cover's center projected
 to A, needs no cover: the cover's product is A's product plus the complement
 cocycles f_l in central new coordinates, so (u, s) is central iff u
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    IDENTITY_TERMS, Algebra, IdentityKind, annihilator, center, check_identity, derived_ideal, expand_term,
+    IDENTITY_TERMS, Algebra, IdentityKind, annihilator, center, check_identity, derived_ideal,
 )
 from .errors import IdentityViolated, InternalCheckFailure, NotAssociative, StemFailure
 from .linalg import Subspace, kernel_basis
@@ -61,21 +66,34 @@ class CoverExtension:
 
 
 def _cocycle_rows(a: Algebra, theory: IdentityKind):
-    """Constraint rows of the cocycle system, indexed by basis triples.
+    """Yield the constraint rows of the cocycle system, one per basis triple.
 
     Variables are flattened as f(x_i, x_j) -> i * dim + j.  Each row is the
-    theory's identity on one basis triple with its outer product replaced by
-    f (the linearization of the identity table), so only triples touching a
-    nonzero product produce a row.
+    theory's identity on one basis triple, every term summed, with its outer
+    product replaced by f (the linearization of the identity table).  The
+    triples come product by product: each nonzero x_p x_q in each term's
+    bracket slot, with every x_r as the third factor, each triple once.
     """
-    n = a.dim
-    rows: dict[tuple, dict] = {}
-    for term in IDENTITY_TERMS[theory]:
-        for triple, u, v, coef in expand_term(a, term):
-            row = rows.setdefault(triple, {})
-            k = u * n + v
-            row[k] = row[k] + coef if k in row else coef  # zeros are dropped by the solver
-    return rows.values()
+    n, terms, seen = a.dim, IDENTITY_TERMS[theory], set()
+    table = {(p, q): w for p, q, w in a.nonzero_products()}
+    where = [[order.index(s) for s in range(3)] for _, _, order in terms]  # bracket slot of triple entry s
+    for p, q in table:
+        for (_, nesting, _), (i, j, k) in zip(terms, where):
+            for r in range(n):
+                bracket = (p, q, r) if nesting == "L" else (r, p, q)
+                triple = (bracket[i], bracket[j], bracket[k])
+                if triple in seen:
+                    continue
+                seen.add(triple)
+                row = {}
+                for sign, nest, order in terms:
+                    x, y, z = (triple[s] for s in order)
+                    # (x y) z: x_m in x y gives f(x_m, x_z); x (y z): x_m in y z gives f(x_x, x_m)
+                    inner, base, step = ((x, y), z, n) if nest == "L" else ((y, z), x * n, 1)
+                    for m, c in table.get(inner, {}).items():
+                        col, c = base + m * step, c if sign > 0 else -c
+                        row[col] = row[col] + c if col in row else c  # zeros are dropped by the solver
+                yield row
 
 
 def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
@@ -87,8 +105,11 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     """
     if not check_identity(a, theory):
         raise IdentityViolated(f"algebra does not satisfy {theory.value}")
-    n = a.dim
-    z2 = kernel_basis(a.field, n * n, _cocycle_rows(a, theory))
+    n, nestings = a.dim, len({nesting for _, nesting, _ in IDENTITY_TERMS[theory]})
+    # the columns a row can touch: |M x A u A x M|, M the union of the product supports
+    d = len({m for _, _, w in a.nonzero_products() for m in w})
+    bound = d * (nestings * n - (nestings - 1) * d)
+    z2 = kernel_basis(a.field, n * n, _cocycle_rows(a, theory), rank=bound)
     # row k is the coboundary of the k-th dual functional: f(x_i, x_j) = c[i][j][k]
     coboundary_rows = {}
     for i, j, w in a.nonzero_products():

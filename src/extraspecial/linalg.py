@@ -6,10 +6,10 @@ fields are safe), and Jordan block data via rank sequences.  One sparse
 row-reduction loop, `sparse_reduce`, backs every elimination over both
 fields; a column index (`holders`) sends each back-substitution only to the
 rows that need it, and over GF(p) the same loop runs on int residues mod p
-(Dumas & Villard, CASC 2002).  A kernel first drops the columns that
-single-entry rows fix to zero, then eliminates the other rows in reversed
+(Dumas & Villard, CASC 2002).  A kernel eliminates its rows in reversed
 column order, so the kernel vectors read off the result already are a
-reduced echelon basis.
+reduced echelon basis; it first drops the columns that single-entry rows
+fix to zero, or, given a bound on the rank, reads the rows only up to it.
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
@@ -44,7 +44,7 @@ from .scalars import Field, Fp, _is_prime
 # ---------------------------------------------------------------------------
 
 
-def sparse_reduce(field: Field, rows, pivots=None) -> dict:
+def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
     """Fully reduce sparse rows; returns {pivot column: reduced row dict}.
 
     Rows are dicts mapping column index to a scalar; zeros are dropped.
@@ -57,7 +57,8 @@ def sparse_reduce(field: Field, rows, pivots=None) -> dict:
     (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).  Over GF(p)
     the loop runs on int residues mod p: rows and `pivots` are read into a
     working copy, and only the pivot rows created or changed here are
-    written back, with one `Fp` per residue.
+    written back, with one `Fp` per residue.  Given `rank`, a bound on the
+    rank of the rows, the loop stops reading them once it holds `rank` pivots.
     """
     pivots = {} if pivots is None else pivots
     p, holders, touched = field.p, {}, {}
@@ -99,6 +100,8 @@ def sparse_reduce(field: Field, rows, pivots=None) -> dict:
             touched[pc] = existing
         row[c] = one
         work[c] = touched[c] = row
+        if len(work) == rank:  # over GF(p) the live rank is the working copy's
+            break
     if p:
         fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} | {1: field.one}
         for row in touched.values():
@@ -133,18 +136,21 @@ def _clear_pivots(pivots: dict, row: dict, zero, p=None) -> dict:
     return row
 
 
-def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
+def kernel_basis(field: Field, ncols: int, rows, rank=None) -> "Subspace":
     """The subspace {v : row . v = 0 for every constraint row} of F^ncols.
 
-    Presolve: a one-entry row {c: x != 0} fixes v_c = 0, and c is dropped from
-    the other rows; the nonzero rest is reduced in reversed column order (c ->
-    ncols - 1 - c), so e_f - sum of prow[f] e_pc, the kernel vector of a free
-    column f, starts at f.  These vectors are already the reduced echelon basis.
+    The rows are reduced in reversed column order (c -> ncols - 1 - c), so
+    e_f - sum of prow[f] e_pc, the kernel vector of a free column f, starts at
+    f: already the reduced echelon basis.  Unbounded, a presolve first reads
+    every row: a one-entry row {c: x != 0} fixes v_c = 0, and c leaves the
+    other rows.  Given `rank`, a bound on the rank of the rows, they are read
+    lazily until `rank` pivots are found, which then span every unread row.
     """
-    last, rows = ncols - 1, list(rows)
-    fixed = {c for row in rows if len(row) == 1 for c, x in row.items() if x}
-    rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if len(row) > 1)
-    pivots = sparse_reduce(field, (row for row in rest if any(row.values())))
+    last, lazy = ncols - 1, rank is not None
+    rows = rows if lazy else list(rows)
+    fixed = set() if lazy else {c for row in rows if len(row) == 1 for c, x in row.items() if x}
+    rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if lazy or len(row) > 1)
+    pivots = sparse_reduce(field, (row for row in rest if any(row.values())), rank=rank)
     kernel = {f: {f: field.one} for f in range(ncols) if f not in fixed and last - f not in pivots}
     for pc, prow in pivots.items():
         for f, coef in prow.items():

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import extraspecial
-from extraspecial import cli, forms
+from extraspecial import algebra, cli, forms
 from extraspecial.catalog import parse_descriptor
 from extraspecial.cli import main, verify_theorems
 from extraspecial.errors import InternalCheckFailure
@@ -154,6 +154,28 @@ def test_invariants(tmp_path, capsys):
     code, doc = run(capsys, "invariants", path)
     assert code == 0
     assert doc == {"dim": 5, "center_dim": 1, "derived_dim": 1, "extra_special": True}
+
+
+def test_invariants_solves_the_center_and_derived_ideal_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(name, solve):
+        return lambda a: calls.append(name) or solve(a)
+
+    # cli holds its own bindings; algebra.extra_special_center reads the module's
+    for name in ("center", "derived_ideal"):
+        counted = counting(name, getattr(algebra, name))
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(algebra, name, counted)
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"field": {"kind": "Q"}, "dim": 2, "products": []}')
+    cases = [("j:2+h2:3", True), ("gamma:4", True), (str(zero), False)]
+    for source, extra_special in cases:
+        path = make_file(tmp_path, capsys, source) if extra_special else source
+        calls.clear()
+        code, doc = run(capsys, "invariants", path)
+        assert code == 0 and doc["extra_special"] is extra_special
+        assert sorted(calls) == ["center", "derived_ideal"]
 
 
 def test_multiplier_both_theories(tmp_path, capsys):

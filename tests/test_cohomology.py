@@ -8,6 +8,7 @@ import pytest
 
 from extraspecial import cli, cohomology, linalg
 from extraspecial.algebra import (
+    IDENTITY_TERMS,
     Algebra,
     IdentityKind,
     center,
@@ -27,10 +28,13 @@ from extraspecial.cohomology import (
     z_star,
 )
 from extraspecial.errors import IdentityViolated, NotAssociative
+from extraspecial.forms import algebra_from_form, form_of
 from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
+from oracle_h2 import naive_h2_dim
 from oracle_zstar import cover_z_star
 from test_basis_invariance import CASES, _field, _in_basis, _random_basis
+from test_forms import scrambled
 
 Q = Field.rationals()
 FIELDS = [Q, Field.gf(3), Field.gf(5), Field.gf(7)]
@@ -108,18 +112,129 @@ def test_cocycle_space_z2_is_already_reduced(text, field):
 
 @pytest.mark.parametrize("field", [Q, Field.gf(5)], ids=str)
 def test_kernel_basis_passes_no_emptied_row_to_sparse_reduce(field, monkeypatch):
-    # the singleton presolve empties rows; those are no constraint and must not be reduced
+    # the singleton presolve of an unbounded kernel_basis (the center's) empties
+    # rows, two of them on gamma:2+h2n:2:1; those are no constraint and must not be reduced
     seen, reduce = [], linalg.sparse_reduce
 
-    def recording(f, rows, pivots=None):
+    def recording(f, rows, pivots=None, rank=None):
         rows = list(rows)
         seen.extend(rows)
-        return reduce(f, rows, pivots)
+        return reduce(f, rows, pivots, rank)
 
     monkeypatch.setattr(linalg, "sparse_reduce", recording)
-    cs = cocycle_space(make_from_text("gamma:5", field), IdentityKind.ASSOCIATIVE)
-    assert cs.h2_dim == (cs.algebra_dim - 1) ** 2 - 1
-    assert seen and all(any(row.values()) for row in seen)
+    for text in ("gamma:5", "gamma:2+h2n:2:1"):
+        a = make_from_text(text, field)
+        seen.clear()
+        assert center(a) == derived_ideal(a)
+        assert seen and all(any(row.values()) for row in seen)
+
+
+# -- the cocycle system read up to its rank ---------------------------------------
+
+
+def _full_incidence_algebra(field, points=4):
+    """e_xy for x <= y on a chain, e_xy e_yz = e_xz: associative, not nilpotent."""
+    basis = [(x, y) for x in range(points) for y in range(x, points)]
+    index = {pair: n for n, pair in enumerate(basis)}
+    products = {(index[x, y], index[w, z]): {index[x, z]: 1} for x, y in basis for w, z in basis if y == w}
+    return Algebra(field, len(basis), products)
+
+
+def _touchable_columns(a, kind):
+    """f(x_m, x_r) for an "L" term and f(x_r, x_m) for an "R" term, x_m in a product's support."""
+    n, support = a.dim, {m for _, _, w in a.nonzero_products() for m in w}
+    nestings = {nesting for _, nesting, _ in IDENTITY_TERMS[kind]}
+    return {m * n + r if nesting == "L" else r * n + m for nesting in nestings for m in support for r in range(n)}
+
+
+def _assert_early_stop_reads_the_whole_system(a):
+    """The bounded lazy z2 of every theory `a` satisfies is the kernel of all
+    its rows; returns, per theory, whether the rows reached their bound."""
+    n, reached = a.dim, []
+    for kind in IdentityKind:
+        if not check_identity(a, kind):
+            continue
+        rows, touchable = list(cohomology._cocycle_rows(a, kind)), _touchable_columns(a, kind)
+        assert all(row.keys() <= touchable for row in rows)
+        full = linalg.kernel_basis(a.field, n * n, rows)
+        assert cocycle_space(a, kind).z2.pivots == full.pivots, (a, kind)
+        bound = len(touchable)
+        assert n * n - full.dim <= bound
+        reached.append(n * n - full.dim == bound)
+    return reached
+
+
+LAZY_TEXTS = [
+    "j:1", "j:2", "h2:-1", "j:4", "gamma:3", "gamma:5",
+    "j:1+gamma:3", "j:2+h2:-1", "gamma:2+h2n:2:1",
+]
+
+
+@pytest.mark.parametrize("field", FIELDS + [Field.gf(10007)], ids=str)
+def test_an_early_stop_read_equals_a_full_read(field):
+    rng = random.Random(f"early stop {field}")
+    for text in LAZY_TEXTS:
+        a = make_from_text(text, field)
+        # J1, J2 and H2(-1) have an exceptional multiplier, so their rows fall
+        # short of the bound in some theory; every other extra special reaches it
+        reached = _assert_early_stop_reads_the_whole_system(a)
+        assert all(reached) is (text not in ("j:1", "j:2", "h2:-1")), text
+        _assert_early_stop_reads_the_whole_system(algebra_from_form(scrambled(rng, form_of(a).m)))
+    for kind in ("class 2", "class 2", "nilpotent"):
+        _assert_early_stop_reads_the_whole_system(_seeded_associative(rng, field, kind))
+    assert _assert_early_stop_reads_the_whole_system(_full_incidence_algebra(field)) == [False]
+
+
+@pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])
+def test_an_early_stop_read_equals_a_full_read_in_a_dense_basis(flag, text):
+    field = _field(flag)
+    a = make_from_text(text, field)
+    _assert_early_stop_reads_the_whole_system(
+        _in_basis(a, _random_basis(random.Random(f"basis {flag} {text}"), field, a.dim)))
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(7)], ids=str)
+def test_the_assoc_solve_of_gamma18_reads_at_most_three_times_its_bound_in_rows(field, monkeypatch):
+    read, rows = [], cohomology._cocycle_rows
+
+    def counted(a, kind):
+        for row in rows(a, kind):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(cohomology, "_cocycle_rows", counted)
+    a = make_from_text("gamma:18", field)
+    cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    bound = len(_touchable_columns(a, IdentityKind.ASSOCIATIVE))
+    assert bound == 2 * a.dim - 1 == a.dim ** 2 - cs.z2.dim
+    assert len(read) <= 3 * bound < len(list(rows(a, IdentityKind.ASSOCIATIVE)))
+
+
+def _oracle_inputs():
+    gf3, gf5 = Field.gf(3), Field.gf(5)
+    rng = random.Random("oracle dims 4-7")
+    for text in ["j:3", "gamma:3", "j:4", "h2n:2:2", "j:2+h2:-1", "gamma:5", "j:6", "gamma:6"]:
+        yield make_from_text(text, Q)
+    # p <= dim: congruence scrambles and dense bases over GF(3) and GF(5)
+    for field, text in [(gf3, "gamma:3"), (gf3, "j:1+gamma:3"), (gf5, "j:4"), (gf5, "gamma:2+h2n:2:1")]:
+        a = make_from_text(text, field)
+        yield algebra_from_form(scrambled(rng, form_of(a).m))
+        yield _in_basis(a, _random_basis(rng, field, a.dim))
+    for field in (Q, gf3, gf5):
+        for kind in ("class 2", "nilpotent", "idempotent"):
+            yield _seeded_associative(rng, field, kind)
+
+
+def test_multiplier_matches_the_naive_oracle_in_dims_4_to_7():
+    checked = 0
+    for a in _oracle_inputs():
+        if not 4 <= a.dim <= 7:
+            continue
+        for kind in IdentityKind:
+            if check_identity(a, kind):
+                assert multiplier_dim(a, kind) == naive_h2_dim(a, kind), (a, kind)
+                checked += 1
+    assert checked >= 40
 
 
 # -- multiplier dimensions -------------------------------------------------------

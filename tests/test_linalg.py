@@ -429,6 +429,11 @@ def test_kernel_basis_returns_the_canonical_basis(field):
         assert all(min(row) == c for c, row in kernel.pivots.items())
         assert kernel == _dense_kernel(field, ncols, rows), (ncols, rows)
         _assert_field_scalars(field, kernel.pivots)
+        # read lazily up to the number of columns the rows touch, no presolve
+        touched = {c for row in rows for c, x in row.items() if x}
+        bounded = kernel_basis(field, ncols, iter(rows), rank=len(touched))
+        assert bounded.pivots == kernel.pivots, (ncols, rows)
+        _assert_field_scalars(field, bounded.pivots)
     assert kernel_basis(field, 6, []).dim == 6 and kernel_basis(field, *systems[1]).dim == 0
 
 
