@@ -4,93 +4,43 @@ Build the canonical families, verify defining identities, compute centers,
 derived ideals, Schur multipliers through second cohomology, covers, Z*,
 capability and unicentrality, and classify extra special algebras into
 canonical central-sum blocks via bilinear-form congruence.
+
+The public names are loaded lazily (PEP 562): `import extraspecial` imports
+no submodule, and the first read of a name imports the module that defines
+it.  So a `python -m extraspecial` process loads only what its command runs.
 """
 
-from .algebra import (
-    Algebra,
-    IdentityKind,
-    center,
-    check_identity,
-    derived_ideal,
-    identity_violation,
-    is_extra_special,
-    multiply,
-)
-from .catalog import (
-    BlockDescriptor,
-    central_sum,
-    make_canonical,
-    make_from_text,
-    normalize_lambda,
-    parse_descriptor,
-)
-from .cohomology import (
-    VALIDATED_LEIBNIZ,
-    CocycleSpace,
-    CoverExtension,
-    cocycle_space,
-    cover,
-    is_capable,
-    is_unicentral,
-    multiplier_dim,
-    z_star,
-)
-from .dialg import Dialgebra, embed_associative, induced_leibniz, is_diassociative
-from .forms import (
-    BilinearForm,
-    BlockDecomposition,
-    algebra_from_form,
-    classify,
-    cosquare,
-    form_of,
-    regularize,
-)
-from .linalg import JordanStructure, Matrix, Subspace
-from .scalars import Field, Fp
-from .serialize import parse_algebra, write_algebra
+import importlib
 
-__all__ = [
-    "Algebra",
-    "BilinearForm",
-    "BlockDecomposition",
-    "BlockDescriptor",
-    "CocycleSpace",
-    "CoverExtension",
-    "Dialgebra",
-    "Field",
-    "Fp",
-    "IdentityKind",
-    "JordanStructure",
-    "Matrix",
-    "Subspace",
-    "VALIDATED_LEIBNIZ",
-    "algebra_from_form",
-    "center",
-    "central_sum",
-    "check_identity",
-    "classify",
-    "cocycle_space",
-    "cosquare",
-    "cover",
-    "derived_ideal",
-    "embed_associative",
-    "form_of",
-    "identity_violation",
-    "induced_leibniz",
-    "is_capable",
-    "is_diassociative",
-    "is_extra_special",
-    "is_unicentral",
-    "make_canonical",
-    "make_from_text",
-    "multiplier_dim",
-    "multiply",
-    "normalize_lambda",
-    "parse_algebra",
-    "parse_descriptor",
-    "regularize",
-    "write_algebra",
-    "z_star",
-]
+#: defining module -> the public names it exports
+_EXPORTS = {
+    "algebra": ("Algebra", "IdentityKind", "center", "check_identity", "derived_ideal",
+                "identity_violation", "is_extra_special", "multiply"),
+    "catalog": ("BlockDescriptor", "central_sum", "make_canonical", "make_from_text",
+                "normalize_lambda", "parse_descriptor"),
+    "cohomology": ("VALIDATED_LEIBNIZ", "CocycleSpace", "CoverExtension", "cocycle_space", "cover",
+                   "is_capable", "is_unicentral", "multiplier_dim", "z_star"),
+    "dialg": ("Dialgebra", "embed_associative", "induced_leibniz", "is_diassociative"),
+    "forms": ("BilinearForm", "BlockDecomposition", "algebra_from_form", "classify", "cosquare",
+              "form_of", "regularize"),
+    "linalg": ("JordanStructure", "Matrix", "Subspace"),
+    "scalars": ("Field", "Fp"),
+    "serialize": ("parse_algebra", "write_algebra"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys())

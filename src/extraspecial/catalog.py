@@ -13,7 +13,7 @@ like `j:2+h2:3`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra, extra_special_center
 from .errors import FieldMismatch, InvalidDescriptor, NotExtraSpecial
@@ -21,18 +21,15 @@ from .linalg import scalar_sort_key
 from .scalars import Field
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(namedtuple("BlockDescriptor", "kind n lam", defaults=(None,))):
     """One canonical block: kind "j", "gamma", or "h" with parameters.
 
     For H blocks, `n` follows the convention of the family name: n = 1 is
     the 3-dimensional algebra H2(lambda), n >= 2 the (2n+1)-dimensional
-    H2n(lambda).
+    H2n(lambda).  `lam` is the scalar of an H block, None for the others.
     """
 
-    kind: str
-    n: int
-    lam: object = None  # scalar, H blocks only
+    __slots__ = ()
 
     def validate(self, field: Field) -> None:
         if self.kind == "j":

@@ -18,15 +18,14 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
+# `catalog`, `forms` and `dialg` are imported by the handlers that use them,
+# so a process loads only the modules its command runs
 from .algebra import Algebra, IdentityKind, center, derived_ideal, extra_special_center, identity_violation
-from .catalog import BlockDescriptor, central_sum, make_canonical, make_from_text, parse_descriptor
 from .cohomology import VALIDATED_LEIBNIZ, associative_cocycle_space, cocycle_z_star, cover, multiplier_dim
 from .cohomology import is_capable, is_unicentral, z_star
-from .dialg import Dialgebra, diassociativity_violation
-from .errors import InputError, InternalCheckFailure, Unsupported
-from .forms import BlockDecomposition, classify
+from .errors import InputError, InternalCheckFailure, ParseError, Unsupported
 from .scalars import Field
 from .serialize import algebra_to_doc, parse_algebra
 
@@ -46,14 +45,17 @@ def _parse_field_flag(text: str) -> Field:
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_algebra(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
+    return parse_algebra(text)
 
 
 def _load_plain_algebra(path: str) -> Algebra:
     obj = _load(path)
-    if isinstance(obj, Dialgebra):
+    if not isinstance(obj, Algebra):  # a `Dialgebra`
         raise InputError("this command needs a single-product algebra document")
     return obj
 
@@ -63,16 +65,15 @@ def _load_plain_algebra(path: str) -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepRow:
-    name: str
-    dim: int
-    ok: bool
-    detail: dict
-    raised: Exception | None = None
+class SweepRow(namedtuple("SweepRow", "name dim ok detail raised", defaults=(None,))):
+    """One sweep row: `detail` is its payload, `raised` the exception a failed row raised."""
+
+    __slots__ = ()
 
 
 def _sweep_members(field: Field, max_n: int, lambdas):
+    from .catalog import BlockDescriptor
+
     members = [(BlockDescriptor("j", 1), "j:1")]
     for n in range(2, max_n + 1):
         members.append((BlockDescriptor("j", n), f"j:{n}"))
@@ -94,7 +95,7 @@ def _sweep_members(field: Field, max_n: int, lambdas):
     return members
 
 
-def _leibniz_expected(d: BlockDescriptor | None, field: Field, dim: int) -> int:
+def _leibniz_expected(d, field: Field, dim: int) -> int:
     base = (dim - 1) ** 2 - 1
     if d is None:
         return base
@@ -117,6 +118,8 @@ def verify_theorems(max_n: int, lambdas, field: Field | None = None, pair_dim_ca
     with the predicted value, and errors are reported per row instead of
     aborting the sweep.
     """
+    from .catalog import central_sum, make_canonical
+
     if max_n < 2:
         raise InputError("verify-theorems needs max_n >= 2")
     field = field or Field.rationals()
@@ -137,6 +140,9 @@ def verify_theorems(max_n: int, lambdas, field: Field | None = None, pair_dim_ca
 
 
 def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
+    from .catalog import parse_descriptor
+    from .forms import BlockDecomposition, classify
+
     dim = alg.dim
     is_j1 = descriptor is not None and descriptor.kind == "j" and descriptor.n == 1
     predicted = 1 if is_j1 else (dim - 1) ** 2 - 1
@@ -186,6 +192,8 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
 
 
 def _cmd_make(args) -> dict:
+    from .catalog import make_from_text
+
     field = _parse_field_flag(args.field)
     algebra = make_from_text(args.descriptor, field)
     return algebra_to_doc(algebra)
@@ -194,8 +202,10 @@ def _cmd_make(args) -> dict:
 def _cmd_check(args) -> dict:
     obj = _load(args.file)
     if args.identity == "diassoc":
-        if not isinstance(obj, Dialgebra):
+        if isinstance(obj, Algebra):
             raise InputError("diassoc check needs a dialgebra document")
+        from .dialg import diassociativity_violation
+
         violation = diassociativity_violation(obj)
         return {
             "identity": "diassoc",
@@ -203,7 +213,7 @@ def _cmd_check(args) -> dict:
             "axiom": None if violation is None else violation[0],
             "triple": None if violation is None else list(violation[1]),
         }
-    if isinstance(obj, Dialgebra):
+    if not isinstance(obj, Algebra):
         raise InputError("single-product identity check needs an algebra document")
     violation = identity_violation(obj, IdentityKind(args.identity))
     return {
@@ -258,6 +268,8 @@ def _cmd_unicentral(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .forms import classify
+
     alg = _load_plain_algebra(args.file)
     decomposition = classify(alg)
     return {

@@ -29,7 +29,7 @@ empirically rather than trusting this constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     IDENTITY_TERMS, Algebra, IdentityKind, annihilator, center, check_identity, derived_ideal,
@@ -42,23 +42,16 @@ from .linalg import Subspace, kernel_basis
 VALIDATED_LEIBNIZ = IdentityKind.LEIBNIZ_LEFT
 
 
-@dataclass(frozen=True)
-class CocycleSpace:
-    """Cocycles, coboundaries, and the multiplier dimension of one algebra."""
+class CocycleSpace(namedtuple("CocycleSpace", "algebra_dim z2 b2 h2_dim")):
+    """Cocycles z2 and coboundaries b2 (`Subspace`s), and the multiplier dimension of one algebra."""
 
-    algebra_dim: int
-    z2: Subspace
-    b2: Subspace
-    h2_dim: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverExtension:
-    """A maximal stem extension: total algebra, base size, central kernel."""
+class CoverExtension(namedtuple("CoverExtension", "total base_dim kernel")):
+    """A maximal stem extension: total `Algebra`, base size, central kernel (a `Subspace`)."""
 
-    total: Algebra
-    base_dim: int
-    kernel: Subspace
+    __slots__ = ()
 
     def project(self, vec) -> tuple:
         """Apply the defining projection (drop kernel coordinates)."""

@@ -34,7 +34,7 @@ use as an oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra, extra_special_center
 from .catalog import BlockDescriptor, normalize_descriptor
@@ -59,11 +59,10 @@ from .linalg import (
 from .scalars import Field
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """Square matrix of z-coefficients."""
+class BilinearForm(namedtuple("BilinearForm", "m")):
+    """Square `Matrix` m of z-coefficients."""
 
-    m: Matrix
+    __slots__ = ()
 
 
 class BlockDecomposition:

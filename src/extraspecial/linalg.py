@@ -31,7 +31,7 @@ Bareiss's fraction-free elimination on those ints, over Q and GF(p) alike.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -374,11 +374,10 @@ class Matrix:
         return JordanStructure(tuple(blocks))
 
 
-@dataclass(frozen=True)
-class JordanStructure:
-    """Multiset of (eigenvalue, block size) pairs, canonically ordered."""
+class JordanStructure(namedtuple("JordanStructure", "blocks")):
+    """Multiset of (eigenvalue, block size) pairs, canonically ordered, as the tuple `blocks`."""
 
-    blocks: tuple
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

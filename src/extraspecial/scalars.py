@@ -17,7 +17,6 @@ Fields of characteristic 2 are rejected outright; the whole theory assumes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -113,26 +112,45 @@ class Fp:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Field:
-    """Handle for a base field: the rationals, or GF(p) with p an odd prime."""
+    """Handle for a base field: the rationals, or GF(p) with p an odd prime.
 
-    kind: str  # "Q" or "GF"
-    p: int | None = None
+    Read-only, compared and hashed by `kind` and `p`.  A plain class, not a
+    named tuple: the elimination loops read `kind` and `p`, and an instance
+    attribute reads faster than a tuple field.
+    """
 
-    def __post_init__(self):
-        if self.kind == "Q":
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None):
+        if kind == "Q":
+            if p is not None:
                 raise UnsupportedField("the rational field takes no modulus")
-        elif self.kind == "GF":
-            if self.p is not None and self.p >= _MR_BOUND:
-                raise UnsupportedField(f"GF modulus {self.p} is too large to certify as prime")
-            if self.p is None or not _is_prime(self.p):
-                raise UnsupportedField(f"GF modulus must be prime, got {self.p}")
-            if self.p == 2:
+        elif kind == "GF":
+            if p is not None and p >= _MR_BOUND:
+                raise UnsupportedField(f"GF modulus {p} is too large to certify as prime")
+            if p is None or not _is_prime(p):
+                raise UnsupportedField(f"GF modulus must be prime, got {p}")
+            if p == 2:
                 raise UnsupportedField("GF(2) is out of scope: 2 must be invertible")
         else:
-            raise UnsupportedField(f"unknown field kind {self.kind!r}")
+            raise UnsupportedField(f"unknown field kind {kind!r}")
+        self.__dict__.update(kind=kind, p=p)  # "Q" or "GF"; the modulus, or None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Field.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Field.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __repr__(self):
+        return f"Field(kind={self.kind!r}, p={self.p!r})"
 
     @classmethod
     def rationals(cls) -> "Field":

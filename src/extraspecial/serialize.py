@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 
 from .algebra import Algebra
-from .dialg import Dialgebra
 from .errors import ParseError, UnsupportedField
 from .scalars import Field
 
@@ -71,6 +70,8 @@ def parse_algebra(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise ParseError("invalid JSON: nested too deeply", "$") from exc
     return algebra_from_doc(doc)
 
 
@@ -89,6 +90,8 @@ def algebra_from_doc(doc):
             raise ParseError("basis must list one name per dimension", "basis")
     products = _parse_products(field, dim, doc.get("products", []), "products")
     if "right_products" in doc:
+        from .dialg import Dialgebra  # imported only for a dialgebra document
+
         right = _parse_products(field, dim, doc["right_products"], "right_products")
         return Dialgebra(field, dim, products, right, basis)
     return Algebra(field, dim, products, basis)
@@ -108,6 +111,15 @@ def _product_entries(field: Field, algebra: Algebra):
 
 
 def algebra_to_doc(obj):
+    if isinstance(obj, Algebra):
+        return {
+            "field": _field_doc(obj.field),
+            "dim": obj.dim,
+            "basis": list(obj.basis_names),
+            "products": _product_entries(obj.field, obj),
+        }
+    from .dialg import Dialgebra
+
     if isinstance(obj, Dialgebra):
         return {
             "field": _field_doc(obj.field),
@@ -115,13 +127,6 @@ def algebra_to_doc(obj):
             "basis": list(obj.basis_names),
             "products": _product_entries(obj.field, obj.left),
             "right_products": _product_entries(obj.field, obj.right),
-        }
-    if isinstance(obj, Algebra):
-        return {
-            "field": _field_doc(obj.field),
-            "dim": obj.dim,
-            "basis": list(obj.basis_names),
-            "products": _product_entries(obj.field, obj),
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -250,6 +250,22 @@ def test_parse_error_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [("[" * 100_000 + "]" * 100_000).encode(), b"\xff\xfe"],
+    ids=["nested-past-the-recursion-limit", "not-utf-8"],
+)
+def test_malformed_document_exits_2_without_a_traceback(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code = main(["invariants", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(captured.out)
+    assert sorted(payload) == ["error", "kind"] and payload["kind"] == "ParseError"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         '{"field": {"kind": "Q"}, "dim": true, "products": []}',
@@ -381,7 +397,7 @@ def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monke
     def broken(a):
         raise error("planted failure")
 
-    monkeypatch.setattr(cli, "classify", broken)
+    monkeypatch.setattr(forms, "classify", broken)
     assert main(SMALL_SWEEP) == code
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -391,7 +407,7 @@ def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monke
 
 
 def test_verify_theorems_first_row_that_raises_sets_the_exit_code(capsys, monkeypatch):
-    classify = cli.classify
+    classify = forms.classify
 
     def broken(a):
         if a.dim == 2:  # j:1, the first row
@@ -400,7 +416,7 @@ def test_verify_theorems_first_row_that_raises_sets_the_exit_code(capsys, monkey
             raise RuntimeError("planted failure")
         return classify(a)
 
-    monkeypatch.setattr(cli, "classify", broken)
+    monkeypatch.setattr(forms, "classify", broken)
     code, doc = run(capsys, *SMALL_SWEEP)
     assert code == 4
     assert [row["name"] for row in doc["rows"] if "error" in row][:2] == ["j:1", "j:2"]
