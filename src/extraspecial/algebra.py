@@ -8,8 +8,8 @@ vectors appear only at the edges: dense constructor input, `product(i, j)`
 (the dense view, built on demand), `basis_vector` and `multiply`.
 
 Each defining identity is written once, as the signed terms of
-`IDENTITY_TERMS`; the identity check, the cohomology layer's cocycle rows
-(the table's linearization) and the dialgebra axioms all read them.
+`IDENTITY_TERMS`, read by the identity walk (on ints: residues over GF(p),
+cleared denominators over Q), the cocycle rows and the dialgebra axioms.
 
 The center used throughout is the two-sided annihilator
 {z : za = az = 0 for all a} - not the set of commuting elements.  Every
@@ -20,6 +20,7 @@ depends on this choice.
 from __future__ import annotations
 
 from enum import Enum
+from math import lcm
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Subspace, _sparse_row, kernel_basis
@@ -145,47 +146,58 @@ IDENTITY_TERMS = {
 }
 
 
-def expand_term(inner: Algebra, term, partners=None):
-    """Yield (triple, u, v, coef) over the nonzero inner products of `inner`.
+def expand_term(inner: dict, term, partners):
+    """Yield (triple, u, v, coef) over the nonzero products of `inner`, a table of `outer_index`.
 
     coef * outer(x_u, x_v) is the term's value on that basis triple; the
-    outer product is left open for the caller to multiply out or linearize.
-    Given the `partners` of an `outer_index`, r runs only where x_u x_v != 0.
+    outer product is left open for the caller to multiply out.  r runs over
+    the `partners` of the outer table: only where x_u x_v != 0.
     """
     sign, nesting, order = term
     i_slot, j_slot, k_slot = (order.index(position) for position in range(3))
-    for p, q, w in inner.nonzero_products():
+    for (p, q), w in inner.items():
         for m, x in w.items():
             coef = x if sign > 0 else -x
-            for r in range(inner.dim) if partners is None else partners.get((nesting, m), ()):
+            for r in partners.get((nesting, m), ()):
                 # bracket slots left to right, and the outer factors
                 slots, u, v = ((p, q, r), m, r) if nesting == "L" else ((r, p, q), r, m)
                 yield (slots[i_slot], slots[j_slot], slots[k_slot]), u, v, coef
 
 
-def outer_index(outer: Algebra) -> tuple[dict, dict]:
-    """The product rows of `outer` (int residues over GF(p)) and its `expand_term` partners."""
-    partners, table = {}, outer._products
-    for i, j in table:
-        partners.setdefault(("L", i), []).append(j)  # x_m x_r != 0 for m = i, r = j
-        partners.setdefault(("R", j), []).append(i)  # x_r x_m != 0 for r = i, m = j
-    if outer.field.p:
-        table = {uv: {t: y.value for t, y in row.items()} for uv, row in table.items()}
-    return table, partners
+def outer_index(*algebras):
+    """Yield each algebra's product rows as ints and its `expand_term` partners.
+
+    Kept are the rows a walk reads: x_u x_v with u or v in some product's
+    support, or whose own support meets a product's factor.  Over Q an entry
+    is D times itself, D the lcm of the denominators kept, so each defect is
+    D^2 times the true one; over GF(p) it is its residue.
+    """
+    p = algebras[0].field.p
+    support = set().union(*(row for a in algebras for row in a._products.values()))
+    factors = {i for a in algebras for ij in a._products for i in ij}
+    kept = [{ij: row for ij, row in a._products.items() if support & {*ij} or factors & row.keys()}
+            for a in algebras]
+    den = 1 if p else lcm(*(x.denominator for rows in kept for row in rows.values() for x in row.values()))
+    for rows in kept:
+        partners = {}
+        for i, j in rows:
+            partners.setdefault(("L", i), []).append(j)  # x_m x_r != 0 for m = i, r = j
+            partners.setdefault(("R", j), []).append(i)  # x_r x_m != 0 for r = i, m = j
+        yield {ij: {t: y.value if p else y.numerator * (den // y.denominator) for t, y in row.items()}
+               for ij, row in rows.items()}, partners
 
 
-def first_violation(expansions) -> tuple | None:
+def first_violation(expansions, p=None) -> tuple | None:
     """Least basis triple whose terms do not cancel, or None.
 
-    `expansions` yields (outer_index(outer), inner, term); each entry of the
-    term on `inner` adds coef * (x_u x_v in `outer`) to its triple's defect.
-    Over GF(p) each defect is an int sum of residues, tested mod p at the end.
+    `expansions` yields (outer, inner, term) from one `outer_index`: each entry
+    of the term on the inner table adds coef * (x_u x_v in the outer table) to
+    its triple's int defect.  Over GF(p) (`p` given) it is tested mod p at the end.
     """
-    defects, p = {}, None
-    for (table, partners), inner, term in expansions:
-        p = inner.field.p
+    defects = {}
+    for (table, partners), (inner, _), term in expansions:
         for triple, u, v, coef in expand_term(inner, term, partners):
-            acc, coef = defects.setdefault(triple, {}), coef.value if p else coef
+            acc = defects.setdefault(triple, {})
             for t, y in table[u, v].items():
                 acc[t] = acc[t] + coef * y if t in acc else coef * y
     live = any if p is None else (lambda acc: any(x % p for x in acc))
@@ -202,8 +214,8 @@ def identity_violation(a: Algebra, kind: IdentityKind) -> tuple | None:
     """
     if kind not in IDENTITY_TERMS:
         raise ValueError(f"unknown identity kind {kind}")
-    index = outer_index(a)
-    return first_violation((index, a, term) for term in IDENTITY_TERMS[kind])
+    (index,) = outer_index(a)
+    return first_violation(((index, index, term) for term in IDENTITY_TERMS[kind]), a.field.p)
 
 
 def check_identity(a: Algebra, kind: IdentityKind) -> bool:

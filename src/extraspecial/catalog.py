@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import Algebra, extra_special_center
-from .errors import FieldMismatch, InvalidDescriptor, NotExtraSpecial
+from .errors import InvalidDescriptor, NotExtraSpecial
 from .linalg import scalar_sort_key
 from .scalars import Field
 

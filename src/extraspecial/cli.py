@@ -152,9 +152,10 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
     m_assoc = cs.h2_dim
     m_leib = multiplier_dim(alg, VALIDATED_LEIBNIZ)
     leib_predicted = _leibniz_expected(descriptor, field, dim)
-    zs = cocycle_z_star(alg, cs)
+    z = center(alg)
+    zs = cocycle_z_star(alg, cs, z)
     capable = zs.dim == 0
-    unicentral = zs == center(alg)
+    unicentral = zs == z
     decomposition = classify(alg)
     if descriptor is not None:
         classify_ok = decomposition == BlockDecomposition(field, [descriptor])

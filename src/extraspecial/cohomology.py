@@ -185,13 +185,13 @@ def z_star(a: Algebra) -> Subspace:
     return cocycle_z_star(a, associative_cocycle_space(a))
 
 
-def cocycle_z_star(a: Algebra, cs: CocycleSpace) -> Subspace:
-    """Z* of `a` read from its associative cocycle space `cs`, as `z_star` does:
-    the u with f(u, x_j) = f(x_j, u) = 0 for every z2 basis row f and every j."""
+def cocycle_z_star(a: Algebra, cs: CocycleSpace, z=None) -> Subspace:
+    """Z* of `a` read from its associative cocycle space `cs`, as `z_star` does: the u with
+    f(u, x_j) = f(x_j, u) = 0 for every z2 basis row f and every j; `z` is the center, if known."""
     n = a.dim  # basis row l is the bilinear map (x_i, x_j) -> f_l[i * n + j]
     values = (divmod(c, n) + ({l: x},) for l, f in enumerate(cs.z2.pivots.values()) for c, x in f.items())
     zs = annihilator(a.field, n, values)
-    if not center(a).contains_subspace(zs):
+    if not (center(a) if z is None else z).contains_subspace(zs):
         raise InternalCheckFailure("Z* escaped the center; cocycle annihilator bug")
     return zs
 

@@ -56,13 +56,11 @@ _AXIOMS = (
 
 def diassociativity_violation(d: Dialgebra) -> tuple | None:
     """First failing (axiom label, basis triple), or None when all five hold."""
-    tables = {"L": d.left, "R": d.right}
-    index = {tag: outer_index(table) for tag, table in tables.items()}
+    index = dict(zip("LR", outer_index(d.left, d.right)))  # one call: one D, one row rule for both
     for label, *sides in _AXIOMS:
         triple = first_violation(
-            (index[outer], tables[inner], term)
-            for term, (outer, inner) in zip(IDENTITY_TERMS[IdentityKind.ASSOCIATIVE], sides)
-        )
+            ((index[outer], index[inner], term)
+             for term, (outer, inner) in zip(IDENTITY_TERMS[IdentityKind.ASSOCIATIVE], sides)), d.field.p)
         if triple is not None:
             return (label, triple)
     return None

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals and GF(p).
 
-Everything is computed exactly: ranks, kernels, inverses,
-characteristic polynomials (Berkowitz's division-free scheme, so small prime
-fields are safe), and Jordan block data via rank sequences.  One sparse
-row-reduction loop, `sparse_reduce`, backs every elimination over both
-fields; a column index (`holders`) sends each back-substitution only to the
-rows that need it, and over GF(p) the same loop runs on int residues mod p
-(Dumas & Villard, CASC 2002).  A kernel eliminates its rows in reversed
-column order, so the kernel vectors read off the result already are a
-reduced echelon basis; it first drops the columns that single-entry rows
-fix to zero, or, given a bound on the rank, reads the rows only up to it.
+Everything is computed exactly: ranks, kernels, inverses, characteristic
+polynomials (Berkowitz's division-free scheme, so small prime fields are
+safe), and Jordan block data via rank sequences.  One sparse row-reduction
+loop, `sparse_reduce`, backs every elimination over both fields, on ints:
+residues mod p (Dumas & Villard, CASC 2002) or cleared denominators over Q;
+a column index (`holders`) sends each back-substitution only to the rows
+that need it.  A kernel eliminates its rows in reversed column order, so the
+kernel vectors read off the result already are a reduced echelon basis; it
+first drops the columns that single-entry rows fix to zero, or, given a
+bound on the rank, reads the rows only up to it.
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
@@ -54,17 +54,15 @@ def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
     extraction a plain read.  `pivots`, the result of an earlier call, is
     extended in place.  `holders` maps each non-pivot column to the pivots
     whose rows hold it, so a new pivot is cleared only from those rows
-    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).  Over GF(p)
-    the loop runs on int residues mod p: rows and `pivots` are read into a
-    working copy, and only the pivot rows created or changed here are
-    written back, with one `Fp` per residue.  Given `rank`, a bound on the
-    rank of the rows, the loop stops reading them once it holds `rank` pivots.
+    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).  It runs on
+    a working int copy: residues mod p, or over Q rows times the lcm of their
+    denominators, primitive with positive leads (Bareiss, *Math. Comp.* 22,
+    1968); rows it made or changed go back, x under lead l as `Fp(x, p)` or
+    `Fraction(x, l)`.  Given `rank`, a bound on the rank, it stops there.
     """
     pivots = {} if pivots is None else pivots
     p, holders, touched = field.p, {}, {}
-    zero, one = (0, 1) if p else (field.zero, field.one)
-    # over GF(p) a working copy of residues, over Q `pivots` itself
-    work = {pc: {c: x.value for c, x in prow.items()} for pc, prow in pivots.items()} if p else pivots
+    work = {pc: {c: x.value for c, x in r.items()} if p else _int_row(r) for pc, r in pivots.items()}
     for pc, prow in work.items():
         for cc in prow:
             if cc != pc:
@@ -72,23 +70,29 @@ def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
     for incoming in rows:
         if p:
             row = {c: x for c, v in incoming.items() if (x := v.value)}
+        elif len(incoming) == 1:  # no denominator scan, no new Fraction
+            row = {c: 1 for c, v in incoming.items() if v}
         else:
-            row = {c: v for c, v in incoming.items() if v}
-        row = _clear_pivots(work, row, zero, p)
+            row = _int_row(incoming)
+        row = _clear_pivots(work, row, p, not p)
         if not row:
             continue
         c = min(row)
         lead = row.pop(c)
-        if row and lead != one:  # a row with no other entry needs no scaling
-            inv = pow(lead, -1, p) if p else one / lead
-            row = {cc: vv * inv % p if p else vv * inv for cc, vv in row.items()}
+        if p and lead != 1:
+            inv, lead = pow(lead, -1, p), 1
+            row = {cc: vv * inv % p for cc, vv in row.items()}
+        elif not p and (g := gcd(lead, *row.values()) * (-1 if lead < 0 else 1)) != 1:
+            lead, row = lead // g, {cc: vv // g for cc, vv in row.items()}
         for cc in row:
             holders.setdefault(cc, set()).add(c)
         for pc in holders.pop(c, ()):
             existing = work[pc]
             coef = existing.pop(c)
+            if lead != 1:  # over Q only
+                existing = {cc: vv * lead for cc, vv in existing.items()}
             for cc, vv in row.items():
-                nv = existing.get(cc, zero) - coef * vv
+                nv = existing.get(cc, 0) - coef * vv
                 if p:
                     nv %= p
                 if nv:
@@ -97,36 +101,46 @@ def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
                 else:
                     del existing[cc]
                     holders[cc].discard(pc)
-            touched[pc] = existing
-        row[c] = one
+            g = 1 if p else gcd(*existing.values())
+            work[pc] = touched[pc] = existing if g == 1 else {cc: vv // g for cc, vv in existing.items()}
+        row[c] = lead
         work[c] = touched[c] = row
-        if len(work) == rank:  # over GF(p) the live rank is the working copy's
+        if len(work) == rank:
             break
-    if p:
-        fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} | {1: field.one}
-        for row in touched.values():
-            for c, x in row.items():
-                row[c] = fp[x]
-        pivots.update(touched)
+    one = field.one
+    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} if p else {}
+    for pc, row in touched.items():
+        lead = row[pc]
+        for c, x in row.items():
+            row[c] = one if c == pc else fp[x] if p else Fraction(x, lead)
+    pivots.update(touched)
     return pivots
 
 
-def _clear_pivots(pivots: dict, row: dict, zero, p=None) -> dict:
-    """Subtract pivot rows from `row`, in place, until no pivot column is left.
+def _int_row(row: dict) -> dict:
+    """A row over Q as ints: the row times the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def _clear_pivots(pivots: dict, row: dict, p=None, leads=False) -> dict:
+    """Subtract pivot rows from `row` until no pivot column is left.
 
     Reductions only add non-pivot support, so one sweep over the initial
     hits suffices.  The returned remainder has no nonzero entry exactly
-    when the row lies in the span of the pivot rows.  Given `p`, the rows
-    hold int residues and every update is reduced mod p.
+    when the row lies in the span of the pivot rows.  Given `leads`, a pivot
+    entry other than 1 scales `row` first; given `p`, updates are mod p.
     """
     for c in [c for c in row if c in pivots]:
         coef = row.pop(c, None)
         if not coef:
             continue
+        if leads and (lead := pivots[c][c]) != 1:
+            row = {cc: vv * lead for cc, vv in row.items()}
         for cc, vv in pivots[c].items():
             if cc == c:
                 continue
-            nv = row.get(cc, zero) - coef * vv
+            nv = row[cc] - coef * vv if cc in row else -coef * vv
             if p:
                 nv %= p
             if nv:
@@ -430,7 +444,7 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         row = dict(_sparse_row(self.field, self.ambient_dim, vec))
-        return not any(_clear_pivots(self.pivots, row, self.field.zero).values())
+        return not any(_clear_pivots(self.pivots, row).values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.pivots.values())

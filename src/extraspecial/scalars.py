@@ -4,10 +4,10 @@ Rational scalars are plain `fractions.Fraction` objects (always in lowest
 terms with positive denominator).  Prime-field scalars are `Fp` instances
 carrying their modulus, so that arithmetic between different fields fails
 loudly instead of silently reducing.  Other modules use the `Field` handle
-(`zero`, `one`, `coerce`, `parse`, `format`); the loops that compute on
-`Fp.value` read the residues where values enter and build `Fp` where they
-leave: `linalg.sparse_reduce` (over GF(p), one loop with the rationals, on a
-working copy of residues), `algebra.first_violation`, and the integer
+(`zero`, `one`, `coerce`, `parse`, `format`); the hot loops compute on ints
+in both fields (residues over GF(p), cleared denominators over Q), read
+where values enter and made scalars again where they leave:
+`linalg.sparse_reduce`, `algebra.first_violation`, and the integer
 polynomial and pencil code behind `roots_in_field` and `pencil_minor`.
 `Field.parse` echoes at most 40 characters of a text it refuses.
 

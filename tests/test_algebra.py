@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,7 +22,7 @@ from extraspecial.catalog import BlockDescriptor, make_canonical
 from extraspecial.cohomology import cover
 from extraspecial.dialg import Dialgebra, diassociativity_violation
 from extraspecial.errors import DimensionMismatch, FieldMismatch
-from extraspecial.linalg import Subspace
+from extraspecial.linalg import Matrix, Subspace
 from extraspecial.scalars import Field, Fp
 from oracle_identity import naive_diassociativity_violation, naive_identity_violation
 
@@ -237,6 +238,85 @@ def test_identity_checks_skipping_zero_outer_products_agree_with_oracle(field):
         assert diassociativity_violation(d) == expected, seed
         violations.append(expected is not None)
     assert 0.25 < sum(violations) / len(violations) < 0.75
+
+
+def _rational_basis(rng, dim):
+    """An invertible P over Q with entries like 7/3 and -5/8: rows are the new basis."""
+    while True:
+        p = Matrix(Q, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)] for _ in range(dim)])
+        if p.rank() == dim:
+            return p
+
+
+def _moved(p, product, dim):
+    """The bilinear map `product` (dense e-coordinates in and out) in the basis f_r = row r of P."""
+    to_new = p.inverse().transpose()
+    return {(r, s): to_new.apply(product(p.rows[r], p.rows[s])) for r in range(dim) for s in range(dim)}
+
+
+def _upper_triangular():
+    """The upper triangular 2 x 2 matrices on E11, E12, E22: associative, and not nilpotent."""
+    return Algebra(Q, 3, {(0, 0): [1, 0, 0], (0, 1): [0, 1, 0], (1, 2): [0, 1, 0], (2, 2): [0, 0, 1]})
+
+
+def _perturbed(rng, products):
+    """A copy of `products` with one entry changed by a non-integral amount."""
+    out = {key: list(vec) for key, vec in products.items()}
+    vec = out[rng.choice(sorted(out))]
+    vec[rng.randrange(len(vec))] += Fraction(rng.randint(1, 10**6), rng.randint(2, 10**6))
+    return out
+
+
+def test_identity_checks_over_q_with_non_integral_tables_agree_with_oracle():
+    # algebras that satisfy identities, moved to a basis with denominators;
+    # each also perturbed by one entry, plus random tables of 20-digit fractions
+    holding = [_upper_triangular(), j(2), h(2, Fraction(-7, 3)), gamma(2)]
+    checked = violated = 0
+    for seed in range(12):
+        rng = random.Random(f"rational identity oracle {seed}")
+        base = holding[seed % len(holding)]
+        moved = _moved(_rational_basis(rng, base.dim), lambda u, v: multiply(base, u, v), base.dim)
+        dim = base.dim
+        scalars = [Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**6)) for _ in range(3)]
+        noisy = {(rng.randrange(dim), rng.randrange(dim)): {rng.randrange(dim): x} for x in scalars}
+        for products in (moved, _perturbed(rng, moved), noisy):
+            a = Algebra(Q, dim, products)
+            assert any(x.denominator > 1 for _, _, row in a.nonzero_products() for x in row.values())
+            for kind in IdentityKind:
+                expected = naive_identity_violation(a, kind.value)
+                assert identity_violation(a, kind) == expected, (seed, kind)
+                checked, violated = checked + 1, violated + (expected is not None)
+    assert 0.25 < violated / checked < 0.75
+
+
+def test_diassociativity_over_q_with_two_denominators_agrees_with_oracle():
+    # x -| y = x phi(y) and x |- y = phi(x) y, phi the diagonal part of an upper
+    # triangular matrix (an idempotent homomorphism), satisfy all five axioms;
+    # in the basis s E11, w E12, E22 + t E12 only the right table holds t, so
+    # the two have different denominators, and a defect that mixes them
+    # cancels only when both are read with one scale
+    t2 = _upper_triangular()
+
+    def phi(u):
+        return [u[0], 0, u[2]]
+
+    verdicts = []
+    for seed in range(8):
+        rng = random.Random(f"two denominators {seed}")
+        s, w = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9)) for _ in range(2))
+        t = Fraction(rng.randint(1, 10), 11)
+        p = Matrix(Q, [[s, 0, 0], [0, w, 0], [0, t, 1]])
+        left = _moved(p, lambda u, v: multiply(t2, u, phi(v)), 3)
+        right = _moved(p, lambda u, v: multiply(t2, phi(u), v), 3)
+        d = Dialgebra(Q, 3, left, right)
+        dens = [lcm(*(x.denominator for _, _, row in t.nonzero_products() for x in row.values())) for t in (d.left, d.right)]
+        assert dens[0] != dens[1] and min(dens) > 1, dens
+        assert diassociativity_violation(d) is None is naive_diassociativity_violation(d)
+        for broken in (Dialgebra(Q, 3, _perturbed(rng, left), right), Dialgebra(Q, 3, left, _perturbed(rng, right))):
+            expected = naive_diassociativity_violation(broken)
+            assert diassociativity_violation(broken) == expected, seed
+            verdicts.append(expected is not None)
+    assert all(verdicts)
 
 
 # -- derived ideal ----------------------------------------------------------------

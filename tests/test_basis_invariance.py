@@ -13,9 +13,9 @@ import pytest
 
 from extraspecial.algebra import Algebra, IdentityKind, center, derived_ideal, is_extra_special, multiply
 from extraspecial.catalog import make_from_text
-from extraspecial.cohomology import VALIDATED_LEIBNIZ, is_capable, is_unicentral, multiplier_dim
+from extraspecial.cohomology import VALIDATED_LEIBNIZ, is_capable, is_unicentral, multiplier_dim, z_star
 from extraspecial.forms import classify
-from extraspecial.linalg import Matrix
+from extraspecial.linalg import Matrix, Subspace
 from extraspecial.scalars import Field
 
 CASES = [
@@ -38,6 +38,8 @@ CASES = [
     ("GF:7", "gamma:12"),
     ("GF:5", "gamma:4+h2n:3:2"),
 ]
+
+Q = Field.rationals()
 
 
 def _field(flag: str) -> Field:
@@ -84,3 +86,18 @@ def test_invariants_survive_a_change_of_basis(flag, text):
     moved = _in_basis(a, p)
     assert moved != a  # the tensor really moved
     assert _invariants(moved) == _invariants(a)
+
+
+def test_a_dense_basis_with_a_huge_lambda_changes_nothing():
+    # over Q the kernels clear denominators: in a dense basis a 21-digit
+    # lambda reaches every row they read
+    a = make_from_text("h2n:3:123456789012345678901/7", Q)
+    p = _random_basis(random.Random("basis Q h2n:3:huge"), Q, a.dim)
+    moved = _in_basis(a, p)
+    assert max(abs(x.numerator) for _, _, row in moved.nonzero_products() for x in row.values()) > 10**20
+    assert classify(moved) == classify(a)
+    for theory in (IdentityKind.ASSOCIATIVE, VALIDATED_LEIBNIZ):
+        assert multiplier_dim(moved, theory) == multiplier_dim(a, theory)
+    # Z* moves with the basis: w in e-coordinates is w P^-1 in f-coordinates
+    to_new = p.inverse().transpose()
+    assert z_star(moved) == Subspace(Q, a.dim, [to_new.apply(v) for v in z_star(a).basis]) != z_star(a)

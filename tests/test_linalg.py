@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -375,6 +376,77 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
             for row in rows:
                 assert not sum((x * v[c] for c, x in row.items() if c in v), field.zero)
     assert outside >= 40, "too few vectors outside the span"
+
+
+def _hard_rational_rows(rng, ncols):
+    """Q rows whose integer forms are hard: denominators up to 10^6, 20-digit numerators.
+
+    Some rows have a negative lead, some are integer rows with a common factor
+    (content > 1), some are rational combinations of earlier rows, and some
+    hold a single entry or an explicit zero.
+    """
+    def scalar():
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**6))
+
+    rows = []
+    for _ in range(rng.randint(2, 2 * ncols)):
+        shape = rng.random()
+        if len(rows) >= 2 and shape < 0.25:
+            a, b = rng.sample(rows, 2)
+            k = scalar()
+            rows.append({c: a.get(c, 0) + k * b.get(c, 0) for c in a.keys() | b.keys()})
+            continue
+        support = sorted(rng.sample(range(ncols), rng.randint(1, min(ncols, 6))))
+        if shape < 0.45:
+            factor = rng.choice((6, 10**9 + 7, 2**40))
+            row = {c: Fraction(factor * rng.choice((-3, -1, 1, 2, 5))) for c in support}
+        else:
+            row = {c: scalar() for c in support}
+        if shape > 0.7:
+            row[support[0]] = -abs(row[support[0]])  # a negative lead
+        if rng.random() < 0.1:
+            row[rng.randrange(ncols)] = Fraction(0)
+        rows.append(row)
+    return rows
+
+
+def _integer_content(row):
+    """The gcd of the entries of an integral row, else 0."""
+    if any(x.denominator != 1 for x in row.values()):
+        return 0
+    return gcd(*(x.numerator for x in row.values()))
+
+
+def test_sparse_reduce_over_q_with_large_denominators():
+    negative_leads = contents = stopped = 0
+    for seed in range(30):
+        rng = random.Random(f"hard rationals {seed}")
+        ncols = rng.randint(3, 14)
+        rows = _hard_rational_rows(rng, ncols)
+        negative_leads += sum(1 for row in rows if row and row[min(row)] < 0)
+        contents += sum(1 for row in rows if len(row) > 1 and _integer_content(row) > 1)
+        snapshot = [dict(r) for r in rows]
+        expected = _dense_rref(Q, ncols, rows)
+        reduced = sparse_reduce(Q, rows)
+        assert reduced == expected, seed
+        _assert_field_scalars(Q, reduced)
+        assert rows == snapshot, "input rows were mutated"
+        # `pivots=` carried in: a dense rref with non-integral entries, extended in place
+        cut = rng.randint(0, len(rows))
+        carried = _dense_rref(Q, ncols, rows[:cut])
+        assert sparse_reduce(Q, rows[cut:], carried) is carried
+        assert carried == expected, seed
+        _assert_field_scalars(Q, carried)
+        assert rows == snapshot
+        # a rank= stop holds the reduced basis of the rows read so far
+        bound = rng.randint(1, max(1, len(expected)))
+        consumed = []
+        partial = sparse_reduce(Q, (consumed.append(row) or row for row in rows), rank=bound)
+        assert len(partial) == min(bound, len(expected))
+        assert partial == _dense_rref(Q, ncols, consumed), seed
+        _assert_field_scalars(Q, partial)
+        stopped += len(consumed) < len(rows)
+    assert negative_leads >= 30 and contents >= 10 and stopped >= 10
 
 
 def _singleton_heavy_rows(rng, field, ncols):
