@@ -156,7 +156,7 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
     zs = cocycle_z_star(alg, cs, z)
     capable = zs.dim == 0
     unicentral = zs == z
-    decomposition = classify(alg)
+    decomposition = classify(alg, z)
     if descriptor is not None:
         classify_ok = decomposition == BlockDecomposition(field, [descriptor])
     else:

@@ -22,6 +22,11 @@ Dooren, LAA 27, 1979):
   Gamma_e (J1 when e = 1), and the others pair up as {mu, 1/mu} into
   H_2e(mu).  A candidate with no rank drop is dropped.
 
+All of it runs on one int form, the residues over GF(p) and over Q the form
+times the lcm of its denominators, which keeps the Kronecker data and the
+roots: P(t0) at a root u/v is v A + u B, and the echelon forms stay int
+rows.  Scalars are the form coming in and the roots and lambdas going out.
+
 These descriptors are the answer.  The pieces must tile the form exactly,
 so an internal disagreement raises instead of misclassifying; blocks left
 over mean eigenvalues outside the base field, reported (`DoesNotSplit`)
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from math import lcm
 
 from .algebra import Algebra, extra_special_center
 from .catalog import BlockDescriptor, normalize_descriptor
@@ -52,9 +58,9 @@ from .linalg import (
     poly_degree,
     poly_divmod,
     poly_monic,
+    reduce_ints,
     roots_in_field,
     scalar_sort_key,
-    sparse_reduce,
 )
 from .scalars import Field
 
@@ -103,13 +109,14 @@ class BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def form_of(a: Algebra) -> BilinearForm:
+def form_of(a: Algebra, z=None) -> BilinearForm:
     """Bilinear form of an extra special algebra on a complement of the center.
 
     The spanning central vector is the echelon basis vector of the center;
-    the complement consists of the remaining coordinate axes.
+    the complement consists of the remaining coordinate axes.  `z` is the
+    center, if the caller holds it.
     """
-    z = extra_special_center(a)
+    z = extra_special_center(a, z)
     if z is None:
         raise NotExtraSpecial("forms are defined for extra special algebras")
     ((pivot, zrow),) = z.pivots.items()
@@ -156,7 +163,7 @@ def cosquare(f: BilinearForm) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _odd_indices(field: Field, a_rows, b_rows, count: int) -> list[int]:
+def _odd_indices(p, a_rows, b_rows, count: int) -> list[int]:
     """Minimal indices eps of the odd singular blocks J_(2 eps + 1).
 
     N_k, the nullity of the (k+1)n x kn block-bidiagonal matrix T_k with A
@@ -173,11 +180,11 @@ def _odd_indices(field: Field, a_rows, b_rows, count: int) -> list[int]:
         if 2 * k + 1 > n - sum(2 * e + 1 for e in eps):
             raise InternalCheckFailure("odd singular blocks do not fit the form")
         before = len(pivots)
-        sparse_reduce(field, (
+        reduce_ints(pivots, (
             {k * n + r: x for r, x in b_rows[j].items()}
             | {(k + 1) * n + r: x for r, x in a_rows[j].items()}
             for j in range(n)
-        ), pivots)
+        ), p)
         k += 1
         below = n - (len(pivots) - before)
         if k == 1 and below:
@@ -186,7 +193,7 @@ def _odd_indices(field: Field, a_rows, b_rows, count: int) -> list[int]:
     return eps
 
 
-def _jordan_sizes(field: Field, p_rows, b_columns, eps, bound: int, exact: bool) -> list[int]:
+def _jordan_sizes(p, p_rows, b_columns, eps, bound: int, exact: bool) -> list[int]:
     """Jordan block sizes of the pencil at a point t0, from its kernel-preimage chain.
 
     V_1 = ker P(t0) and V_(s+1) = {v : P(t0) v in B V_s}.  A Jordan block
@@ -204,22 +211,23 @@ def _jordan_sizes(field: Field, p_rows, b_columns, eps, bound: int, exact: bool)
     L y = 0, and then v = R y (zero on the free columns) solves it.  So
     V_(s+1) = ker P(t0) + {R B u : u in V_s, L B u = 0}: each chain vector
     enters one echelon form once, as the row [L B u | R B u], and the rows
-    whose L part clears are the next step's new vectors.
+    whose L part clears are the next step's new vectors.  On int rows a pivot
+    row has a lead, so R and the kernel vectors are taken times their lcm.
     """
     n = len(p_rows)
     if exact and bound == 1:
         return [1]
-    drop = n - len(sparse_reduce(field, p_rows)) - len(eps)
+    drop = n - len(reduce_ints({}, map(dict, p_rows), p)) - len(eps)
     if drop in (0, bound):
         return [1] * drop
     if exact and drop == 1:
         return [bound]
-    one = field.one
-    reduced = sparse_reduce(field, [{**row, n + i: one} for i, row in enumerate(p_rows)])
+    reduced = reduce_ints({}, ({**row, n + i: 1} for i, row in enumerate(p_rows)), p)
+    scale = lcm(*(row[c] for c, row in reduced.items() if c < n))
     cokernel = [_shifted(row, -n) for c, row in reduced.items() if c >= n]
-    solve = [(c, _shifted(row, -n)) for c, row in reduced.items() if c < n]
+    solve = [(c, _shifted(row, -n, scale // row[c])) for c, row in reduced.items() if c < n]
     new = [
-        {f: one} | {c: -row[f] for c, row in reduced.items() if f in row}
+        {f: scale} | {c: _mod(-row[f] * (scale // row[c]), p) for c, row in reduced.items() if f in row}
         for f in range(n) if f not in reduced
     ]
     m, dim = len(cokernel), len(new)
@@ -234,11 +242,11 @@ def _jordan_sizes(field: Field, p_rows, b_columns, eps, bound: int, exact: bool)
             break
         produced = []
         for v in new:
-            y = _combine(field, b_columns, v)
-            row = {k: x for k, r in enumerate(cokernel) if (x := _dot(field, r, y))}
-            row |= {m + c: x for c, r in solve if (x := _dot(field, r, y))}
+            y = _combine(p, b_columns, v)
+            row = {k: x for k, r in enumerate(cokernel) if (x := _dot(p, r, y))}
+            row |= {m + c: x for c, r in solve if (x := _dot(p, r, y))}
             before = set(store)
-            sparse_reduce(field, [row], store)
+            reduce_ints(store, [row], p)
             for c in store.keys() - before:
                 if c >= m:
                     produced.append(_shifted(store[c], -m))
@@ -251,30 +259,32 @@ def _jordan_sizes(field: Field, p_rows, b_columns, eps, bound: int, exact: bool)
     return sizes
 
 
-def _shifted(row: dict, offset: int) -> dict:
-    """A sparse row with every column moved by `offset`, dropping those left below 0."""
-    return {c + offset: x for c, x in row.items() if c + offset >= 0}
+def _shifted(row: dict, offset: int, times: int = 1) -> dict:
+    """A sparse row with every column moved by `offset`, dropping those left below 0, times an int."""
+    return {c + offset: x * times for c, x in row.items() if c + offset >= 0}
 
 
-def _dot(field: Field, row: dict, v: dict):
-    return sum((x * v[c] for c, x in row.items() if c in v), field.zero)
+def _mod(x: int, p) -> int:
+    return x % p if p else x
 
 
-def _combine(field: Field, columns, v: dict) -> dict:
-    """The sparse vector sum of v[j] * columns[j]."""
-    zero = field.zero
+def _dot(p, row: dict, v: dict) -> int:
+    return _mod(sum(x * v[c] for c, x in row.items() if c in v), p)
+
+
+def _combine(p, columns, v: dict) -> dict:
+    """The sparse int vector sum of v[j] * columns[j], mod p when p is given."""
     out = {}
     for j, c in v.items():
         for i, x in columns[j].items():
-            out[i] = out.get(i, zero) + c * x
-    return {i: x for i, x in out.items() if x}
+            out[i] = out.get(i, 0) + c * x
+    return {i: r for i, x in out.items() if (r := _mod(x, p))}
 
 
-def _pencil_at(field: Field, a_rows, b_rows, t0) -> list[dict]:
-    """Sparse rows of A + t0 B."""
-    zero = field.zero
+def _pencil_at(p, a_rows, b_rows, u: int, v: int) -> list[dict]:
+    """Int rows of v A + u B, the pencil at t0 = u/v times v."""
     return [
-        {j: x for j in a.keys() | b.keys() if (x := a.get(j, zero) + t0 * b.get(j, zero))}
+        {j: x for j in a.keys() | b.keys() if (x := _mod(v * a.get(j, 0) + u * b.get(j, 0), p))}
         for a, b in zip(a_rows, b_rows)
     ]
 
@@ -309,15 +319,16 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     cosquare data, and the sizes (all >= 2) are the chain algebras Jn hiding
     in the form.
     """
-    field = f.m.field
+    field, p = f.m.field, f.m.field.p
     n = f.m.nrows
     if n == 0:
         return [], ()
-    m = f.m.rows
+    den = 1 if p else lcm(*(x.denominator for row in f.m.rows for x in row))
+    m = [[x.value if p else x.numerator * (den // x.denominator) for x in row] for row in f.m.rows]
     a_rows = [{j: m[j][i] for j in range(n) if m[j][i]} for i in range(n)]
     b_rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     rank, minor = pencil_minor(field, a_rows, b_rows)
-    eps = _odd_indices(field, a_rows, b_rows, n - rank)
+    eps = _odd_indices(p, a_rows, b_rows, n - rank)
     roots, rest = roots_in_field(field, minor)
     # The minor is the invariant factors' product times a spurious factor,
     # which is 1 for a regular pencil.  The product has degree
@@ -330,9 +341,9 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     even_sizes, cosquare_blocks = [], []
     for t0, mult in roots:
         # B = M, so column j of B is row j of A = M^T
-        p_rows = _pencil_at(field, a_rows, b_rows, t0)
+        u, v = (t0.value, 1) if p else (t0.numerator, t0.denominator)
         exact = slack == 0 if t0 else rank == n
-        found = _jordan_sizes(field, p_rows, a_rows, eps, mult, exact)
+        found = _jordan_sizes(p, _pencil_at(p, a_rows, b_rows, u, v), a_rows, eps, mult, exact)
         if t0:
             cosquare_blocks += [(-t0, e) for e in found]
             slack -= mult - sum(found)
@@ -356,15 +367,15 @@ def _rootless_part(field: Field, a_rows, b_rows, rank: int, rest, missing: int) 
     combination of all r x r minors, whose gcd is the invariant factors'
     product; gcds with a few seeded compressions strip the rest.
     """
-    n, rng = len(a_rows), random.Random(0)
+    n, p, rng = len(a_rows), field.p, random.Random(0)
     for _ in range(20):
         if poly_degree(rest) == missing:
             return poly_monic(field, rest)
-        u = [{j: field.coerce(rng.randint(-3, 3)) for j in range(n)} for _ in range(rank)]
-        v = [{c: field.coerce(rng.randint(-3, 3)) for c in range(rank)} for _ in range(n)]
+        u = [{j: rng.randint(-3, 3) for j in range(n)} for _ in range(rank)]
+        v = [{c: rng.randint(-3, 3) for c in range(rank)} for _ in range(n)]
         # row k of U X V combines the rows of X V by row k of U
         squeezed = [
-            [_combine(field, [_combine(field, v, x) for x in rows], w) for w in u]
+            [_combine(p, [_combine(p, v, x) for x in rows], w) for w in u]
             for rows in (a_rows, b_rows)
         ]
         full, c = pencil_minor(field, *squeezed)
@@ -373,14 +384,14 @@ def _rootless_part(field: Field, a_rows, b_rows, rank: int, rest, missing: int) 
     raise InternalCheckFailure("the rootless factor does not match the missing blocks")
 
 
-def classify(a: Algebra) -> BlockDecomposition:
+def classify(a: Algebra, z=None) -> BlockDecomposition:
     """Canonical central-sum decomposition of an extra special algebra.
 
     Singular canonical blocks become J(n) descriptors and the regular blocks
     come from the pencil invariants (see `regularize`).  Raises
     `Unsupported` (via `DoesNotSplit`) when the data does not split over
     the base field, and `UnpairedEigenvalue` if the cosquare data cannot be
-    matched into blocks, which signals a bug or a broken input.
+    matched into blocks, which signals a bug or a broken input; `z` as in `form_of`.
     """
-    regular, sizes = regularize(form_of(a))
+    regular, sizes = regularize(form_of(a, z))
     return BlockDecomposition(a.field, [BlockDescriptor("j", s) for s in sizes] + regular)

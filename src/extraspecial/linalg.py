@@ -3,13 +3,15 @@
 Everything is computed exactly: ranks, kernels, inverses, characteristic
 polynomials (Berkowitz's division-free scheme, so small prime fields are
 safe), and Jordan block data via rank sequences.  One sparse row-reduction
-loop, `sparse_reduce`, backs every elimination over both fields, on ints:
+loop, `reduce_ints`, backs every elimination over both fields, on int rows:
 residues mod p (Dumas & Villard, CASC 2002) or cleared denominators over Q;
 a column index (`holders`) sends each back-substitution only to the rows
-that need it.  A kernel eliminates its rows in reversed column order, so the
-kernel vectors read off the result already are a reduced echelon basis; it
-first drops the columns that single-entry rows fix to zero, or, given a
-bound on the rank, reads the rows only up to it.
+that need it.  `sparse_reduce` wraps it for scalar rows; `kernel_basis`
+and the classification in `forms` call it on their own int rows.  A kernel
+eliminates its rows in reversed column order, so the kernel vectors read
+off the result already are a reduced echelon basis; it first drops the
+columns that single-entry rows fix to zero, or, given a bound on the rank,
+reads the rows only up to it.
 
 A `Subspace` is held in the engine's own format: the map {pivot column:
 sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
@@ -22,10 +24,11 @@ finds roots without scanning the field (von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 14-15): over GF(p), gcd(f, t^p - t) by repeated
 squaring mod f, split by seeded Cantor-Zassenhaus; over Q, the roots of
 the square-free part modulo a small prime that keeps it square-free,
-Hensel-lifted and reconstructed, then checked exactly.  That work runs on
-integer coefficient lists.  `pencil_minor` packs each pencil entry a + tb
-into the integer a + b 2^s (Kronecker substitution, ibid. 8.4) and runs
-Bareiss's fraction-free elimination on those ints, over Q and GF(p) alike.
+Hensel-lifted and reconstructed; each candidate u/v is then checked
+exactly by dividing out v t - u.  That work runs on integer coefficient
+lists.  `pencil_minor` packs each pencil entry a + tb into the integer
+a + b 2^s (Kronecker substitution, ibid. 8.4) and runs Bareiss's
+fraction-free elimination on those ints, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -52,28 +55,43 @@ def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
     support on any other pivot column, so the collection is a reduced
     echelon basis of the row space.  That invariant is what makes kernel
     extraction a plain read.  `pivots`, the result of an earlier call, is
-    extended in place.  `holders` maps each non-pivot column to the pivots
-    whose rows hold it, so a new pivot is cleared only from those rows
-    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 3).  It runs on
-    a working int copy: residues mod p, or over Q rows times the lcm of their
-    denominators, primitive with positive leads (Bareiss, *Math. Comp.* 22,
-    1968); rows it made or changed go back, x under lead l as `Fp(x, p)` or
-    `Fraction(x, l)`.  Given `rank`, a bound on the rank, it stops there.
+    extended in place.  The rows are read once as ints (`_int_row`) and
+    reduced by `reduce_ints`; rows it made or changed go back, x under lead
+    l as `Fp(x, p)` or `Fraction(x, l)`.  Given `rank`, a bound on the rank,
+    it stops there.
     """
     pivots = {} if pivots is None else pivots
-    p, holders, touched = field.p, {}, {}
-    work = {pc: {c: x.value for c, x in r.items()} if p else _int_row(r) for pc, r in pivots.items()}
+    p = field.p
+    work = {pc: _int_row(r, p) for pc, r in pivots.items()}
+    touched = reduce_ints(work, (_int_row(r, p) for r in rows), p, rank)
+    one = field.one
+    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} if p else {}
+    for pc, row in touched.items():
+        lead = row[pc]
+        for c, x in row.items():
+            row[c] = one if c == pc else fp[x] if p else Fraction(x, lead)
+    pivots.update(touched)
+    return pivots
+
+
+def reduce_ints(work: dict, rows, p=None, rank=None) -> dict:
+    """The int loop of `sparse_reduce`: reduce int rows into the echelon store `work`, in place.
+
+    A store row holds its pivot's lead and no other pivot column.  Over GF(p)
+    entries are residues and leads are 1; over Q (Bareiss, *Math. Comp.* 22,
+    1968) rows are primitive with positive leads, and an update scales its
+    target by the pivot's lead, then divides out the content.  `holders`
+    sends each new pivot only to the rows that hold its column (Davis,
+    *Direct Methods for Sparse Linear Systems*, ch. 3).  Incoming rows are
+    consumed; given `rank`, it stops at that many pivots.  Returns {pivot
+    column: row} of the rows it created or changed.
+    """
+    holders, touched = {}, {}
     for pc, prow in work.items():
         for cc in prow:
             if cc != pc:
                 holders.setdefault(cc, set()).add(pc)
-    for incoming in rows:
-        if p:
-            row = {c: x for c, v in incoming.items() if (x := v.value)}
-        elif len(incoming) == 1:  # no denominator scan, no new Fraction
-            row = {c: 1 for c, v in incoming.items() if v}
-        else:
-            row = _int_row(incoming)
+    for row in rows:
         row = _clear_pivots(work, row, p, not p)
         if not row:
             continue
@@ -107,18 +125,16 @@ def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
         work[c] = touched[c] = row
         if len(work) == rank:
             break
-    one = field.one
-    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} if p else {}
-    for pc, row in touched.items():
-        lead = row[pc]
-        for c, x in row.items():
-            row[c] = one if c == pc else fp[x] if p else Fraction(x, lead)
-    pivots.update(touched)
-    return pivots
+    return touched
 
 
-def _int_row(row: dict) -> dict:
-    """A row over Q as ints: the row times the lcm of its denominators."""
+def _int_row(row: dict, p=None) -> dict:
+    """A sparse row as ints: residues mod p, or over Q the row times the lcm of its
+    denominators (a one-entry row as {c: 1}: no denominator scan, no new `Fraction`)."""
+    if p:
+        return {c: x for c, v in row.items() if (x := v.value)}
+    if len(row) == 1:
+        return {c: 1 for c, v in row.items() if v}
     den = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
@@ -160,16 +176,17 @@ def kernel_basis(field: Field, ncols: int, rows, rank=None) -> "Subspace":
     other rows.  Given `rank`, a bound on the rank of the rows, they are read
     lazily until `rank` pivots are found, which then span every unread row.
     """
-    last, lazy = ncols - 1, rank is not None
+    last, lazy, p = ncols - 1, rank is not None, field.p
     rows = rows if lazy else list(rows)
     fixed = set() if lazy else {c for row in rows if len(row) == 1 for c, x in row.items() if x}
     rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if lazy or len(row) > 1)
-    pivots = sparse_reduce(field, (row for row in rest if any(row.values())), rank=rank)
+    pivots = reduce_ints({}, (r for row in rest if (r := _int_row(row, p))), p, rank)
     kernel = {f: {f: field.one} for f in range(ncols) if f not in fixed and last - f not in pivots}
     for pc, prow in pivots.items():
-        for f, coef in prow.items():
+        lead = prow[pc]
+        for f, x in prow.items():
             if f != pc:
-                kernel[last - f][last - pc] = -coef
+                kernel[last - f][last - pc] = Fp(-x, p) if p else Fraction(-x, lead)
     return Subspace._echelon(field, ncols, kernel)
 
 
@@ -561,44 +578,47 @@ def poly_monic(field: Field, p) -> list:
     return [c / lead for c in p]
 
 
-def _deflate(field: Field, p, root) -> list:
-    """Divide p by (t - root) via synthetic division; root must be exact."""
-    n = poly_degree(p)
-    out = [field.zero] * n
-    acc = p[n]
-    out[n - 1] = acc
-    for k in range(n - 1, 0, -1):
-        acc = p[k] + root * acc
-        out[k - 1] = acc
-    return poly_trim(out)
-
-
 def roots_in_field(field: Field, poly) -> tuple[list, list]:
     """All roots of `poly` in the field, with multiplicities.
 
     Returns `(roots, remainder)`: roots is a list of (root, multiplicity)
     pairs in `scalar_sort_key` order and remainder is the rootless cofactor
     (constant exactly when the polynomial splits into linear factors).
-    Candidates come from `_roots_mod` over GF(p) and `_rational_roots` over
-    Q; each is checked exactly and divided out as often as it divides.
+    Candidates u/v come from `_roots_mod` over GF(p) and `_rational_roots`
+    over Q.  The check runs on the integer polynomial: each candidate is
+    divided out by v t - u, exactly over Z (Gauss's lemma) or mod p, as
+    often as it divides; the roots and the cofactor become scalars once.
     """
     p = poly_trim(list(poly))
     if poly_degree(p) <= 0:
         return [], p
-    if field.kind == "GF":
-        candidates = [Fp(r, field.p) for r in _roots_mod([c.value for c in p], field.p)]
-    else:
-        den = lcm(*(c.denominator for c in p))
-        candidates = _rational_roots([c.numerator * (den // c.denominator) for c in p])
-    roots = []
-    for r in sorted(candidates, key=scalar_sort_key):
+    q, scale = field.p, 1
+    den = 1 if q else lcm(*(c.denominator for c in p))
+    f = [c.value if q else c.numerator * (den // c.denominator) for c in p]
+    roots, candidates = [], [(r, 1) for r in _roots_mod(f, q)] if q else _rational_roots(f)
+    for u, v in sorted(candidates):
         count = 0
-        while poly_degree(p) > 0 and not poly_eval(field, p, r):
-            p = _deflate(field, p, r)
-            count += 1
+        while len(f) > 1 and (quot := _idivide_linear(f, u, v, q)) is not None:
+            f, count = quot, count + 1
         if count:
-            roots.append((r, count))
-    return roots, p
+            roots.append((Fp(u, q) if q else Fraction(u, v), count))
+            scale *= v**count
+    return roots, [Fp(x, q) for x in f] if q else [Fraction(x * scale, den) for x in f]
+
+
+def _idivide_linear(f, u: int, v: int, p=None):
+    """f / (v t - u) for an int polynomial f, over Z or mod p (v = 1); None if it does not divide.
+
+    Synthetic division from the top: out gets q_(k-1) = (f_k + u q_k) / v,
+    down to q_(-1), which is 0 exactly when the remainder is.
+    """
+    out = [0]
+    for c in reversed(f):
+        q, r = divmod(c + u * out[-1], v)
+        if r:
+            return None
+        out.append(q % p if p else q)
+    return None if out[-1] else out[-2:0:-1]
 
 
 def _roots_mod(f, p: int) -> list[int]:
@@ -628,7 +648,7 @@ def _roots_mod(f, p: int) -> list[int]:
 
 
 def _rational_roots(f) -> list:
-    """Candidate rational roots of a nonzero integer polynomial.
+    """Candidate rational roots u/v (pairs in lowest terms, v > 0) of a nonzero integer polynomial.
 
     The roots of its square-free part g modulo a small prime that keeps g
     square-free are Hensel-lifted until p^k > 2|lc(g) g(0)|.  A rational
@@ -637,7 +657,7 @@ def _rational_roots(f) -> list:
     """
     candidates = []
     if not f[0]:
-        candidates.append(Fraction(0))
+        candidates.append((0, 1))
         while not f[0]:
             f = f[1:]
     g = _idivmod(f, _igcd(f, _derivative(f)))[0]
@@ -654,7 +674,9 @@ def _rational_roots(f) -> list:
             q *= q
             a = (a - _ieval(g, a, q) * pow(_ieval(dg, a, q), -1, q)) % q
         b = g[-1] * a % q
-        candidates.append(Fraction(b - q if 2 * b > q else b, g[-1]))
+        b -= q if 2 * b > q else 0
+        d = gcd(b, g[-1]) * (-1 if g[-1] < 0 else 1)
+        candidates.append((b // d, g[-1] // d))
     return candidates
 
 
@@ -738,8 +760,9 @@ def _derivative(f) -> list:
 def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     """Normal rank r of the square pencil A + tB and one nonzero r x r minor.
 
-    The sparse rows of A and B are lifted to integers: over Q each row times
-    the lcm of its denominators, over GF(p) as symmetric residues.  H, the
+    The sparse rows of A and B, of scalars or ints, are lifted to integers:
+    over Q each row times the lcm of its denominators, over GF(p) as
+    symmetric residues.  H, the
     product over rows of max(1, sum of |a_ij| + |b_ij|), bounds every
     coefficient of every minor of the lift, so at s = H.bit_length() + 2 the
     entry a_ij + t b_ij is packed as a_ij + b_ij 2^s (Kronecker substitution)
@@ -753,7 +776,7 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     p, lifted, bound = field.p, [], 1
     for a, b in zip(a_rows, b_rows):
         den = 1 if p else lcm(*(x.denominator for x in (*a.values(), *b.values())))
-        lifted.append({j: (_as_int(a.get(j), den), _as_int(b.get(j), den)) for j in a.keys() | b.keys()})
+        lifted.append({j: (_as_int(a.get(j), den, p), _as_int(b.get(j), den, p)) for j in a.keys() | b.keys()})
         bound *= max(1, sum(abs(x) + abs(y) for x, y in lifted[-1].values()))
     s = bound.bit_length() + 2
     rows = [{j: x + (y << s) for j, (x, y) in row.items() if x or y} for row in lifted]
@@ -783,12 +806,13 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     return rank, [field.coerce(x) for x in _digits(prev, s, p)]
 
 
-def _as_int(x, den: int) -> int:
-    """A scalar (or None, read as 0) as an integer: its symmetric residue, or den * x."""
+def _as_int(x, den: int, p=None) -> int:
+    """A scalar or int (None read as 0) as an integer: its symmetric residue mod p, or den * x."""
     if x is None:
         return 0
-    if isinstance(x, Fp):
-        return x.value - x.p if 2 * x.value > x.p else x.value
+    if p:
+        x = (x.value if isinstance(x, Fp) else x) % p
+        return x - p if 2 * x > p else x
     return x.numerator * (den // x.denominator)
 
 

@@ -7,8 +7,9 @@ loudly instead of silently reducing.  Other modules use the `Field` handle
 (`zero`, `one`, `coerce`, `parse`, `format`); the hot loops compute on ints
 in both fields (residues over GF(p), cleared denominators over Q), read
 where values enter and made scalars again where they leave:
-`linalg.sparse_reduce`, `algebra.first_violation`, and the integer
-polynomial and pencil code behind `roots_in_field` and `pencil_minor`.
+`linalg.sparse_reduce`, `algebra.first_violation`, the integer
+polynomial and pencil code behind `roots_in_field` and `pencil_minor`, and
+`forms.regularize`.
 `Field.parse` echoes at most 40 characters of a text it refuses.
 
 Fields of characteristic 2 are rejected outright; the whole theory assumes

@@ -394,7 +394,7 @@ def test_verify_theorems_rows_that_only_disagree_exit_1(capsys, monkeypatch):
 @pytest.mark.parametrize("error,code", [(RuntimeError, 5), (InternalCheckFailure, 4)])
 def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monkeypatch, error, code):
     # exit 1 means a row disagrees with the paper; a row that raised is not that
-    def broken(a):
+    def broken(a, z=None):
         raise error("planted failure")
 
     monkeypatch.setattr(forms, "classify", broken)
@@ -409,12 +409,12 @@ def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monke
 def test_verify_theorems_first_row_that_raises_sets_the_exit_code(capsys, monkeypatch):
     classify = forms.classify
 
-    def broken(a):
+    def broken(a, z=None):
         if a.dim == 2:  # j:1, the first row
             raise InternalCheckFailure("planted failure")
         if a.dim == 3:
             raise RuntimeError("planted failure")
-        return classify(a)
+        return classify(a, z)
 
     monkeypatch.setattr(forms, "classify", broken)
     code, doc = run(capsys, *SMALL_SWEEP)

@@ -113,15 +113,17 @@ def test_cocycle_space_z2_is_already_reduced(text, field):
 @pytest.mark.parametrize("field", [Q, Field.gf(5)], ids=str)
 def test_kernel_basis_passes_no_emptied_row_to_sparse_reduce(field, monkeypatch):
     # the singleton presolve of an unbounded kernel_basis (the center's) empties
-    # rows, two of them on gamma:2+h2n:2:1; those are no constraint and must not be reduced
-    seen, reduce = [], linalg.sparse_reduce
+    # rows, two of them on gamma:2+h2n:2:1; those are no constraint and must not be
+    # reduced.  kernel_basis and sparse_reduce both hand their rows to
+    # reduce_ints, which consumes them, so copies are kept
+    seen, reduce = [], linalg.reduce_ints
 
-    def recording(f, rows, pivots=None, rank=None):
+    def recording(work, rows, p=None, rank=None):
         rows = list(rows)
-        seen.extend(rows)
-        return reduce(f, rows, pivots, rank)
+        seen.extend(map(dict, rows))
+        return reduce(work, rows, p, rank)
 
-    monkeypatch.setattr(linalg, "sparse_reduce", recording)
+    monkeypatch.setattr(linalg, "reduce_ints", recording)
     for text in ("gamma:5", "gamma:2+h2n:2:1"):
         a = make_from_text(text, field)
         seen.clear()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial import algebra
+from extraspecial import algebra, forms
 from extraspecial.algebra import Algebra, center
 from extraspecial.catalog import (
     BlockDescriptor,
@@ -110,6 +110,27 @@ def test_classify_solves_the_center_once(monkeypatch):
     with pytest.raises(NotExtraSpecial, match="forms are defined for extra special algebras"):
         classify(Algebra.zero(Q, 2))
     assert len(calls) == 1
+
+
+def test_a_sweep_row_solves_the_center_once(monkeypatch):
+    # _sweep_row hands the center it solves to Z* and to classify
+    from extraspecial import cli, cohomology
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return center(a)
+
+    for module in (algebra, cli, cohomology):
+        monkeypatch.setattr(module, "center", counted)
+    for name, field in [("j:3+h2:2", Q), ("gamma:3+j:1", GF5), ("h2n:2:3", GF7), ("j:1", Q)]:
+        parts = [parse_descriptor(p, field) for p in name.split("+")]
+        a = make_from_text(name, field)
+        calls.clear()
+        row = cli._sweep_row(name, a, parts[0] if len(parts) == 1 else None, field)
+        assert row.ok and row.detail["classify_ok"]
+        assert len(calls) == 1
 
 
 def test_form_has_no_degenerate_index():
@@ -415,6 +436,62 @@ def test_classify_agrees_with_cosquare_oracle(field, shape):
     for _ in range(2):
         a2 = algebra_from_form(scrambled(rng, m))
         assert cosquare_blocks(a2) == classify(a2) == expected
+
+
+def fractional_scramble(rng, m):
+    """P^T M P for a seeded invertible P with entries in {a/b : |a| <= 4, 1 <= b <= 3}."""
+    n = m.nrows
+    while True:
+        p = Matrix(Q, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        try:
+            p.inverse()
+            return p.transpose().matmul(m).matmul(p)
+        except Singular:
+            continue
+
+
+# forms of dims 6-10 whose pencils have Jordan chains longer than one step
+INT_ROUTE_SHAPES = [
+    (Q, "h2n:3:-1"),
+    (Q, "gamma:3+h2n:2:5"),
+    (Q, "j:1+gamma:4+h2:2"),
+    (Q, "gamma:2+gamma:2+h2n:2:3"),
+    (Q, "gamma:2+h2n:4:2"),
+    (Q, "j:1+gamma:5+h2n:2:-2"),
+    (GF3, "gamma:4+h2n:2:1"),
+    (GF3, "j:1+gamma:3+gamma:3"),
+    (GF5, "gamma:5+h2n:2:2"),
+    (GF5, "j:1+h2n:3:-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,shape", INT_ROUTE_SHAPES, ids=lambda x: str(x) if isinstance(x, Field) else x
+)
+def test_classify_on_the_int_form_agrees_with_cosquare_oracle(field, shape, monkeypatch):
+    # over Q the scrambles have non-integral entries, and the elimination of
+    # some P(t0) must meet a pivot lead other than 1, which the int route
+    # scales by; over GF(3) and GF(5), p <= dim
+    leads = set()
+    reduce = forms.reduce_ints
+
+    def recording(work, rows, p=None, rank=None):
+        touched = reduce(work, rows, p, rank)
+        leads.update(row[c] for c, row in touched.items())
+        return touched
+
+    monkeypatch.setattr(forms, "reduce_ints", recording)
+    a = make_from_text(shape, field)
+    expected = BlockDecomposition(field, [parse_descriptor(p, field) for p in shape.split("+")])
+    rng = random.Random(f"int route {field} {shape}")
+    m = form_of(a).m
+    assert 6 <= m.nrows <= 10
+    for _ in range(2):
+        g = fractional_scramble(rng, m) if field == Q else scrambled(rng, m)
+        assert field != Q or any(x.denominator > 1 for row in g.rows for x in row)
+        a2 = algebra_from_form(g)
+        assert classify(a2) == cosquare_blocks(a2) == expected
+    assert (field == Q) == any(lead != 1 for lead in leads)
 
 
 # every element of GF(3) (and infinity) is an eigenvalue of the first pencil,

@@ -19,6 +19,7 @@ from extraspecial.linalg import (
 )
 from extraspecial.scalars import Field, Fp
 from oracle_pencil import oracle_pencil_minor
+from oracle_roots import oracle_roots_in_field
 
 Q = Field.rationals()
 GF7 = Field.gf(7)
@@ -637,7 +638,48 @@ def test_rational_roots_agree_with_brute_force():
         roots, rest = roots_in_field(Q, poly)
         expected = _brute_rational_roots([int(c) for c in poly])
         assert dict(roots) == expected
-        assert len(rest) - 1 == len(poly) - 1 - sum(expected.values())
+        assert _times_roots(Q, rest, roots) == poly
+
+
+def _times_roots(field, rest, roots):
+    """The cofactor `rest` times the product of (t - r)^m over the roots."""
+    for r, m in roots:
+        for _ in range(m):
+            rest = poly_mul(field, rest, [-r, field.one])
+    return rest
+
+
+def _random_root(rng, field):
+    """A seeded scalar: a residue, or over Q a fraction whose parts reach 20 digits."""
+    if field.p:
+        return field.coerce(rng.randrange(field.p))
+    top = rng.choice([10, 10**6, 10**20])
+    return Fraction(rng.randint(-top, top), rng.randint(1, rng.choice([1, 7, 10**6, 10**20])))
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(5), Field.gf(101), Field.gf(2**61 - 1)], ids=str)
+def test_root_cofactor_is_exact(field):
+    # poly = rest * prod (t - r)^m exactly, and the int route agrees with the
+    # scalar Horner check and synthetic division it replaced
+    rng = random.Random(f"cofactor {field}")
+    for case in range(40):
+        # a scalar content, possibly with a large denominator, times linear
+        # factors (some repeated, 0 among them) and factors t^2 + c, rootless over Q
+        poly = [_random_root(rng, field) or field.one]
+        roots = [_random_root(rng, field) for _ in range(rng.randint(0, 5))]
+        roots += [field.zero] * (case % 3 == 0) + roots[:rng.randint(0, 2)]
+        for r in roots:
+            poly = poly_mul(field, poly, [-r, field.one])
+        for _ in range(rng.randint(0, 2)):
+            poly = poly_mul(field, poly, [field.coerce(rng.randint(1, 9)), field.zero, field.one])
+        found, rest = roots_in_field(field, poly)
+        assert _times_roots(field, rest, found) == poly
+        assert (found, rest) == oracle_roots_in_field(field, poly)
+        assert all(type(x) is type(field.one) for r, _ in found for x in (r, *rest))
+        if not field.p:
+            assert sum(m for _, m in found) == len(roots)
+    for poly in ([], [field.coerce(2)]):
+        assert roots_in_field(field, poly) == oracle_roots_in_field(field, poly) == ([], poly)
 
 
 def test_pencil_minor_reads_rank_and_a_nonzero_minor():
