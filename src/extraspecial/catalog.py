@@ -1,10 +1,11 @@
 """Constructors for the canonical extra special families and central sums.
 
 Five families generate everything: the one-generator square J1, the chain
-algebras Jn, the alternating-sign algebras Gamma_n, and the two lambda
-families H2(lambda) and H2n(lambda).  Every extra special algebra is a
-central sum of these blocks, which is exactly what the classification in
-`forms` recovers.
+algebras Jn, the alternating-sign algebras Gamma_n, and the lambda family
+H2n(lambda), whose n = 1 member is H2(lambda).  Every extra special algebra
+is a central sum of these blocks, which is exactly what the classification
+in `forms` recovers.  Each family and each sum writes only its bilinear
+form (x_i x_j = M_ij z), and `form_algebra` builds the algebra from it.
 
 Block descriptors carry a compact text syntax used by the CLI and by
 serialized decompositions: `j:4`, `gamma:3`, `h2:3/2`, `h2n:2:5`, and sums
@@ -24,9 +25,9 @@ from .scalars import Field
 class BlockDescriptor(namedtuple("BlockDescriptor", "kind n lam", defaults=(None,))):
     """One canonical block: kind "j", "gamma", or "h" with parameters.
 
-    For H blocks, `n` follows the convention of the family name: n = 1 is
-    the 3-dimensional algebra H2(lambda), n >= 2 the (2n+1)-dimensional
-    H2n(lambda).  `lam` is the scalar of an H block, None for the others.
+    For H blocks, `n` follows the convention of the family name: the
+    algebra H2n(lambda) has dimension 2n + 1, and n = 1 is H2(lambda).
+    `lam` is the scalar of an H block, None for the others.
     """
 
     __slots__ = ()
@@ -61,7 +62,7 @@ class BlockDescriptor(namedtuple("BlockDescriptor", "kind n lam", defaults=(None
     def algebra_dim(self) -> int:
         if self.kind in ("j", "gamma"):
             return self.n + 1
-        return 3 if self.n == 1 else 2 * self.n + 1
+        return 2 * self.n + 1
 
     def text(self, field: Field) -> str:
         if self.kind == "j":
@@ -99,70 +100,42 @@ def normalize_descriptor(field: Field, d: BlockDescriptor) -> BlockDescriptor:
     return BlockDescriptor("h", d.n, normalize_lambda(field, d.lam))
 
 
-def make_canonical(d: BlockDescriptor, field: Field) -> Algebra:
-    """Build the canonical algebra of a block descriptor.
+def form_algebra(field: Field, form: dict, names) -> Algebra:
+    """The algebra on `names` plus a final central z, with x_i x_j = form[(i, j)] z.
 
-    The result has basis x1..xm plus a final central z, and exactly the
-    defining nonzero products of its family.
+    `form` is a sparse bilinear form {(i, j): scalar} on the x's.
     """
+    z = len(names)
+    return Algebra(field, z + 1, {ij: {z: x} for ij, x in form.items()}, [*names, "z"])
+
+
+def make_canonical(d: BlockDescriptor, field: Field) -> Algebra:
+    """Build the canonical algebra of a block descriptor, x1..xm and z, from its family's form."""
     d.validate(field)
-    one = field.one
+    n, one = d.n, field.one
     if d.kind == "j":
-        n = d.n
-        dim = n + 1
-        z = dim - 1
-        products = {}
-        if n == 1:
-            products[(0, 0)] = {z: one}
-        else:
-            for i in range(n - 1):
-                products[(i, i + 1)] = {z: one}
-        names = [f"x{i + 1}" for i in range(n)] + ["z"]
-        return Algebra(field, dim, products, names)
-    if d.kind == "gamma":
-        n = d.n
-        dim = n + 1
-        z = dim - 1
-        products = {}
+        form = {(0, 0): one} if n == 1 else {(i, i + 1): one for i in range(n - 1)}
+    elif d.kind == "gamma":
         # antidiagonal x_i x_{n-i+1} and superantidiagonal x_i x_{n-i+2},
         # both with sign (-1)^(n-i); 1-based indices i
-        for i in range(1, n + 1):
-            sign = _sign_element(field, n - i)
-            products[(i - 1, n - i)] = {z: sign}
-        for i in range(2, n + 1):
-            sign = _sign_element(field, n - i)
-            products[(i - 1, n + 1 - i)] = {z: sign}
-        names = [f"x{i + 1}" for i in range(n)] + ["z"]
-        return Algebra(field, dim, products, names)
-    # H blocks
-    lam = field.coerce(d.lam)
-    if d.n == 1:
-        dim = 3
-        products = {
-            (0, 1): {2: one},
-            (1, 0): {2: lam},
-        }
-        return Algebra(field, dim, products, ["x1", "x2", "z"])
-    n = d.n
-    dim = 2 * n + 1
-    z = dim - 1
-    products = {}
-    for i in range(n):
-        products[(i, n + i)] = {z: one}
-        products[(n + i, i)] = {z: lam}
-    for i in range(n - 1):
-        products[(n + i, i + 1)] = {z: one}
-    names = [f"x{i + 1}" for i in range(2 * n)] + ["z"]
-    return Algebra(field, dim, products, names)
+        form = {(i - 1, n - i): _sign_element(field, n - i) for i in range(1, n + 1)}
+        form |= {(i - 1, n + 1 - i): _sign_element(field, n - i) for i in range(2, n + 1)}
+    else:
+        # [[0, I_n], [J_n(lambda), 0]]
+        lam = field.coerce(d.lam)
+        form = {(i, n + i): one for i in range(n)}
+        form |= {(n + i, i): lam for i in range(n)}
+        form |= {(n + i, i + 1): one for i in range(n - 1)}
+    return form_algebra(field, form, [f"x{i + 1}" for i in range(d.algebra_dim - 1)])
 
 
 def central_sum(a: Algebra, b: Algebra) -> Algebra:
     """Glue two extra special algebras along their centers.
 
     Both inputs must be extra special with their center spanned by the last
-    basis vector (the layout every constructor here produces).  The sum has
-    the non-central bases side by side, one shared z, and zero cross
-    products.
+    basis vector (the layout every constructor here produces).  The sum is
+    the block sum of their forms: the non-central bases side by side, one
+    shared z, and zero cross products.
     """
     a.same_field(b)
     for alg in (a, b):
@@ -175,21 +148,12 @@ def central_sum(a: Algebra, b: Algebra) -> Algebra:
             raise NotExtraSpecial(
                 "central_sum expects the center spanned by the last basis vector"
             )
-    na, nb = a.dim - 1, b.dim - 1
-    z = na + nb
-    products = {}
-    for alg, offset in ((a, 0), (b, na)):
-        last = alg.dim - 1
+    form = {}
+    for alg, offset in ((a, 0), (b, a.dim - 1)):
         for i, j, row in alg.nonzero_products():
-            products[(offset + i, offset + j)] = {
-                z if k == last else offset + k: x for k, x in row.items()
-            }
-    names = (
-        [f"a_{n}" for n in a.basis_names[:na]]
-        + [f"b_{n}" for n in b.basis_names[:nb]]
-        + ["z"]
-    )
-    return Algebra(a.field, z + 1, products, names)
+            form[(offset + i, offset + j)] = row[alg.dim - 1]
+    names = [f"a_{n}" for n in a.basis_names[:-1]] + [f"b_{n}" for n in b.basis_names[:-1]]
+    return form_algebra(a.field, form, names)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from collections import namedtuple
 from math import lcm
 
 from .algebra import Algebra, extra_special_center
-from .catalog import BlockDescriptor, normalize_descriptor
+from .catalog import BlockDescriptor, form_algebra, normalize_descriptor
 from .errors import (
     DegenerateVector,
     DoesNotSplit,
@@ -134,15 +134,12 @@ def form_of(a: Algebra, z=None) -> BilinearForm:
     return BilinearForm(matrix)
 
 
-def algebra_from_form(m: Matrix, basis_names=None) -> Algebra:
-    """Algebra on n+1 coordinates with x_i x_j = M[i][j] z (z last)."""
-    n = m.nrows
+def algebra_from_form(m: Matrix) -> Algebra:
+    """Algebra on n+1 coordinates with x_i x_j = M[i][j] z (z last), by `catalog.form_algebra`."""
     if not m.is_square:
         raise ValueError("a bilinear form matrix must be square")
-    products = {(i, j): {n: x} for i, row in enumerate(m.rows) for j, x in enumerate(row) if x}
-    if basis_names is None:
-        basis_names = [f"x{i + 1}" for i in range(n)] + ["z"]
-    return Algebra(m.field, n + 1, products, basis_names)
+    form = {(i, j): x for i, row in enumerate(m.rows) for j, x in enumerate(row) if x}
+    return form_algebra(m.field, form, [f"x{i + 1}" for i in range(m.nrows)])
 
 
 def cosquare(f: BilinearForm) -> Matrix:

@@ -47,30 +47,25 @@ from .scalars import Field, Fp, _is_prime
 # ---------------------------------------------------------------------------
 
 
-def sparse_reduce(field: Field, rows, pivots=None, rank=None) -> dict:
+def sparse_reduce(field: Field, rows) -> dict:
     """Fully reduce sparse rows; returns {pivot column: reduced row dict}.
 
     Rows are dicts mapping column index to a scalar; zeros are dropped.
     Every returned pivot row is normalized (pivot entry 1) and carries no
     support on any other pivot column, so the collection is a reduced
     echelon basis of the row space.  That invariant is what makes kernel
-    extraction a plain read.  `pivots`, the result of an earlier call, is
-    extended in place.  The rows are read once as ints (`_int_row`) and
-    reduced by `reduce_ints`; rows it made or changed go back, x under lead
-    l as `Fp(x, p)` or `Fraction(x, l)`.  Given `rank`, a bound on the rank,
-    it stops there.
+    extraction a plain read.  The rows are read once as ints (`_int_row`)
+    and reduced by `reduce_ints`; each row goes back, x under lead l as
+    `Fp(x, p)` or `Fraction(x, l)`.
     """
-    pivots = {} if pivots is None else pivots
     p = field.p
-    work = {pc: _int_row(r, p) for pc, r in pivots.items()}
-    touched = reduce_ints(work, (_int_row(r, p) for r in rows), p, rank)
+    pivots = reduce_ints({}, (_int_row(r, p) for r in rows), p)
     one = field.one
-    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, touched.values()))} if p else {}
-    for pc, row in touched.items():
+    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, pivots.values()))} if p else {}
+    for pc, row in pivots.items():
         lead = row[pc]
         for c, x in row.items():
             row[c] = one if c == pc else fp[x] if p else Fraction(x, lead)
-    pivots.update(touched)
     return pivots
 
 

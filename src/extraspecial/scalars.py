@@ -177,7 +177,8 @@ class Field:
         if self.kind == "Q":
             if isinstance(x, Fp):
                 raise FieldMismatch("cannot coerce a GF(p) element into the rationals")
-            return Fraction(x)
+            # a Fraction is immutable: kept as is, like an Fp of this field below
+            return x if type(x) is Fraction else Fraction(x)
         if isinstance(x, Fp):
             if x.p != self.p:
                 raise FieldMismatch(f"element of GF({x.p}) used in GF({self.p})")

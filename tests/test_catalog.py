@@ -126,6 +126,87 @@ def test_catalog_over_prime_field():
     assert a.field == GF7
 
 
+# -- every family against the paper's blocks ---------------------------------------
+#
+# The canonical matrices of the congruence blocks, written densely and
+# independently of `catalog`: the algebra of a form M has x_i x_j = M_ij z.
+
+FIELDS = [Q, Field.gf(3), Field.gf(5), GF7]  # p <= dim occurs up to n = 8
+
+
+def j_matrix(n):
+    """J1 = [1]; J_n with ones on the superdiagonal."""
+    if n == 1:
+        return [[1]]
+    return [[int(j == i + 1) for j in range(n)] for i in range(n)]
+
+
+def gamma_matrix(n):
+    """Gamma_n: entries (i, n+1-i) and (i, n+2-i), 1-based, both signed (-1)^(n-i)."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in (n + 1 - i, n + 2 - i):
+            if j <= n:
+                m[i - 1][j - 1] = (-1) ** (n - i)
+    return m
+
+
+def h_matrix(n, lam):
+    """H_2n(lambda) = [[0, I_n], [J_n(lambda), 0]], J_n(lambda) the upper Jordan block."""
+    top = [[0] * n + [int(j == i) for j in range(n)] for i in range(n)]
+    bottom = [[lam if j == i else int(j == i + 1) for j in range(n)] + [0] * n for i in range(n)]
+    return top + bottom
+
+
+def block_sum(*matrices):
+    size = sum(map(len, matrices))
+    out, at = [[0] * size for _ in range(size)], 0
+    for m in matrices:
+        for i, row in enumerate(m):
+            out[at + i][at : at + len(row)] = row
+        at += len(m)
+    return out
+
+
+def assert_algebra_of_form(a, field, m, names):
+    """`a` is x_i x_j = m[i][j] z on `names` plus a final z, and nothing else."""
+    z = len(m)
+    assert a.field == field and a.dim == z + 1
+    assert a.basis_names == (*names, "z")
+    expected = {
+        (i, j): {z: field.coerce(x)}
+        for i, row in enumerate(m) for j, x in enumerate(row) if field.coerce(x)
+    }
+    assert {(i, j): row for i, j, row in a.nonzero_products()} == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_every_family_is_its_canonical_form(field):
+    for n in range(1, 9):
+        names = [f"x{i + 1}" for i in range(n)]
+        assert_algebra_of_form(make_canonical(BlockDescriptor("j", n), field), field, j_matrix(n), names)
+        if n >= 2:
+            a = make_canonical(BlockDescriptor("gamma", n), field)
+            assert_algebra_of_form(a, field, gamma_matrix(n), names)
+        for lam in (2, 3, -1):
+            d = BlockDescriptor("h", n, lam)
+            value = field.coerce(lam)
+            if not value or value == field.coerce((-1) ** (n + 1)):
+                with pytest.raises(InvalidDescriptor):
+                    make_canonical(d, field)
+                continue
+            assert d.algebra_dim == 2 * n + 1
+            a = make_canonical(d, field)
+            assert_algebra_of_form(a, field, h_matrix(n, lam), [f"x{i + 1}" for i in range(2 * n)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_three_part_sum_is_the_block_sum_of_the_forms(field):
+    s = make_from_text("j:2+gamma:3+h2n:2:-2", field)
+    names = ["a_a_x1", "a_a_x2", "a_b_x1", "a_b_x2", "a_b_x3", "b_x1", "b_x2", "b_x3", "b_x4"]
+    assert_algebra_of_form(s, field, block_sum(j_matrix(2), gamma_matrix(3), h_matrix(2, -2)), names)
+
+
 # -- central sums -----------------------------------------------------------------
 
 

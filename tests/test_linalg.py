@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -14,6 +14,7 @@ from extraspecial.linalg import (
     pencil_minor,
     poly_divmod,
     poly_mul,
+    reduce_ints,
     roots_in_field,
     sparse_reduce,
 )
@@ -320,6 +321,22 @@ def _random_sparse_rows(rng, field, ncols):
     return rows
 
 
+def _ints(field, row):
+    """A scalar row as `reduce_ints` takes it: residues, or over Q times the lcm of its denominators."""
+    if field.p:
+        return {c: x.value for c, x in row.items() if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+
+
+def _scalars(field, store):
+    """An int echelon store of `reduce_ints` as field scalars, each row divided by its lead."""
+    return {
+        pc: {c: field.coerce(x) / field.coerce(row[pc]) for c, x in row.items()}
+        for pc, row in store.items()
+    }
+
+
 def _assert_field_scalars(field, pivots):
     """Every entry is a scalar of `field`.
 
@@ -349,13 +366,12 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
         assert reduced == expected, seed
         _assert_field_scalars(field, reduced)
         assert rows == snapshot, "input rows were mutated"
-        # three chunks through pivots=, extended in place
+        # three chunks through reduce_ints, one int store extended in place
         cuts = sorted(rng.randint(0, len(rows)) for _ in range(2))
-        pivots = {}
+        store = {}
         for chunk in (rows[: cuts[0]], rows[cuts[0] : cuts[1]], rows[cuts[1] :]):
-            assert sparse_reduce(field, chunk, pivots) is pivots
-        assert pivots == expected, seed
-        _assert_field_scalars(field, pivots)
+            reduce_ints(store, [_ints(field, row) for row in chunk], field.p)
+        assert _scalars(field, store) == expected, seed
         # Subspace.contains runs the pivot sweep on field scalars: a vector is
         # inside exactly when it leaves the rank unchanged
         sub = Subspace(field, ncols, rows)
@@ -432,20 +448,19 @@ def test_sparse_reduce_over_q_with_large_denominators():
         assert reduced == expected, seed
         _assert_field_scalars(Q, reduced)
         assert rows == snapshot, "input rows were mutated"
-        # `pivots=` carried in: a dense rref with non-integral entries, extended in place
+        # an int store carried into reduce_ints: a dense rref with non-integral
+        # entries, cleared of denominators and extended in place
         cut = rng.randint(0, len(rows))
-        carried = _dense_rref(Q, ncols, rows[:cut])
-        assert sparse_reduce(Q, rows[cut:], carried) is carried
-        assert carried == expected, seed
-        _assert_field_scalars(Q, carried)
+        carried = {pc: _ints(Q, row) for pc, row in _dense_rref(Q, ncols, rows[:cut]).items()}
+        reduce_ints(carried, [_ints(Q, row) for row in rows[cut:]])
+        assert _scalars(Q, carried) == expected, seed
         assert rows == snapshot
-        # a rank= stop holds the reduced basis of the rows read so far
+        # a rank= stop of reduce_ints holds the reduced basis of the rows read so far
         bound = rng.randint(1, max(1, len(expected)))
-        consumed = []
-        partial = sparse_reduce(Q, (consumed.append(row) or row for row in rows), rank=bound)
+        consumed, partial = [], {}
+        reduce_ints(partial, (consumed.append(row) or _ints(Q, row) for row in rows), rank=bound)
         assert len(partial) == min(bound, len(expected))
-        assert partial == _dense_rref(Q, ncols, consumed), seed
-        _assert_field_scalars(Q, partial)
+        assert _scalars(Q, partial) == _dense_rref(Q, ncols, consumed), seed
         stopped += len(consumed) < len(rows)
     assert negative_leads >= 30 and contents >= 10 and stopped >= 10
 

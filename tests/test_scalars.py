@@ -90,6 +90,8 @@ def test_rationals_always_in_lowest_terms():
     assert (y.numerator, y.denominator) == (-3, 2)
     # normalization is idempotent by construction
     assert Q.coerce(y) == y
+    # a Fraction comes back as it is, as an Fp of its own field does
+    assert Q.coerce(y) is y and GF5.coerce(GF5.one) is GF5.one
 
 
 def test_parse_format_round_trip():
