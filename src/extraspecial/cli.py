@@ -25,7 +25,7 @@ from collections import namedtuple
 from .algebra import Algebra, IdentityKind, center, derived_ideal, extra_special_center, identity_violation
 from .cohomology import VALIDATED_LEIBNIZ, associative_cocycle_space, cocycle_z_star, cover, multiplier_dim
 from .cohomology import is_capable, is_unicentral, z_star
-from .errors import InputError, InternalCheckFailure, ParseError, Unsupported
+from .errors import InputError, InternalCheckFailure, InvalidDescriptor, ParseError, Unsupported
 from .scalars import Field
 from .serialize import algebra_to_doc, parse_algebra
 
@@ -71,98 +71,76 @@ class SweepRow(namedtuple("SweepRow", "name dim ok detail raised", defaults=(Non
     __slots__ = ()
 
 
-def _sweep_members(field: Field, max_n: int, lambdas):
-    from .catalog import BlockDescriptor
+def _leibniz_expected(parts, field: Field, dim: int) -> int:
+    """The paper's Leibniz multiplier: (dim - 1)^2 - 1, except 1 at J1, 4 at J2 and 5 at H2(-1)."""
+    from .catalog import BlockDescriptor as D
 
-    members = [(BlockDescriptor("j", 1), "j:1")]
-    for n in range(2, max_n + 1):
-        members.append((BlockDescriptor("j", n), f"j:{n}"))
-    for n in range(2, max_n + 1):
-        members.append((BlockDescriptor("gamma", n), f"gamma:{n}"))
-    one = field.one
-    # lambdas naming the same field element (2, -1 and 5 over GF(3)) give one row
-    lambdas = list(dict.fromkeys(map(field.coerce, lambdas)))
-    for lam in lambdas:
-        if lam and lam != one:
-            members.append((BlockDescriptor("h", 1, lam), f"h2:{field.format(lam)}"))
-    for n in range(2, max_n // 2 + 1):
-        bad = one if (n + 1) % 2 == 0 else -one
-        for lam in lambdas:
-            if lam and lam != bad:
-                members.append(
-                    (BlockDescriptor("h", n, lam), f"h2n:{n}:{field.format(lam)}")
-                )
-    return members
-
-
-def _leibniz_expected(d, field: Field, dim: int) -> int:
-    base = (dim - 1) ** 2 - 1
-    if d is None:
-        return base
-    if d.kind == "j" and d.n == 1:
-        return 1
-    if d.kind == "j" and d.n == 2:
-        return 4
-    if d.kind == "h" and d.n == 1 and field.coerce(d.lam) == -field.one:
-        return 5
-    return base
+    exceptions = {(D("j", 1),): 1, (D("j", 2),): 4, (D("h", 1, -field.one),): 5}
+    return exceptions.get(parts, (dim - 1) ** 2 - 1)
 
 
 def verify_theorems(max_n: int, lambdas, field: Field | None = None, pair_dim_cap: int = 11):
     """Check multiplier dimensions, capability, and classification round trips.
 
-    Runs every catalog member with index up to `max_n` (H2n families up to
-    max_n // 2, so dimensions stay comparable) plus every pairwise central
-    sum of total dimension at most `pair_dim_cap`.  Returns a list of
-    `SweepRow`; a row fails when any of its checked quantities disagrees
-    with the predicted value, and errors are reported per row instead of
-    aborting the sweep.
+    Rows run in this order: j:n, then gamma:n, for n = 1..max_n; then
+    H2n(lambda) for n = 1..max_n // 2 (so dimensions stay comparable), each
+    n over the distinct lambdas in their order; a member the catalog refuses
+    (gamma:1, or a lambda its family excludes) has no row.  Then the central
+    sums of two members, pairs in member order, of total dimension at most
+    `pair_dim_cap`.  Returns a list of `SweepRow`; a row fails when any of
+    its checked quantities disagrees with the predicted value, and errors
+    are reported per row instead of aborting the sweep.
     """
-    from .catalog import central_sum, make_canonical
+    from .catalog import BlockDescriptor, central_sum, make_canonical
 
     if max_n < 2:
         raise InputError("verify-theorems needs max_n >= 2")
     field = field or Field.rationals()
-    members = _sweep_members(field, max_n, lambdas)
-    singles = [(name, make_canonical(d, field), d) for d, name in members]
-    instances = list(singles)
-    for i, (n1, a, d1) in enumerate(singles):
-        for n2, b, d2 in singles[i:]:
-            if d1.algebra_dim + d2.algebra_dim - 1 <= pair_dim_cap:
-                instances.append((f"{n1}+{n2}", central_sum(a, b), None))
-    rows = []
-    for name, alg, descriptor in instances:
+    # lambdas naming the same field element (2, -1 and 5 over GF(3)) give one row
+    lambdas = list(dict.fromkeys(map(field.coerce, lambdas)))
+    candidates = [BlockDescriptor(kind, n) for kind in ("j", "gamma") for n in range(1, max_n + 1)]
+    candidates += [BlockDescriptor("h", n, lam) for n in range(1, max_n // 2 + 1) for lam in lambdas]
+    singles = []
+    for d in candidates:
         try:
-            rows.append(_sweep_row(name, alg, descriptor, field))
+            singles.append(((d,), make_canonical(d, field)))
+        except InvalidDescriptor:
+            pass
+    instances = list(singles)
+    for i, ((d1,), a) in enumerate(singles):
+        for (d2,), b in singles[i:]:
+            if a.dim + b.dim - 1 <= pair_dim_cap:
+                instances.append(((d1, d2), central_sum(a, b)))
+    rows = []
+    for parts, alg in instances:
+        name = "+".join(d.text(field) for d in parts)
+        try:
+            rows.append(_sweep_row(name, alg, parts, field))
         except Exception as exc:  # row-level containment, never abort the sweep
             rows.append(SweepRow(name, alg.dim, False, {"error": f"{type(exc).__name__}: {exc}"}, exc))
     return rows
 
 
-def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
-    from .catalog import parse_descriptor
+def _sweep_row(name: str, alg: Algebra, parts, field: Field) -> SweepRow:
+    """The row of `alg`, the central sum of the block descriptors in the tuple `parts`."""
+    from .catalog import BlockDescriptor
     from .forms import BlockDecomposition, classify
 
     dim = alg.dim
-    is_j1 = descriptor is not None and descriptor.kind == "j" and descriptor.n == 1
+    is_j1 = parts == (BlockDescriptor("j", 1),)
     predicted = 1 if is_j1 else (dim - 1) ** 2 - 1
     # one assoc cocycle space per row: it holds the assoc multiplier and Z*,
     # from which capability and unicentrality are both read
     cs = associative_cocycle_space(alg)
     m_assoc = cs.h2_dim
     m_leib = multiplier_dim(alg, VALIDATED_LEIBNIZ)
-    leib_predicted = _leibniz_expected(descriptor, field, dim)
+    leib_predicted = _leibniz_expected(parts, field, dim)
     z = center(alg)
     zs = cocycle_z_star(alg, cs, z)
     capable = zs.dim == 0
     unicentral = zs == z
     decomposition = classify(alg, z)
-    if descriptor is not None:
-        classify_ok = decomposition == BlockDecomposition(field, [descriptor])
-    else:
-        # sums: the decomposition must be the multiset union of the part names
-        parts = [parse_descriptor(p, field) for p in name.split("+")]
-        classify_ok = decomposition == BlockDecomposition(field, parts)
+    classify_ok = decomposition == BlockDecomposition(field, parts)
     ok = (
         m_assoc == predicted
         and m_leib == leib_predicted
@@ -170,21 +148,16 @@ def _sweep_row(name: str, alg: Algebra, descriptor, field: Field) -> SweepRow:
         and unicentral == (not is_j1)
         and classify_ok
     )
-    return SweepRow(
-        name,
-        dim,
-        ok,
-        {
-            "multiplier_assoc": m_assoc,
-            "predicted": predicted,
-            "multiplier_leibniz": m_leib,
-            "predicted_leibniz": leib_predicted,
-            "capable": capable,
-            "unicentral": unicentral,
-            "classify": decomposition.text(),
-            "classify_ok": classify_ok,
-        },
-    )
+    return SweepRow(name, dim, ok, {
+        "multiplier_assoc": m_assoc,
+        "predicted": predicted,
+        "multiplier_leibniz": m_leib,
+        "predicted_leibniz": leib_predicted,
+        "capable": capable,
+        "unicentral": unicentral,
+        "classify": decomposition.text(),
+        "classify_ok": classify_ok,
+    })
 
 
 # ---------------------------------------------------------------------------

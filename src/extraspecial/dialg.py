@@ -15,7 +15,7 @@ the induced bracket are implemented.
 from __future__ import annotations
 
 from .algebra import IDENTITY_TERMS, Algebra, IdentityKind, check_identity, first_violation, outer_index
-from .errors import DimensionMismatch, NotAssociative, NotDiassociative
+from .errors import NotAssociative, NotDiassociative
 from .scalars import Field
 
 

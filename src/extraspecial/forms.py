@@ -130,8 +130,7 @@ def form_of(a: Algebra, z=None) -> BilinearForm:
         if not coef or row != {k: coef * x for k, x in zrow.items()}:
             raise InternalCheckFailure("a product escapes the center line")
         rows[position[i]][position[j]] = coef
-    matrix = Matrix(a.field, rows) if rows else Matrix.zeros(a.field, 0, 0)
-    return BilinearForm(matrix)
+    return BilinearForm(Matrix(a.field, rows))
 
 
 def algebra_from_form(m: Matrix) -> Algebra:
@@ -292,6 +291,7 @@ def _pair_cosquare_blocks(field: Field, blocks) -> list[BlockDescriptor]:
     A block of size s at eigenvalue (-1)^(s+1) stands alone (Gamma_s, or J1
     when s = 1); any other pairs with a block of its size at 1/mu (a second
     copy if mu = 1/mu) into H_2s(mu), or raises `UnpairedEigenvalue`.
+    Taken least first, mu already is the normalized lambda of {mu, 1/mu}.
     """
     blocks = sorted(blocks, key=lambda b: (b[1], scalar_sort_key(b[0])))
     descriptors = []
@@ -305,7 +305,7 @@ def _pair_cosquare_blocks(field: Field, blocks) -> list[BlockDescriptor]:
             raise UnpairedEigenvalue(f"cosquare block of size {size} at {mu} has no partner")
         blocks.remove(partner)
         descriptors.append(BlockDescriptor("h", size, mu))
-    return [normalize_descriptor(field, d) for d in descriptors]
+    return descriptors
 
 
 def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]:

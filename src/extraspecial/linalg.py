@@ -26,9 +26,10 @@ squaring mod f, split by seeded Cantor-Zassenhaus; over Q, the roots of
 the square-free part modulo a small prime that keeps it square-free,
 Hensel-lifted and reconstructed; each candidate u/v is then checked
 exactly by dividing out v t - u.  That work runs on integer coefficient
-lists.  `pencil_minor` packs each pencil entry a + tb into the integer
-a + b 2^s (Kronecker substitution, ibid. 8.4) and runs Bareiss's
-fraction-free elimination on those ints, over Q and GF(p) alike.
+lists.  `pencil_minor` takes the pencil as int rows, packs each entry
+a + tb into the integer a + b 2^s (Kronecker substitution, ibid. 8.4) and
+runs Bareiss's fraction-free elimination on those ints, over Q and GF(p)
+alike.
 """
 
 from __future__ import annotations
@@ -755,30 +756,31 @@ def _derivative(f) -> list:
 def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     """Normal rank r of the square pencil A + tB and one nonzero r x r minor.
 
-    The sparse rows of A and B, of scalars or ints, are lifted to integers:
-    over Q each row times the lcm of its denominators, over GF(p) as
-    symmetric residues.  H, the
-    product over rows of max(1, sum of |a_ij| + |b_ij|), bounds every
-    coefficient of every minor of the lift, so at s = H.bit_length() + 2 the
-    entry a_ij + t b_ij is packed as a_ij + b_ij 2^s (Kronecker substitution)
-    and a minor is read back from its signed base-2^s digits.  Bareiss runs
-    on these ints: t -> 2^s is a ring map Z[t] -> Z, so each division by the
-    previous pivot stays exact.  The pivot is the live entry of lowest degree
-    in t, the lowest row on ties; over GF(p) both are read from the digits
-    mod p, which replays the elimination over GF(p)[t], since a minor of the
-    lift reduces mod p to the same minor.  The last pivot is the minor.
+    The sparse rows of A and B hold ints: over Q the entries of a pencil
+    whose denominators the caller cleared, over GF(p) residues in [0, p),
+    read as symmetric residues.  H, the product over rows of
+    max(1, sum of |a_ij| + |b_ij|), bounds every coefficient of every minor
+    of these ints, so at s = H.bit_length() + 2 the entry a_ij + t b_ij is
+    packed as a_ij + b_ij 2^s (Kronecker substitution) and a minor is read
+    back from its signed base-2^s digits.  Bareiss runs on the packed ints:
+    t -> 2^s is a ring map Z[t] -> Z, so each division by the previous pivot
+    stays exact.  The pivot is the live entry of lowest degree in t, the
+    lowest row on ties; over GF(p) both are read from the digits mod p,
+    which replays the elimination over GF(p)[t], since a minor of the ints
+    reduces mod p to the same minor.  The last pivot is the minor.
     """
     p, lifted, bound = field.p, [], 1
     for a, b in zip(a_rows, b_rows):
-        den = 1 if p else lcm(*(x.denominator for x in (*a.values(), *b.values())))
-        lifted.append({j: (_as_int(a.get(j), den, p), _as_int(b.get(j), den, p)) for j in a.keys() | b.keys()})
-        bound *= max(1, sum(abs(x) + abs(y) for x, y in lifted[-1].values()))
+        if p:  # the symmetric residue is the least int in absolute value
+            a, b = ({j: x - p if 2 * x > p else x for j, x in r.items()} for r in (a, b))
+        lifted.append((a, b))
+        bound *= max(1, sum(map(abs, (*a.values(), *b.values()))))
     s = bound.bit_length() + 2
-    rows = [{j: x + (y << s) for j, (x, y) in row.items() if x or y} for row in lifted]
+    rows = [{j: x for j in a.keys() | b.keys() if (x := a.get(j, 0) + (b.get(j, 0) << s))} for a, b in lifted]
     n, rank, prev = len(rows), 0, 1
     for c in range(n):
         # (1 + degree in t, row) of each entry that is not 0 in the field; a column
-        # with none is skipped, and its entries, still minors of the lift, are not read
+        # with none is skipped, and its entries, still minors of the ints, are not read
         live = [
             (d, i) for i in range(rank, n)
             if (x := rows[i].get(c)) and (d := len(_digits(x, s, p)) if p else abs(x).bit_length() // s + 1)
@@ -799,16 +801,6 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
         prev = pivot
         rank += 1
     return rank, [field.coerce(x) for x in _digits(prev, s, p)]
-
-
-def _as_int(x, den: int, p=None) -> int:
-    """A scalar or int (None read as 0) as an integer: its symmetric residue mod p, or den * x."""
-    if x is None:
-        return 0
-    if p:
-        x = (x.value if isinstance(x, Fp) else x) % p
-        return x - p if 2 * x > p else x
-    return x.numerator * (den // x.denominator)
 
 
 def _digits(x: int, s: int, p=None) -> list:

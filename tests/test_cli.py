@@ -443,3 +443,22 @@ def test_verify_theorems_full_bounds():
     assert len(rows) > 250
     digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
     assert digest == FULL_SWEEP_DIGEST
+
+
+# the same digest for `--max-n 6` over small prime fields, captured from the
+# same known-good build: GF(3) is where 2, -1 and 5 name one element and
+# where h2n:2:2 is excluded
+GF_SWEEP_DIGESTS = {
+    "GF:3": "ccb4234f3edfeaba12b4b0c8a01a8753b105c22515264c3906cc964f055770e4",
+    "GF:5": "f9f9e179effa5ffa8a40457215e3d0204e6fb9771345e1ceab2f14a1ce7ddaa7",
+    "GF:7": "22c27e3a35e4ae5f78551cef83f20297df249d2b3d4e94c0d728289b58bb8839",
+}
+
+
+@pytest.mark.parametrize("field", sorted(GF_SWEEP_DIGESTS))
+def test_verify_theorems_prime_field_payloads(field):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-theorems", "--max-n", "6", "--field", field])
+    digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    assert digest == GF_SWEEP_DIGESTS[field]

@@ -128,7 +128,7 @@ def test_a_sweep_row_solves_the_center_once(monkeypatch):
         parts = [parse_descriptor(p, field) for p in name.split("+")]
         a = make_from_text(name, field)
         calls.clear()
-        row = cli._sweep_row(name, a, parts[0] if len(parts) == 1 else None, field)
+        row = cli._sweep_row(name, a, tuple(parts), field)
         assert row.ok and row.detail["classify_ok"]
         assert len(calls) == 1
 

@@ -19,7 +19,7 @@ from extraspecial.linalg import (
     sparse_reduce,
 )
 from extraspecial.scalars import Field, Fp
-from oracle_pencil import oracle_pencil_minor
+from oracle_pencil import _as_int, oracle_pencil_minor
 from oracle_roots import oracle_roots_in_field
 
 Q = Field.rationals()
@@ -697,16 +697,28 @@ def test_root_cofactor_is_exact(field):
         assert roots_in_field(field, poly) == oracle_roots_in_field(field, poly) == ([], poly)
 
 
+def _int_rows(field, a_rows, b_rows):
+    """A pencil's scalar rows as the int rows `pencil_minor` reads, by the oracle's rule.
+
+    Over GF(p) the residues; over Q row i of A and of B times the lcm of their denominators.
+    """
+    lifted = []
+    for a, b in zip(a_rows, b_rows):
+        den = 1 if field.p else lcm(*(x.denominator for x in (*a.values(), *b.values())))
+        lifted.append([{j: _as_int(x, den) for j, x in row.items()} for row in (a, b)])
+    return [a for a, _ in lifted], [b for _, b in lifted]
+
+
 def test_pencil_minor_reads_rank_and_a_nonzero_minor():
     # J3's pencil M^T + tM has normal rank 2; any 2 x 2 minor is a monomial
     m = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    a_rows = [{j: Fraction(m[j][i]) for j in range(3) if m[j][i]} for i in range(3)]
-    b_rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
+    a_rows, b_rows = _pencil_of(m)
     rank, minor = pencil_minor(Q, a_rows, b_rows)
     assert rank == 2
     assert len(minor) >= 1 and all(not c for c in minor[:-1])
+    assert (rank, minor) == oracle_pencil_minor(Q, a_rows, b_rows)
     # a regular pencil: the minor is the determinant, up to a constant
-    rank, minor = pencil_minor(GF7, [{0: GF7.one}, {1: GF7.one}], [{1: GF7.one}, {0: GF7.one}])
+    rank, minor = pencil_minor(GF7, [{0: 1}, {1: 1}], [{1: 1}, {0: 1}])
     assert rank == 2 and minor == [GF7.one, GF7.zero, GF7.coerce(-1)]
 
 
@@ -774,7 +786,8 @@ def _pencil_cases(field, rng):
 )
 def test_pencil_minor_agrees_with_polynomial_elimination(field):
     rng = random.Random(f"pencil {field}")
-    for a_rows, b_rows in _pencil_cases(field, rng):
+    for case in _pencil_cases(field, rng):
+        a_rows, b_rows = _int_rows(field, *case)
         expected = oracle_pencil_minor(field, a_rows, b_rows)
         assert pencil_minor(field, a_rows, b_rows) == expected
         assert expected[1] and expected[1][-1]

@@ -1,7 +1,10 @@
-"""The package surface: lazy names, what each command loads, the value types."""
+"""The package surface: lazy names, what each command loads, the value types, and a source
+with no unread import and no unreferenced private helper."""
 
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +82,45 @@ def test_each_command_loads_only_the_modules_it_runs(documents, argv, extra):
     assert "dataclasses" not in modules
     ours = {m for m in modules if m == "extraspecial" or m.startswith("extraspecial.")}
     assert ours == {"extraspecial"} | {f"extraspecial.{m}" for m in BASE | extra}
+
+
+# ---------------------------------------------------------------------------
+# the source: no unread import, no unreferenced private helper
+# ---------------------------------------------------------------------------
+
+
+def _modules():
+    """{file name: parsed module} for every module of the package."""
+    package = pathlib.Path(SRC, "extraspecial")
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), path.name) for path in sorted(package.glob("*.py"))}
+
+
+def _references(node) -> set:
+    """The names a piece of code reads, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_imported_name_is_read():
+    for name, tree in _modules().items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in read, f"{name} imports {bound} and never reads it"
+
+
+def test_every_private_function_and_class_is_referenced():
+    statements = [stmt for tree in _modules().values() for stmt in tree.body]
+    references = [_references(stmt) for stmt in statements]
+    for stmt in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_") and stmt.name[-2:] != "__":
+            # read by another top-level statement of the package; its own body does not count
+            assert any(stmt.name in refs for other, refs in zip(statements, references) if other is not stmt), stmt.name
 
 
 # ---------------------------------------------------------------------------
