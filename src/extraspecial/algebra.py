@@ -1,15 +1,15 @@
 """Structure-constant algebras: products, identity checkers, center, derived ideal.
 
 An `Algebra` is a finite-dimensional vector space with a bilinear product
-given by a structure tensor, held sparse: every reader walks the rows
-{k: nonzero scalar} of `nonzero_products()`, which keeps the large central
-extensions built by the cohomology layer cheap to create and scan.  Dense
-vectors appear only at the edges: dense constructor input, `product(i, j)`
-(the dense view, built on demand), `basis_vector` and `multiply`.
+given by a structure tensor, held sparse and once as ints: residues over
+GF(p), over Q numerators over one denominator.  The identity walk, the
+center, the derived ideal, the cocycle rows and the form read those ints;
+scalars are built only at the edges: `nonzero_products()`, `product(i, j)`,
+`structure_constant`, `basis_vector` and `multiply`.
 
 Each defining identity is written once, as the signed terms of
-`IDENTITY_TERMS`, read by the identity walk (on ints: residues over GF(p),
-cleared denominators over Q), the cocycle rows and the dialgebra axioms.
+`IDENTITY_TERMS`, read by the identity walk, the cocycle rows and the
+dialgebra axioms.
 
 The center used throughout is the two-sided annihilator
 {z : za = az = 0 for all a} - not the set of commuting elements.  Every
@@ -38,19 +38,22 @@ class IdentityKind(Enum):
 class Algebra:
     """A finite-dimensional algebra presented by structure constants.
 
-    The structure tensor is held sparse, as {(i, j): {k: nonzero scalar}}
-    with the pairs in (i, j) order and each row in increasing k.
+    The structure tensor is `_table`, {(i, j): {k: nonzero int}} with the
+    pairs in (i, j) order and each row in increasing k, over the int
+    denominator `_den`: the constants are the ints over `_den`.  `_den` is 1
+    over GF(p) and the lcm of the constants' denominators over Q, so the
+    table is canonical.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "_products")
+    __slots__ = ("field", "dim", "basis_names", "_table", "_den")
 
     def __init__(self, field: Field, dim: int, products, basis_names=None):
         """`products` maps (i, j) pairs to the coordinates of basis products.
 
-        Each value is read by `linalg._sparse_row`, as `Subspace` reads its
-        vectors: a sparse row {k: scalar} with every k in range, or a dense
-        vector of length `dim`; non-scalars are coerced and zeros dropped.
-        Unlisted products are zero.
+        Each value is read as `Subspace` reads its vectors: a sparse row
+        {k: scalar} with every k in range, or a dense vector of length `dim`;
+        entries are coerced and zeros dropped (`Field.ints`).  Unlisted
+        products are zero.
         """
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -61,14 +64,11 @@ class Algebra:
         if len(basis_names) != dim:
             raise ValueError("need one basis name per dimension")
         self.basis_names = tuple(basis_names)
-        table = {}
-        for (i, j), vec in products.items():
+        for i, j in products:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(f"product index ({i}, {j}) out of range")
-            row = {k: x for k, x in sorted(_sparse_row(field, dim, vec).items()) if x}
-            if row:
-                table[(i, j)] = row
-        self._products = dict(sorted(table.items()))
+        rows, self._den = field.ints([_sparse_row(dim, vec) for vec in products.values()])
+        self._table = {ij: dict(sorted(row.items())) for ij, row in sorted(zip(products, rows)) if row}
 
     @classmethod
     def zero(cls, field: Field, dim: int, basis_names=None) -> "Algebra":
@@ -76,21 +76,16 @@ class Algebra:
 
     def product(self, i: int, j: int) -> tuple:
         """Dense coordinates of (basis i) * (basis j), built on demand."""
-        vec = [self.field.zero] * self.dim
-        for k, x in self._products.get((i, j), {}).items():
-            vec[k] = x
-        return tuple(vec)
+        return tuple(self.structure_constant(i, j, k) for k in range(self.dim))
 
     def structure_constant(self, i: int, j: int, k: int):
-        return self._products.get((i, j), {}).get(k, self.field.zero)
+        return self.field.scalar(self._table.get((i, j), {}).get(k, 0), self._den)
 
     def nonzero_products(self):
-        """Yield (i, j, sparse row) for every nonzero basis product, in (i, j) order.
-
-        The rows are the algebra's own; readers must not mutate them.
-        """
-        for (i, j), row in self._products.items():
-            yield i, j, row
+        """Yield (i, j, sparse scalar row) for every nonzero basis product, in (i, j) order."""
+        scalar, den = self.field.scalar, self._den
+        for (i, j), row in self._table.items():
+            yield i, j, {k: scalar(x, den) for k, x in row.items()}
 
     def same_field(self, other: "Algebra") -> None:
         if self.field != other.field:
@@ -106,15 +101,16 @@ class Algebra:
             isinstance(other, Algebra)
             and self.field == other.field
             and self.dim == other.dim
-            and self._products == other._products
+            and self._den == other._den
+            and self._table == other._table
         )
 
     def __hash__(self):
-        rows = tuple((key, tuple(row.items())) for key, row in self._products.items())
-        return hash((self.field, self.dim, rows))
+        rows = tuple((key, tuple(row.items())) for key, row in self._table.items())
+        return hash((self.field, self.dim, self._den, rows))
 
     def __repr__(self):
-        return f"Algebra(dim {self.dim} over {self.field}, {len(self._products)} nonzero products)"
+        return f"Algebra(dim {self.dim} over {self.field}, {len(self._table)} nonzero products)"
 
 
 def multiply(a: Algebra, u, v) -> tuple:
@@ -165,26 +161,25 @@ def expand_term(inner: dict, term, partners):
 
 
 def outer_index(*algebras):
-    """Yield each algebra's product rows as ints and its `expand_term` partners.
+    """Yield each algebra's int product rows and its `expand_term` partners.
 
     Kept are the rows a walk reads: x_u x_v with u or v in some product's
-    support, or whose own support meets a product's factor.  Over Q an entry
-    is D times itself, D the lcm of the denominators kept, so each defect is
-    D^2 times the true one; over GF(p) it is its residue.
+    support, or whose own support meets a product's factor.  The tables are
+    read over one denominator D, the lcm of theirs, so each defect is D^2
+    times the true one; over GF(p) D = 1 and the entries are residues.
     """
-    p = algebras[0].field.p
-    support = set().union(*(row for a in algebras for row in a._products.values()))
-    factors = {i for a in algebras for ij in a._products for i in ij}
-    kept = [{ij: row for ij, row in a._products.items() if support & {*ij} or factors & row.keys()}
-            for a in algebras]
-    den = 1 if p else lcm(*(x.denominator for rows in kept for row in rows.values() for x in row.values()))
-    for rows in kept:
+    den = lcm(*(a._den for a in algebras))
+    support = set().union(*(row for a in algebras for row in a._table.values()))
+    factors = {i for a in algebras for ij in a._table for i in ij}
+    for a in algebras:
+        scale = den // a._den
+        rows = {ij: row if scale == 1 else {t: y * scale for t, y in row.items()}
+                for ij, row in a._table.items() if support & {*ij} or factors & row.keys()}
         partners = {}
         for i, j in rows:
             partners.setdefault(("L", i), []).append(j)  # x_m x_r != 0 for m = i, r = j
             partners.setdefault(("R", j), []).append(i)  # x_r x_m != 0 for r = i, m = j
-        yield {ij: {t: y.value if p else y.numerator * (den // y.denominator) for t, y in row.items()}
-               for ij, row in rows.items()}, partners
+        yield rows, partners
 
 
 def first_violation(expansions, p=None) -> tuple | None:
@@ -228,15 +223,16 @@ def derived_ideal(a: Algebra) -> Subspace:
     The span is already an ideal of any bilinear product: for v in A^2 the
     products vx and xv are themselves products.
     """
-    return Subspace(a.field, a.dim, [row for _, _, row in a.nonzero_products()])
+    return Subspace._span(a.field, a.dim, map(dict, a._table.values()))
 
 
 def annihilator(field: Field, n: int, products) -> Subspace:
     """Two-sided annihilator {v in F^n : v x_j = 0 and x_i v = 0} of a bilinear map.
 
-    `products` yields (i, j, row): the value on (x_i, x_j) as a sparse row,
-    in any coordinates k.  Solved as one kernel computation whose
-    constraint rows come straight from the nonzero entries.
+    `products` yields (i, j, row): the value on (x_i, x_j) as a sparse int
+    row, in any coordinates k; each coordinate k may carry one nonzero scale
+    for all (i, j).  Solved as one kernel computation whose constraint rows
+    come straight from the nonzero entries.
     """
     rows: dict[tuple, dict] = {}
     for i, j, row in products:
@@ -250,7 +246,7 @@ def annihilator(field: Field, n: int, products) -> Subspace:
 
 def center(a: Algebra) -> Subspace:
     """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}."""
-    return annihilator(a.field, a.dim, a.nonzero_products())
+    return annihilator(a.field, a.dim, ((i, j, row) for (i, j), row in a._table.items()))
 
 
 def extra_special_center(a: Algebra, z=None, d=None) -> Subspace | None:

@@ -18,7 +18,6 @@ from collections import namedtuple
 
 from .algebra import Algebra, extra_special_center
 from .errors import InvalidDescriptor, NotExtraSpecial
-from .linalg import scalar_sort_key
 from .scalars import Field
 
 
@@ -82,15 +81,15 @@ def _sign_element(field: Field, exponent: int):
 def normalize_lambda(field: Field, lam):
     """Pick the canonical representative of {lambda, 1/lambda}.
 
-    The smaller element under a fixed total order wins: (numerator,
-    denominator) lexicographically for rationals, the smaller residue for
-    GF(p).  Decompositions compare equal iff they agree after this choice.
+    The smaller element under `Field.ratio` wins: (numerator, denominator)
+    lexicographically for rationals, the smaller residue for GF(p).
+    Decompositions compare equal iff they agree after this choice.
     """
     lam = field.coerce(lam)
     if not lam:
         raise InvalidDescriptor("lambda must be nonzero")
     inv = field.one / lam
-    return lam if scalar_sort_key(lam) <= scalar_sort_key(inv) else inv
+    return lam if field.ratio(lam) <= field.ratio(inv) else inv
 
 
 def normalize_descriptor(field: Field, d: BlockDescriptor) -> BlockDescriptor:

@@ -59,21 +59,21 @@ class CoverExtension(namedtuple("CoverExtension", "total base_dim kernel")):
 
 
 def _cocycle_rows(a: Algebra, theory: IdentityKind):
-    """Yield the constraint rows of the cocycle system, one per basis triple.
+    """Yield the int constraint rows of the cocycle system, one per basis triple.
 
     Variables are flattened as f(x_i, x_j) -> i * dim + j.  Each row is the
     theory's identity on one basis triple, every term summed, with its outer
-    product replaced by f (the linearization of the identity table).  The
-    triples come product by product: each nonzero x_p x_q in each term's
+    product replaced by f (the linearization of the identity table), read on
+    the algebra's ints: residues mod p over GF(p), zeros dropped.  The
+    triples come product by product: each nonzero x_u x_v in each term's
     bracket slot, with every x_r as the third factor, each triple once.
     """
-    n, terms, seen = a.dim, IDENTITY_TERMS[theory], set()
-    table = {(p, q): w for p, q, w in a.nonzero_products()}
+    n, terms, seen, p, table = a.dim, IDENTITY_TERMS[theory], set(), a.field.p, a._table
     where = [[order.index(s) for s in range(3)] for _, _, order in terms]  # bracket slot of triple entry s
-    for p, q in table:
+    for u, v in table:
         for (_, nesting, _), (i, j, k) in zip(terms, where):
             for r in range(n):
-                bracket = (p, q, r) if nesting == "L" else (r, p, q)
+                bracket = (u, v, r) if nesting == "L" else (r, u, v)
                 triple = (bracket[i], bracket[j], bracket[k])
                 if triple in seen:
                     continue
@@ -85,8 +85,10 @@ def _cocycle_rows(a: Algebra, theory: IdentityKind):
                     inner, base, step = ((x, y), z, n) if nest == "L" else ((y, z), x * n, 1)
                     for m, c in table.get(inner, {}).items():
                         col, c = base + m * step, c if sign > 0 else -c
-                        row[col] = row[col] + c if col in row else c  # zeros are dropped by the solver
-                yield row
+                        row[col] = row[col] + c if col in row else c
+                if p:
+                    row = {col: c % p for col, c in row.items()}
+                yield {col: c for col, c in row.items() if c}
 
 
 def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
@@ -100,15 +102,15 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
         raise IdentityViolated(f"algebra does not satisfy {theory.value}")
     n, nestings = a.dim, len({nesting for _, nesting, _ in IDENTITY_TERMS[theory]})
     # the columns a row can touch: |M x A u A x M|, M the union of the product supports
-    d = len({m for _, _, w in a.nonzero_products() for m in w})
+    d = len({m for w in a._table.values() for m in w})
     bound = d * (nestings * n - (nestings - 1) * d)
     z2 = kernel_basis(a.field, n * n, _cocycle_rows(a, theory), rank=bound)
     # row k is the coboundary of the k-th dual functional: f(x_i, x_j) = c[i][j][k]
     coboundary_rows = {}
-    for i, j, w in a.nonzero_products():
+    for (i, j), w in a._table.items():
         for k, x in w.items():
             coboundary_rows.setdefault(k, {})[i * n + j] = x
-    b2 = Subspace(a.field, n * n, coboundary_rows.values())
+    b2 = Subspace._span(a.field, n * n, coboundary_rows.values())
     if not z2.contains_subspace(b2):
         raise InternalCheckFailure("a coboundary failed the cocycle condition")
     return CocycleSpace(n, z2, b2, z2.dim - b2.dim)
@@ -129,7 +131,7 @@ def multiplier_dim(a: Algebra, theory: IdentityKind) -> int:
 
 def _complement_cocycles(cs: CocycleSpace) -> list[dict]:
     """Echelon completion: z2 pivot rows whose pivot is not a b2 pivot."""
-    out = [row for c, row in cs.z2.pivots.items() if c not in cs.b2.pivots]
+    out = [row for c, row in cs.z2.pivots.items() if c not in cs.b2._rows]
     if len(out) != cs.h2_dim:
         raise InternalCheckFailure("echelon complement has the wrong dimension")
     return out
@@ -144,7 +146,7 @@ def central_extension_by_cocycles(a: Algebra, cocycles) -> Algebra:
     """
     n = a.dim
     cocycles = list(cocycles)
-    products = {(i, j): dict(row) for i, j, row in a.nonzero_products()}
+    products = {(i, j): row for i, j, row in a.nonzero_products()}
     for l, f in enumerate(cocycles):
         for c, x in f.items():
             products.setdefault(divmod(c, n), {})[n + l] = x
@@ -164,10 +166,10 @@ def cover(a: Algebra) -> CoverExtension:
     cs = associative_cocycle_space(a)
     n, m = a.dim, cs.h2_dim
     total = central_extension_by_cocycles(a, _complement_cocycles(cs))
-    kernel = Subspace(a.field, n + m, [{n + l: a.field.one} for l in range(m)])
+    kernel = Subspace._span(a.field, n + m, ({n + l: 1} for l in range(m)))
     # kernel inside the center: no product involves a kernel coordinate as a
     # factor, which is exactly the two-sided annihilator condition
-    for i, j, _ in total.nonzero_products():
+    for i, j in total._table:
         if i >= n or j >= n:
             raise StemFailure("a kernel coordinate acts nontrivially")
     if not derived_ideal(total).contains_subspace(kernel):
@@ -188,8 +190,8 @@ def z_star(a: Algebra) -> Subspace:
 def cocycle_z_star(a: Algebra, cs: CocycleSpace, z=None) -> Subspace:
     """Z* of `a` read from its associative cocycle space `cs`, as `z_star` does: the u with
     f(u, x_j) = f(x_j, u) = 0 for every z2 basis row f and every j; `z` is the center, if known."""
-    n = a.dim  # basis row l is the bilinear map (x_i, x_j) -> f_l[i * n + j]
-    values = (divmod(c, n) + ({l: x},) for l, f in enumerate(cs.z2.pivots.values()) for c, x in f.items())
+    n = a.dim  # basis row l is the bilinear map (x_i, x_j) -> f_l[i * n + j], read on ints
+    values = (divmod(c, n) + ({l: x},) for l, f in enumerate(cs.z2._rows.values()) for c, x in f.items())
     zs = annihilator(a.field, n, values)
     if not (center(a) if z is None else z).contains_subspace(zs):
         raise InternalCheckFailure("Z* escaped the center; cocycle annihilator bug")

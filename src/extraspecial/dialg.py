@@ -83,7 +83,7 @@ def induced_leibniz(d: Dialgebra) -> Algebra:
     if not is_diassociative(d):
         raise NotDiassociative("the induced bracket needs the five axioms")
     zero = d.field.zero
-    products = {(i, j): dict(row) for i, j, row in d.left.nonzero_products()}
+    products = {(i, j): row for i, j, row in d.left.nonzero_products()}
     for j, i, row in d.right.nonzero_products():
         acc = products.setdefault((i, j), {})
         for k, x in row.items():

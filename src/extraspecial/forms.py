@@ -22,10 +22,11 @@ Dooren, LAA 27, 1979):
   Gamma_e (J1 when e = 1), and the others pair up as {mu, 1/mu} into
   H_2e(mu).  A candidate with no rank drop is dropped.
 
-All of it runs on one int form, the residues over GF(p) and over Q the form
-times the lcm of its denominators, which keeps the Kronecker data and the
-roots: P(t0) at a root u/v is v A + u B, and the echelon forms stay int
-rows.  Scalars are the form coming in and the roots and lambdas going out.
+All of it runs on one int form, `Field.ints` of the form (the residues over
+GF(p), over Q the form times the lcm of its denominators), which keeps the
+Kronecker data and the roots: P(t0) at a root u/v is v A + u B, and the
+echelon forms stay int rows.  Scalars are the form coming in and the roots
+and lambdas going out.
 
 These descriptors are the answer.  The pieces must tile the form exactly,
 so an internal disagreement raises instead of misclassifying; blocks left
@@ -60,7 +61,6 @@ from .linalg import (
     poly_monic,
     reduce_ints,
     roots_in_field,
-    scalar_sort_key,
 )
 from .scalars import Field
 
@@ -84,7 +84,7 @@ class BlockDecomposition:
 
     def _key(self, d: BlockDescriptor):
         kind_order = {"j": 0, "gamma": 1, "h": 2}[d.kind]
-        lam_key = (0, 0) if d.lam is None else scalar_sort_key(self.field.coerce(d.lam))
+        lam_key = (0, 0) if d.lam is None else self.field.ratio(d.lam)
         return (kind_order, d.n, lam_key)
 
     def text(self) -> str:
@@ -114,22 +114,25 @@ def form_of(a: Algebra, z=None) -> BilinearForm:
 
     The spanning central vector is the echelon basis vector of the center;
     the complement consists of the remaining coordinate axes.  `z` is the
-    center, if the caller holds it.
+    center, if the caller holds it.  The products are read on ints: x_i x_j
+    lies on the line of the int center row exactly when lead * row is
+    row[pivot] * that row.
     """
     z = extra_special_center(a, z)
     if z is None:
         raise NotExtraSpecial("forms are defined for extra special algebras")
-    ((pivot, zrow),) = z.pivots.items()
+    ((pivot, zrow),) = z._rows.items()
     complement = [i for i in range(a.dim) if i != pivot]
     position = {i: r for r, i in enumerate(complement)}
     rows = [[a.field.zero] * len(complement) for _ in complement]
-    for i, j, row in a.nonzero_products():
+    p, lead, line = a.field.p, zrow[pivot], zrow.items()
+    for (i, j), row in a._table.items():
         if i == pivot or j == pivot:
             continue
         coef = row.get(pivot)
-        if not coef or row != {k: coef * x for k, x in zrow.items()}:
+        if not coef or {k: lead * x for k, x in row.items()} != {k: _mod(coef * y, p) for k, y in line}:
             raise InternalCheckFailure("a product escapes the center line")
-        rows[position[i]][position[j]] = coef
+        rows[position[i]][position[j]] = a.field.scalar(coef, a._den)
     return BilinearForm(Matrix(a.field, rows))
 
 
@@ -293,7 +296,7 @@ def _pair_cosquare_blocks(field: Field, blocks) -> list[BlockDescriptor]:
     copy if mu = 1/mu) into H_2s(mu), or raises `UnpairedEigenvalue`.
     Taken least first, mu already is the normalized lambda of {mu, 1/mu}.
     """
-    blocks = sorted(blocks, key=lambda b: (b[1], scalar_sort_key(b[0])))
+    blocks = sorted(blocks, key=lambda b: (b[1], field.ratio(b[0])))
     descriptors = []
     while blocks:
         mu, size = blocks.pop(0)
@@ -320,10 +323,8 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     n = f.m.nrows
     if n == 0:
         return [], ()
-    den = 1 if p else lcm(*(x.denominator for row in f.m.rows for x in row))
-    m = [[x.value if p else x.numerator * (den // x.denominator) for x in row] for row in f.m.rows]
-    a_rows = [{j: m[j][i] for j in range(n) if m[j][i]} for i in range(n)]
-    b_rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    b_rows, _ = field.ints(map(dict, map(enumerate, f.m.rows)))
+    a_rows = [{j: row[i] for j, row in enumerate(b_rows) if i in row} for i in range(n)]
     rank, minor = pencil_minor(field, a_rows, b_rows)
     eps = _odd_indices(p, a_rows, b_rows, n - rank)
     roots, rest = roots_in_field(field, minor)
@@ -338,7 +339,7 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     even_sizes, cosquare_blocks = [], []
     for t0, mult in roots:
         # B = M, so column j of B is row j of A = M^T
-        u, v = (t0.value, 1) if p else (t0.numerator, t0.denominator)
+        u, v = field.ratio(t0)
         exact = slack == 0 if t0 else rank == n
         found = _jordan_sizes(p, _pencil_at(p, a_rows, b_rows, u, v), a_rows, eps, mult, exact)
         if t0:

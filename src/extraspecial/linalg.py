@@ -6,17 +6,17 @@ safe), and Jordan block data via rank sequences.  One sparse row-reduction
 loop, `reduce_ints`, backs every elimination over both fields, on int rows:
 residues mod p (Dumas & Villard, CASC 2002) or cleared denominators over Q;
 a column index (`holders`) sends each back-substitution only to the rows
-that need it.  `sparse_reduce` wraps it for scalar rows; `kernel_basis`
-and the classification in `forms` call it on their own int rows.  A kernel
-eliminates its rows in reversed column order, so the kernel vectors read
-off the result already are a reduced echelon basis; it first drops the
-columns that single-entry rows fix to zero, or, given a bound on the rank,
-reads the rows only up to it.
+that need it.  `kernel_basis`, the subspaces of `algebra` and `cohomology`
+and the classification in `forms` hand it int rows; `sparse_reduce` wraps it
+for scalar rows, which `Field.ints` lifts.  A kernel eliminates its rows in
+reversed column order, so the kernel vectors read off the result already
+are a reduced echelon basis; it first drops the columns that single-entry
+rows fix to zero, or, given a bound on the rank, reads the rows only up to it.
 
-A `Subspace` is held in the engine's own format: the map {pivot column:
-sparse row} of its reduced echelon basis, which `sparse_reduce` returns.
-Dense vectors appear only at the edges: `Matrix` rows, dense input to
-`Subspace`, and its `basis` property.
+A `Subspace` is held in the engine's own format: the int store {pivot
+column: sparse int row} of its reduced echelon basis that `reduce_ints`
+builds.  Scalars and dense vectors appear only at the edges: `Matrix`,
+input to `Subspace`, and its `pivots` and `basis` views.
 
 Polynomials appear as ascending coefficient lists (index = degree) with no
 trailing zeros; the zero polynomial is the empty list.  `roots_in_field`
@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, DoesNotSplit, NotSquare, Singular
-from .scalars import Field, Fp, _is_prime
+from .errors import DimensionMismatch, DoesNotSplit, FieldMismatch, NotSquare, Singular
+from .scalars import Field, _is_prime
 
 # ---------------------------------------------------------------------------
 # sparse row reduction
@@ -54,20 +53,16 @@ def sparse_reduce(field: Field, rows) -> dict:
     Rows are dicts mapping column index to a scalar; zeros are dropped.
     Every returned pivot row is normalized (pivot entry 1) and carries no
     support on any other pivot column, so the collection is a reduced
-    echelon basis of the row space.  That invariant is what makes kernel
-    extraction a plain read.  The rows are read once as ints (`_int_row`)
-    and reduced by `reduce_ints`; each row goes back, x under lead l as
-    `Fp(x, p)` or `Fraction(x, l)`.
+    echelon basis of the row space.  The rows are lifted once
+    (`Field.ints`), reduced by `reduce_ints`, and read back as scalars.
     """
-    p = field.p
-    pivots = reduce_ints({}, (_int_row(r, p) for r in rows), p)
-    one = field.one
-    fp = {x: Fp(x, p) for x in set().union(*map(dict.values, pivots.values()))} if p else {}
-    for pc, row in pivots.items():
-        lead = row[pc]
-        for c, x in row.items():
-            row[c] = one if c == pc else fp[x] if p else Fraction(x, lead)
-    return pivots
+    return _scalar_rows(field, reduce_ints({}, field.ints(rows)[0], field.p))
+
+
+def _scalar_rows(field: Field, store: dict) -> dict:
+    """An int echelon store as scalar rows, each divided by its lead."""
+    scalar = field.scalar
+    return {pc: {c: scalar(x, row[pc]) for c, x in row.items()} for pc, row in store.items()}
 
 
 def reduce_ints(work: dict, rows, p=None, rank=None) -> dict:
@@ -88,7 +83,7 @@ def reduce_ints(work: dict, rows, p=None, rank=None) -> dict:
             if cc != pc:
                 holders.setdefault(cc, set()).add(pc)
     for row in rows:
-        row = _clear_pivots(work, row, p, not p)
+        row = _clear_pivots(work, row, p)
         if not row:
             continue
         c = min(row)
@@ -124,30 +119,19 @@ def reduce_ints(work: dict, rows, p=None, rank=None) -> dict:
     return touched
 
 
-def _int_row(row: dict, p=None) -> dict:
-    """A sparse row as ints: residues mod p, or over Q the row times the lcm of its
-    denominators (a one-entry row as {c: 1}: no denominator scan, no new `Fraction`)."""
-    if p:
-        return {c: x for c, v in row.items() if (x := v.value)}
-    if len(row) == 1:
-        return {c: 1 for c, v in row.items() if v}
-    den = lcm(*(v.denominator for v in row.values()))
-    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-
-
-def _clear_pivots(pivots: dict, row: dict, p=None, leads=False) -> dict:
-    """Subtract pivot rows from `row` until no pivot column is left.
+def _clear_pivots(pivots: dict, row: dict, p=None) -> dict:
+    """Subtract int pivot rows from the int `row` until no pivot column is left.
 
     Reductions only add non-pivot support, so one sweep over the initial
-    hits suffices.  The returned remainder has no nonzero entry exactly
-    when the row lies in the span of the pivot rows.  Given `leads`, a pivot
-    entry other than 1 scales `row` first; given `p`, updates are mod p.
+    hits suffices.  The returned remainder is empty exactly when the row
+    lies in the span of the pivot rows.  Given `p`, updates are mod p;
+    over Q a pivot entry other than 1 scales `row` first.
     """
     for c in [c for c in row if c in pivots]:
         coef = row.pop(c, None)
         if not coef:
             continue
-        if leads and (lead := pivots[c][c]) != 1:
+        if not p and (lead := pivots[c][c]) != 1:
             row = {cc: vv * lead for cc, vv in row.items()}
         for cc, vv in pivots[c].items():
             if cc == c:
@@ -165,34 +149,34 @@ def _clear_pivots(pivots: dict, row: dict, p=None, leads=False) -> dict:
 def kernel_basis(field: Field, ncols: int, rows, rank=None) -> "Subspace":
     """The subspace {v : row . v = 0 for every constraint row} of F^ncols.
 
-    The rows are reduced in reversed column order (c -> ncols - 1 - c), so
-    e_f - sum of prow[f] e_pc, the kernel vector of a free column f, starts at
-    f: already the reduced echelon basis.  Unbounded, a presolve first reads
-    every row: a one-entry row {c: x != 0} fixes v_c = 0, and c leaves the
+    `rows` are int rows with no zero entry: residues over GF(p), any int
+    multiple of a scalar row over Q.  They are reduced in reversed column
+    order (c -> ncols - 1 - c), so e_f - sum of (prow[f] / lead) e_pc, the
+    kernel vector of a free column f, starts at f: already the reduced
+    echelon basis.  Over Q it is taken times the lcm of the leads it meets,
+    made primitive only when one of them is not 1.  Unbounded, a presolve
+    first reads every row: a one-entry row fixes v_c = 0, and c leaves the
     other rows.  Given `rank`, a bound on the rank of the rows, they are read
     lazily until `rank` pivots are found, which then span every unread row.
     """
     last, lazy, p = ncols - 1, rank is not None, field.p
     rows = rows if lazy else list(rows)
-    fixed = set() if lazy else {c for row in rows if len(row) == 1 for c, x in row.items() if x}
+    fixed = set() if lazy else {c for row in rows if len(row) == 1 for c in row}
     rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if lazy or len(row) > 1)
-    pivots = reduce_ints({}, (r for row in rest if (r := _int_row(row, p))), p, rank)
-    kernel = {f: {f: field.one} for f in range(ncols) if f not in fixed and last - f not in pivots}
+    pivots = reduce_ints({}, (row for row in rest if row), p, rank)
+    kernel = {f: {f: 1} for f in range(ncols) if f not in fixed and last - f not in pivots}
     for pc, prow in pivots.items():
-        lead = prow[pc]
         for f, x in prow.items():
             if f != pc:
-                kernel[last - f][last - pc] = Fp(-x, p) if p else Fraction(-x, lead)
+                kernel[last - f][last - pc] = -x % p if p else -x
+    leads = {} if p else {last - pc: lead for pc, prow in pivots.items() if (lead := prow[pc]) != 1}
+    for f, vec in kernel.items():
+        if leads and (met := [leads[c] for c in vec if c in leads]):
+            scale = lcm(*met)
+            vec = {c: x * (scale // leads.get(c, 1)) for c, x in vec.items()}
+            g = gcd(*vec.values())
+            kernel[f] = {c: x // g for c, x in vec.items()}
     return Subspace._echelon(field, ncols, kernel)
-
-
-def scalar_sort_key(x):
-    """Total order on scalars of one field, for deterministic output."""
-    if isinstance(x, Fraction):
-        return (x.numerator, x.denominator)
-    if isinstance(x, Fp):
-        return (x.value, 1)
-    raise TypeError(f"not a field scalar: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +281,18 @@ class Matrix:
         )
 
     def rank(self) -> int:
-        pivots = sparse_reduce(
-            self.field, ({j: x for j, x in enumerate(r) if x} for r in self.rows)
-        )
-        return len(pivots)
+        return len(reduce_ints({}, self.field.ints(map(dict, map(enumerate, self.rows)))[0], self.field.p))
 
     def nullspace(self) -> "Subspace":
         """Right kernel {v : M v = 0}."""
-        return kernel_basis(
-            self.field,
-            self.ncols,
-            ({j: x for j, x in enumerate(r) if x} for r in self.rows),
-        )
+        return kernel_basis(self.field, self.ncols, self.field.ints(map(dict, map(enumerate, self.rows)))[0])
 
     def inverse(self) -> "Matrix":
         """Inverse, read from the reduced echelon basis of the rows of [M | I]."""
         if not self.is_square:
             raise NotSquare("inverse of a non-square matrix")
         n = self.nrows
-        one = self.field.one
-        rows = []
-        for i, r in enumerate(self.rows):
-            row = {j: x for j, x in enumerate(r) if x}
-            row[n + i] = one
-            rows.append(row)
-        pivots = sparse_reduce(self.field, rows)
+        pivots = sparse_reduce(self.field, (dict(enumerate(r)) | {n + i: 1} for i, r in enumerate(self.rows)))
         if any(c not in pivots for c in range(n)):
             raise Singular("matrix is singular")
         zero = self.field.zero
@@ -397,7 +368,7 @@ class Matrix:
         total = sum(size for _, size in blocks)
         if total != n:
             raise AssertionError("Jordan block sizes do not add up; rank sequence bug")
-        blocks.sort(key=lambda b: (scalar_sort_key(b[0]), -b[1]))
+        blocks.sort(key=lambda b: (self.field.ratio(b[0]), -b[1]))
         return JordanStructure(tuple(blocks))
 
 
@@ -413,61 +384,68 @@ class JordanStructure(namedtuple("JordanStructure", "blocks")):
 
 
 class Subspace:
-    """A subspace of F^n held as its reduced echelon basis, row-sparse.
+    """A subspace of F^n held as its reduced echelon basis, row-sparse, on ints.
 
-    `pivots` maps each pivot column, in increasing order, to its basis row
-    {column: nonzero scalar}: the output of `sparse_reduce`.  Each row has a
-    1 in its own pivot column and nothing in the others.  That basis is
-    unique, so equality is structural and containment is one sweep.
+    `_rows` maps each pivot column, in increasing order, to its basis row
+    {column: nonzero int}: the store of `reduce_ints`, residues with lead 1
+    over GF(p), primitive rows with a positive lead over Q.  Each row is
+    zero in the other pivot columns.  That basis is unique, so equality is
+    structural and containment is one sweep.  `pivots` and `basis` are its
+    scalar views, each row divided by its lead.
 
-    `vectors` may mix sparse rows (dicts, read by `field_row`) and dense
-    vectors of length `ambient_dim` (coerced into the field).
+    `vectors` may mix sparse rows (dicts) and dense vectors of length
+    `ambient_dim`; their entries are coerced into the field.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots")
+    __slots__ = ("field", "ambient_dim", "_rows")
 
     def __init__(self, field: Field, ambient_dim: int, vectors=()):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        rows = (_sparse_row(field, ambient_dim, v) for v in vectors)
-        self.pivots = dict(sorted(sparse_reduce(field, rows).items()))
+        rows, _ = field.ints([_sparse_row(ambient_dim, v) for v in vectors])
+        self.field, self.ambient_dim = field, ambient_dim
+        self._rows = dict(sorted(reduce_ints({}, rows, field.p).items()))
 
     @classmethod
-    def _echelon(cls, field: Field, ambient_dim: int, pivots: dict) -> "Subspace":
-        # `pivots` must already be the reduced echelon basis, keys increasing
+    def _echelon(cls, field: Field, ambient_dim: int, rows: dict) -> "Subspace":
+        # `rows` must already be the int store of the reduced echelon basis, keys increasing
         sub = cls.__new__(cls)
-        sub.field, sub.ambient_dim, sub.pivots = field, ambient_dim, pivots
+        sub.field, sub.ambient_dim, sub._rows = field, ambient_dim, rows
         return sub
+
+    @classmethod
+    def _span(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
+        """The span of int rows, as `kernel_basis` takes them; the rows are consumed."""
+        return cls._echelon(field, ambient_dim, dict(sorted(reduce_ints({}, rows, field.p).items())))
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> dict:
+        """{pivot column: basis row {column: nonzero scalar}} with 1 at the pivot, in pivot order."""
+        return _scalar_rows(self.field, self._rows)
 
     @property
     def basis(self) -> tuple:
         """The reduced echelon basis as dense tuples, in pivot order."""
         zero = self.field.zero
-        out = []
-        for row in self.pivots.values():
-            vec = [zero] * self.ambient_dim
-            for c, x in row.items():
-                vec[c] = x
-            out.append(tuple(vec))
-        return tuple(out)
+        return tuple(tuple(row.get(c, zero) for c in range(self.ambient_dim)) for row in self.pivots.values())
 
     def contains(self, vec) -> bool:
-        row = dict(_sparse_row(self.field, self.ambient_dim, vec))
-        return not any(_clear_pivots(self.pivots, row).values())
+        (row,), _ = self.field.ints([_sparse_row(self.ambient_dim, vec)])
+        return not _clear_pivots(self._rows, row, self.field.p)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.pivots.values())
+        if other.field != self.field:
+            raise FieldMismatch(f"subspaces over {self.field} and {other.field}")
+        return not any(_clear_pivots(self._rows, dict(row), self.field.p) for row in other._rows.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
             and self.field == other.field
-            and self.pivots == other.pivots
+            and self._rows == other._rows
         )
 
     def __hash__(self):
@@ -477,26 +455,15 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
 
 
-def _sparse_row(field: Field, ambient_dim: int, vec) -> dict:
-    """A sparse row through `field_row`, or a dense vector coerced into a sparse row."""
+def _sparse_row(ambient_dim: int, vec) -> dict:
+    """A sparse row with its columns checked, or a dense vector of length `ambient_dim` as one."""
     if isinstance(vec, dict):
         if not all(0 <= c < ambient_dim for c in vec):
             raise DimensionMismatch("vector coordinate out of range")
-        return field_row(field, vec)
+        return vec
     if len(vec) != ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    return {i: x for i, x in enumerate(map(field.coerce, vec)) if x}
-
-
-def field_row(field: Field, row: dict) -> dict:
-    """`row` if all its entries are field scalars, else a copy with every entry coerced.
-
-    An `Fp` of another modulus is no field scalar: `field.coerce` refuses it.
-    """
-    p, vals = field.p, row.values()
-    if all(type(x) is Fp and x.p == p for x in vals) if p else set(map(type, vals)) <= {Fraction}:
-        return row
-    return {c: field.coerce(x) for c, x in row.items()}
+    return dict(enumerate(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +545,7 @@ def roots_in_field(field: Field, poly) -> tuple[list, list]:
     """All roots of `poly` in the field, with multiplicities.
 
     Returns `(roots, remainder)`: roots is a list of (root, multiplicity)
-    pairs in `scalar_sort_key` order and remainder is the rootless cofactor
+    pairs in `Field.ratio` order and remainder is the rootless cofactor
     (constant exactly when the polynomial splits into linear factors).
     Candidates u/v come from `_roots_mod` over GF(p) and `_rational_roots`
     over Q.  The check runs on the integer polynomial: each candidate is
@@ -589,17 +556,17 @@ def roots_in_field(field: Field, poly) -> tuple[list, list]:
     if poly_degree(p) <= 0:
         return [], p
     q, scale = field.p, 1
-    den = 1 if q else lcm(*(c.denominator for c in p))
-    f = [c.value if q else c.numerator * (den // c.denominator) for c in p]
+    (lifted,), den = field.ints([dict(enumerate(p))])
+    f = [lifted.get(i, 0) for i in range(len(p))]
     roots, candidates = [], [(r, 1) for r in _roots_mod(f, q)] if q else _rational_roots(f)
     for u, v in sorted(candidates):
         count = 0
         while len(f) > 1 and (quot := _idivide_linear(f, u, v, q)) is not None:
             f, count = quot, count + 1
         if count:
-            roots.append((Fp(u, q) if q else Fraction(u, v), count))
+            roots.append((field.scalar(u, v), count))
             scale *= v**count
-    return roots, [Fp(x, q) for x in f] if q else [Fraction(x * scale, den) for x in f]
+    return roots, [field.scalar(x * scale, den) for x in f]
 
 
 def _idivide_linear(f, u: int, v: int, p=None):

@@ -4,12 +4,13 @@ Rational scalars are plain `fractions.Fraction` objects (always in lowest
 terms with positive denominator).  Prime-field scalars are `Fp` instances
 carrying their modulus, so that arithmetic between different fields fails
 loudly instead of silently reducing.  Other modules use the `Field` handle
-(`zero`, `one`, `coerce`, `parse`, `format`); the hot loops compute on ints
-in both fields (residues over GF(p), cleared denominators over Q), read
-where values enter and made scalars again where they leave:
-`linalg.sparse_reduce`, `algebra.first_violation`, the integer
-polynomial and pencil code behind `roots_in_field` and `pencil_minor`, and
-`forms.regularize`.
+(`zero`, `one`, `coerce`, `parse`, `format`).
+
+The program computes on ints: residues over GF(p), and over Q numerators
+over one common denominator.  `Field` alone knows how a scalar becomes ints
+and back: `ints` lifts sparse rows, `ratio` reads one scalar as (n, d), the
+total order on scalars, and `scalar` builds n/d.  No other module reads a
+numerator, a denominator or a residue, or builds a `Fraction` or an `Fp`.
 `Field.parse` echoes at most 40 characters of a text it refuses.
 
 Fields of characteristic 2 are rejected outright; the whole theory assumes
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import FieldMismatch, UnsupportedField
 
@@ -171,14 +173,16 @@ class Field:
         return Fraction(1) if self.kind == "Q" else Fp(1, self.p)
 
     def coerce(self, x):
-        """Bring an int, Fraction, Fp, or scalar string into this field."""
+        """Bring an int, Fraction, Fp, or scalar string into this field; floats and the rest are refused."""
         if isinstance(x, str):
             return self.parse(x)
         if self.kind == "Q":
+            if isinstance(x, (int, Fraction)):
+                # a Fraction is immutable: kept as is, like an Fp of this field below
+                return x if type(x) is Fraction else Fraction(x)
             if isinstance(x, Fp):
                 raise FieldMismatch("cannot coerce a GF(p) element into the rationals")
-            # a Fraction is immutable: kept as is, like an Fp of this field below
-            return x if type(x) is Fraction else Fraction(x)
+            raise FieldMismatch(f"cannot coerce {x!r} into {self}")
         if isinstance(x, Fp):
             if x.p != self.p:
                 raise FieldMismatch(f"element of GF({x.p}) used in GF({self.p})")
@@ -190,6 +194,35 @@ class Field:
         if isinstance(x, int):
             return Fp(x, self.p)
         raise FieldMismatch(f"cannot coerce {x!r} into {self}")
+
+    def ints(self, rows) -> tuple[list, int]:
+        """Sparse rows {column: scalar} as int rows over one common denominator d, and d.
+
+        Entries are coerced and zeros dropped.  Over GF(p) the ints are
+        residues and d = 1; over Q, d is the lcm of the entries' denominators.
+        """
+        p = self.p
+        if p:  # an Fp of another modulus goes through `coerce`, which refuses it
+            rows = [{c: x if type(x) is Fp and x.p == p else self.coerce(x) for c, x in row.items()}
+                    for row in rows]
+            return [{c: x.value for c, x in row.items() if x} for row in rows], 1
+        rows = [{c: x if type(x) is Fraction else self.coerce(x) for c, x in row.items()} for row in rows]
+        d = lcm(*(x.denominator for row in rows for x in row.values()))
+        return [{c: x.numerator * (d // x.denominator) for c, x in row.items() if x} for row in rows], d
+
+    def ratio(self, x) -> tuple[int, int]:
+        """A scalar as ints (n, d), d > 0 and in lowest terms: (residue, 1) over GF(p).
+
+        Also the total order on the scalars of one field, for deterministic output.
+        """
+        x = self.coerce(x)
+        return (x.value, 1) if self.p else (x.numerator, x.denominator)
+
+    def scalar(self, n: int, d: int = 1):
+        """The scalar n/d built from ints; d must be nonzero in the field."""
+        if self.p:
+            return Fp(n if d == 1 else n * pow(d, -1, self.p), self.p)
+        return Fraction(n, d)
 
     def parse(self, text: str):
         """Parse "n" or "n/d" through `int` (no exponent, no decimal point), in either field."""
@@ -206,8 +239,7 @@ class Field:
             raise UnsupportedField(f"cannot parse scalar {shown} over {self}: {reason}") from exc
 
     def format(self, x) -> str:
-        x = self.coerce(x)
-        return str(x)
+        return str(self.coerce(x))
 
     def __str__(self):
         return "Q" if self.kind == "Q" else f"GF({self.p})"

@@ -86,6 +86,11 @@ def test_invariants_survive_a_change_of_basis(flag, text):
     moved = _in_basis(a, p)
     assert moved != a  # the tensor really moved
     assert _invariants(moved) == _invariants(a)
+    # the subspaces move with the basis: w in e-coordinates is w P^-1 in f-coordinates
+    to_new = p.inverse().transpose()
+    for space in (center, derived_ideal, z_star):
+        carried = Subspace(field, a.dim, [to_new.apply(v) for v in space(a).basis])
+        assert space(moved) == carried, space.__name__
 
 
 def test_a_dense_basis_with_a_huge_lambda_changes_nothing():

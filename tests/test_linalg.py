@@ -252,6 +252,10 @@ def test_subspace_refuses_an_element_of_another_prime_field():
         Subspace(GF7, 3, [{0: Fp(2, 5), 1: Fp(1, 7)}])
     with pytest.raises(FieldMismatch):
         Subspace(GF7, 3, [{0: Fp(2, 5)}])
+    # so is a subspace over another field: its int rows would be read as residues mod 7
+    for other in (Field.gf(5), Q):
+        with pytest.raises(FieldMismatch):
+            Subspace(GF7, 3, [[1, 0, 0]]).contains_subspace(Subspace(other, 3, [[1, 0, 0]]))
 
 
 # the last two are dense vectors of the wrong length
@@ -272,7 +276,7 @@ def test_subspace_sum_and_intersection():
 
 def test_kernel_basis_sparse_rows():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}]
-    kernel = kernel_basis(Q, 3, rows)
+    kernel = kernel_basis(Q, 3, [_ints(Q, row) for row in rows])
     assert kernel.dim == 1
     assert kernel.basis == ((Fraction(1), Fraction(0), Fraction(1)),)
 
@@ -372,7 +376,7 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
         for chunk in (rows[: cuts[0]], rows[cuts[0] : cuts[1]], rows[cuts[1] :]):
             reduce_ints(store, [_ints(field, row) for row in chunk], field.p)
         assert _scalars(field, store) == expected, seed
-        # Subspace.contains runs the pivot sweep on field scalars: a vector is
+        # Subspace.contains runs the pivot sweep on the int store: a vector is
         # inside exactly when it leaves the rank unchanged
         sub = Subspace(field, ncols, rows)
         for _ in range(4):
@@ -386,7 +390,7 @@ def test_sparse_reduce_agrees_with_dense_rref(field):
             in_span = len(_dense_rref(field, ncols, [*expected.values(), other])) == len(expected)
             assert sub.contains(other) == in_span, seed
             outside += not in_span
-        kernel = kernel_basis(field, ncols, rows)
+        kernel = kernel_basis(field, ncols, [_ints(field, row) for row in rows])
         _assert_field_scalars(field, kernel.pivots)
         assert kernel.dim == ncols - len(expected)
         for v in kernel.pivots.values():
@@ -511,7 +515,7 @@ def test_kernel_basis_returns_the_canonical_basis(field):
         ncols = rng.randint(3, 30)
         systems.append((ncols, _singleton_heavy_rows(rng, field, ncols)))
     for ncols, rows in systems:
-        kernel = kernel_basis(field, ncols, rows)
+        kernel = kernel_basis(field, ncols, [_ints(field, row) for row in rows])
         assert kernel.pivots == Subspace(field, ncols, list(kernel.pivots.values())).pivots
         assert list(kernel.pivots) == sorted(kernel.pivots)
         assert all(min(row) == c for c, row in kernel.pivots.items())
@@ -519,10 +523,11 @@ def test_kernel_basis_returns_the_canonical_basis(field):
         _assert_field_scalars(field, kernel.pivots)
         # read lazily up to the number of columns the rows touch, no presolve
         touched = {c for row in rows for c, x in row.items() if x}
-        bounded = kernel_basis(field, ncols, iter(rows), rank=len(touched))
+        bounded = kernel_basis(field, ncols, (_ints(field, row) for row in rows), rank=len(touched))
         assert bounded.pivots == kernel.pivots, (ncols, rows)
         _assert_field_scalars(field, bounded.pivots)
-    assert kernel_basis(field, 6, []).dim == 6 and kernel_basis(field, *systems[1]).dim == 0
+    ncols, rows = systems[1]
+    assert kernel_basis(field, 6, []).dim == 6 and kernel_basis(field, ncols, [_ints(field, row) for row in rows]).dim == 0
 
 
 # -- polynomial helpers --------------------------------------------------------

@@ -123,6 +123,18 @@ def test_every_private_function_and_class_is_referenced():
             assert any(stmt.name in refs for other, refs in zip(statements, references) if other is not stmt), stmt.name
 
 
+def test_only_scalars_knows_the_scalar_format():
+    # every other module computes on ints and asks `Field` (ints, ratio, scalar) to cross
+    # over; `.value` is not checked, because `IdentityKind.value` shares the name
+    for name, tree in _modules().items():
+        if name == "scalars.py":
+            continue
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not attributes & {"numerator", "denominator"}, name
+        assert not names & {"Fraction", "Fp"}, name
+
+
 # ---------------------------------------------------------------------------
 # the package namespace
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from extraspecial.algebra import Algebra
 from extraspecial.errors import FieldMismatch, UnsupportedField
+from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field, Fp, _is_prime
 
 Q = Field.rationals()
@@ -101,6 +103,37 @@ def test_parse_format_round_trip():
         assert GF5.format(GF5.parse(text)) == text
     assert GF5.parse("7") == Fp(2, 5)
     assert GF5.parse("1/2") == Fp(3, 5)  # 2 * 3 = 6 = 1 mod 5
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=str)
+@pytest.mark.parametrize("x", [0.1, 0.5, float("nan"), float("inf")], ids=repr)
+def test_floats_are_refused(field, x):
+    # a float is no exact scalar: 0.1 is not 1/10, and nan and inf are no number at all
+    with pytest.raises(FieldMismatch, match="cannot coerce"):
+        field.coerce(x)
+    with pytest.raises(FieldMismatch):
+        Algebra(field, 2, {(0, 0): {1: x}})
+    with pytest.raises(FieldMismatch):
+        Subspace(field, 2, [[x, 1]])
+
+
+def test_a_prime_field_element_is_refused_over_q_with_its_own_message():
+    with pytest.raises(FieldMismatch, match="GF\\(p\\) element"):
+        Q.coerce(Fp(1, 5))
+
+
+def test_ints_ratio_and_scalar_cross_between_scalars_and_ints():
+    # one common denominator over Q, residues over GF(p); entries coerced, zeros dropped
+    assert Q.ints([{0: Fraction(1, 2), 3: 0, 4: "2/3"}, {1: 5}]) == ([{0: 3, 4: 4}, {1: 30}], 6)
+    assert GF7.ints([{0: Fp(3, 7), 1: 7, 2: -1, 3: "1/2"}]) == ([{0: 3, 2: 6, 3: 4}], 1)
+    assert Q.ints([]) == ([], 1) and Q.ints([{0: Q.zero}]) == ([{}], 1)
+    with pytest.raises(FieldMismatch):
+        GF7.ints([{0: Fp(1, 5)}])
+    assert Q.ratio(Fraction(-4, 6)) == (-2, 3) and Q.ratio(5) == (5, 1) and GF7.ratio(-1) == (6, 1)
+    assert Q.scalar(4, 6) == Fraction(2, 3) and type(Q.scalar(3)) is Fraction
+    assert GF7.scalar(1, 2) == Fp(4, 7) and GF7.scalar(-5) == Fp(2, 7)
+    # (n, d) in lexicographic order is the total order on scalars
+    assert sorted([Fraction(1, 3), Fraction(-3), Fraction(1, 2)], key=Q.ratio) == [-3, Fraction(1, 2), Fraction(1, 3)]
 
 
 @pytest.mark.parametrize("field", [Q, GF7], ids=str)
