@@ -71,6 +71,12 @@ class Algebra:
         self._table = {ij: dict(sorted(row.items())) for ij, row in sorted(zip(products, rows)) if row}
 
     @classmethod
+    def _canonical(cls, field: Field, dim: int, table: dict, den: int, basis_names) -> "Algebra":
+        alg = cls.__new__(cls)  # `table` and `den` must be canonical already, as `__init__` leaves them
+        alg.field, alg.dim, alg.basis_names, alg._table, alg._den = field, dim, tuple(basis_names), table, den
+        return alg
+
+    @classmethod
     def zero(cls, field: Field, dim: int, basis_names=None) -> "Algebra":
         return cls(field, dim, {}, basis_names)
 
@@ -226,27 +232,20 @@ def derived_ideal(a: Algebra) -> Subspace:
     return Subspace._span(a.field, a.dim, map(dict, a._table.values()))
 
 
-def annihilator(field: Field, n: int, products) -> Subspace:
-    """Two-sided annihilator {v in F^n : v x_j = 0 and x_i v = 0} of a bilinear map.
+def center(a: Algebra) -> Subspace:
+    """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}.
 
-    `products` yields (i, j, row): the value on (x_i, x_j) as a sparse int
-    row, in any coordinates k; each coordinate k may carry one nonzero scale
-    for all (i, j).  Solved as one kernel computation whose constraint rows
-    come straight from the nonzero entries.
+    Solved as one kernel computation whose constraint rows come straight
+    from the nonzero structure constants.
     """
     rows: dict[tuple, dict] = {}
-    for i, j, row in products:
+    for (i, j), row in a._table.items():
         for k, x in row.items():
             # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
             rows.setdefault(("L", j, k), {})[i] = x
             # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
             rows.setdefault(("R", i, k), {})[j] = x
-    return kernel_basis(field, n, rows.values())
-
-
-def center(a: Algebra) -> Subspace:
-    """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}."""
-    return annihilator(a.field, a.dim, ((i, j, row) for (i, j), row in a._table.items()))
+    return kernel_basis(a.field, a.dim, rows.values())
 
 
 def extra_special_center(a: Algebra, z=None, d=None) -> Subspace | None:

@@ -25,8 +25,9 @@ Dooren, LAA 27, 1979):
 All of it runs on one int form, `Field.ints` of the form (the residues over
 GF(p), over Q the form times the lcm of its denominators), which keeps the
 Kronecker data and the roots: P(t0) at a root u/v is v A + u B, and the
-echelon forms stay int rows.  Scalars are the form coming in and the roots
-and lambdas going out.
+echelon forms stay int rows.  `classify` reads that form straight from the
+algebra's int table; scalars are only the roots and lambdas going out, and
+the form of `form_of` and `regularize`.
 
 These descriptors are the answer.  The pieces must tile the form exactly,
 so an internal disagreement raises instead of misclassifying; blocks left
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import Algebra, extra_special_center
 from .catalog import BlockDescriptor, form_algebra, normalize_descriptor
@@ -110,21 +111,26 @@ class BlockDecomposition:
 
 
 def form_of(a: Algebra, z=None) -> BilinearForm:
-    """Bilinear form of an extra special algebra on a complement of the center.
+    """Bilinear form of an extra special algebra on a complement of the center: `_form_rows` as scalars."""
+    rows, den = _form_rows(a, z)
+    scalar, n = a.field.scalar, len(rows)
+    return BilinearForm(Matrix(a.field, [[scalar(row.get(c, 0), den) for c in range(n)] for row in rows]))
 
-    The spanning central vector is the echelon basis vector of the center;
-    the complement consists of the remaining coordinate axes.  `z` is the
-    center, if the caller holds it.  The products are read on ints: x_i x_j
-    lies on the line of the int center row exactly when lead * row is
-    row[pivot] * that row.
+
+def _form_rows(a: Algebra, z=None) -> tuple[list, int]:
+    """The form as sparse int rows over their least common denominator, and it (`Field.ints` of it).
+
+    The spanning central vector is the echelon basis vector of the center
+    (`z`, if the caller holds it); the complement consists of the remaining
+    coordinate axes.  x_i x_j lies on the line of the int center row exactly
+    when lead * row is row[pivot] * that row.
     """
     z = extra_special_center(a, z)
     if z is None:
         raise NotExtraSpecial("forms are defined for extra special algebras")
     ((pivot, zrow),) = z._rows.items()
-    complement = [i for i in range(a.dim) if i != pivot]
-    position = {i: r for r, i in enumerate(complement)}
-    rows = [[a.field.zero] * len(complement) for _ in complement]
+    position = {i: r for r, i in enumerate(i for i in range(a.dim) if i != pivot)}
+    rows = [{} for _ in position]
     p, lead, line = a.field.p, zrow[pivot], zrow.items()
     for (i, j), row in a._table.items():
         if i == pivot or j == pivot:
@@ -132,8 +138,9 @@ def form_of(a: Algebra, z=None) -> BilinearForm:
         coef = row.get(pivot)
         if not coef or {k: lead * x for k, x in row.items()} != {k: _mod(coef * y, p) for k, y in line}:
             raise InternalCheckFailure("a product escapes the center line")
-        rows[position[i]][position[j]] = a.field.scalar(coef, a._den)
-    return BilinearForm(Matrix(a.field, rows))
+        rows[position[i]][position[j]] = coef
+    g = gcd(a._den, *(x for row in rows for x in row.values()))
+    return [{c: x // g for c, x in row.items()} for row in rows] if g != 1 else rows, a._den // g
 
 
 def algebra_from_form(m: Matrix) -> Algebra:
@@ -319,11 +326,14 @@ def regularize(f: BilinearForm) -> tuple[list[BlockDescriptor], tuple[int, ...]]
     cosquare data, and the sizes (all >= 2) are the chain algebras Jn hiding
     in the form.
     """
-    field, p = f.m.field, f.m.field.p
-    n = f.m.nrows
+    return _regularize(f.m.field, f.m.field.ints(map(dict, map(enumerate, f.m.rows)))[0])
+
+
+def _regularize(field: Field, b_rows: list) -> tuple[list[BlockDescriptor], tuple[int, ...]]:
+    """`regularize` of the form held as sparse int rows, one int multiple of it over Q."""
+    n, p = len(b_rows), field.p
     if n == 0:
         return [], ()
-    b_rows, _ = field.ints(map(dict, map(enumerate, f.m.rows)))
     a_rows = [{j: row[i] for j, row in enumerate(b_rows) if i in row} for i in range(n)]
     rank, minor = pencil_minor(field, a_rows, b_rows)
     eps = _odd_indices(p, a_rows, b_rows, n - rank)
@@ -391,5 +401,5 @@ def classify(a: Algebra, z=None) -> BlockDecomposition:
     the base field, and `UnpairedEigenvalue` if the cosquare data cannot be
     matched into blocks, which signals a bug or a broken input; `z` as in `form_of`.
     """
-    regular, sizes = regularize(form_of(a, z))
+    regular, sizes = _regularize(a.field, _form_rows(a, z)[0])
     return BlockDecomposition(a.field, [BlockDescriptor("j", s) for s in sizes] + regular)

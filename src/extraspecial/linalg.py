@@ -9,9 +9,9 @@ a column index (`holders`) sends each back-substitution only to the rows
 that need it.  `kernel_basis`, the subspaces of `algebra` and `cohomology`
 and the classification in `forms` hand it int rows; `sparse_reduce` wraps it
 for scalar rows, which `Field.ints` lifts.  A kernel eliminates its rows in
-reversed column order, so the kernel vectors read off the result already
-are a reduced echelon basis; it first drops the columns that single-entry
-rows fix to zero, or, given a bound on the rank, reads the rows only up to it.
+reversed column order, so the kernel vectors that `kernel_of` reads off the
+store already are a reduced echelon basis; `kernel_basis` first drops the
+columns that single-entry rows fix to zero.
 
 A `Subspace` is held in the engine's own format: the int store {pivot
 column: sparse int row} of its reduced echelon basis that `reduce_ints`
@@ -146,28 +146,31 @@ def _clear_pivots(pivots: dict, row: dict, p=None) -> dict:
     return row
 
 
-def kernel_basis(field: Field, ncols: int, rows, rank=None) -> "Subspace":
+def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
     """The subspace {v : row . v = 0 for every constraint row} of F^ncols.
 
     `rows` are int rows with no zero entry: residues over GF(p), any int
-    multiple of a scalar row over Q.  They are reduced in reversed column
-    order (c -> ncols - 1 - c), so e_f - sum of (prow[f] / lead) e_pc, the
-    kernel vector of a free column f, starts at f: already the reduced
-    echelon basis.  Over Q it is taken times the lcm of the leads it meets,
-    made primitive only when one of them is not 1.  Unbounded, a presolve
-    first reads every row: a one-entry row fixes v_c = 0, and c leaves the
-    other rows.  Given `rank`, a bound on the rank of the rows, they are read
-    lazily until `rank` pivots are found, which then span every unread row.
+    multiple of a scalar row over Q.  A presolve first reads every row: a
+    one-entry row fixes v_c = 0, and c leaves the other rows.  The rest are
+    reduced in reversed column order (c -> ncols - 1 - c), and `kernel_of`
+    reads the kernel off the store.
     """
-    last, lazy, p = ncols - 1, rank is not None, field.p
-    rows = rows if lazy else list(rows)
-    fixed = set() if lazy else {c for row in rows if len(row) == 1 for c in row}
-    rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if lazy or len(row) > 1)
-    pivots = reduce_ints({}, (row for row in rest if row), p, rank)
-    kernel = {f: {f: 1} for f in range(ncols) if f not in fixed and last - f not in pivots}
+    rows, last = list(rows), ncols - 1
+    fixed = {c for row in rows if len(row) == 1 for c in row}
+    rest = ({last - c: x for c, x in row.items() if c not in fixed} for row in rows if len(row) > 1)
+    return kernel_of(field, ncols, reduce_ints({}, (row for row in rest if row), field.p), fixed)
+
+
+def kernel_of(field: Field, ncols: int, pivots: dict, skip=()) -> "Subspace":
+    """The kernel of the echelon store `pivots` of rows in reversed column order, less the free
+    columns in `skip`.  e_f - sum of (prow[f] / lead) e_pc, the vector of a free column f, starts
+    at f, so the vectors already are a reduced echelon basis.  Over Q each is taken times the lcm
+    of the leads it meets, made primitive only when one of them is not 1."""
+    last, p = ncols - 1, field.p
+    kernel = {f: {f: 1} for f in range(ncols) if f not in skip and last - f not in pivots}
     for pc, prow in pivots.items():
         for f, x in prow.items():
-            if f != pc:
+            if f != pc and last - f in kernel:
                 kernel[last - f][last - pc] = -x % p if p else -x
     leads = {} if p else {last - pc: lead for pc, prow in pivots.items() if (lead := prow[pc]) != 1}
     for f, vec in kernel.items():
@@ -448,8 +451,9 @@ class Subspace:
             and self._rows == other._rows
         )
 
-    def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+    def __hash__(self):  # of the int store that `__eq__` compares, whatever the order of its entries
+        rows = frozenset((c, frozenset(row.items())) for c, row in self._rows.items())
+        return hash((self.field, self.ambient_dim, rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"

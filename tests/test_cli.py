@@ -142,6 +142,28 @@ def test_closed_fd_1_exits_5_with_json_on_stderr():
     assert sorted(report) == ["error", "kind"] and report["kind"] == "OSError"
 
 
+# runs the CLI with its arguments in a child whose address space is capped at 512 MB
+LIMITED_CLI = """import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+runpy.run_module("extraspecial", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("command,dim,payload", [
+    ("multiplier", 100_000, {"theory": "assoc", "multiplier_dim": 10_000_000_000}),
+    ("zstar", 2_000, {"dim": 0, "basis": []}),
+])
+def test_a_large_zero_algebra_stays_cheap(tmp_path, command, dim, payload):
+    # a 50-byte document must not cost its dim^2 cocycles: the multiplier is a
+    # rank, and Z* a reduction modulo the (here empty) constraint echelon
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": dim, "products": []}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extraspecial.__file__)))
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, command, str(path)],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, json.loads(proc.stdout)) == (0, payload), proc.stderr.decode()[-400:]
+
+
 def test_check_identity(tmp_path, capsys):
     path = make_file(tmp_path, capsys, "gamma:3")
     code, doc = run(capsys, "check", path, "--identity", "assoc")

@@ -27,7 +27,7 @@ from extraspecial.cohomology import (
     multiplier_dim,
     z_star,
 )
-from extraspecial.errors import IdentityViolated, NotAssociative
+from extraspecial.errors import IdentityViolated, InternalCheckFailure, NotAssociative
 from extraspecial.forms import algebra_from_form, form_of
 from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
@@ -159,7 +159,10 @@ def _assert_early_stop_reads_the_whole_system(a):
         rows, touchable = list(cohomology._cocycle_rows(a, kind)), _touchable_columns(a, kind)
         assert all(row.keys() <= touchable for row in rows)
         full = linalg.kernel_basis(a.field, n * n, rows)
-        assert cocycle_space(a, kind).z2.pivots == full.pivots, (a, kind)
+        cs = cocycle_space(a, kind)
+        # h2 is read off R, and z2 is not built until it is read
+        assert "z2" not in vars(cs) and cs.h2_dim == full.dim - cs.b2.dim, (a, kind)
+        assert cs.z2 == full and cs.z2.pivots == full.pivots, (a, kind)
         bound = len(touchable)
         assert n * n - full.dim <= bound
         reached.append(n * n - full.dim == bound)
@@ -462,6 +465,67 @@ def test_z_star_agrees_with_the_cover_route_in_a_dense_basis(flag, text):
     field = _field(flag)
     a = make_from_text(text, field)
     _assert_cover_route_agrees(_in_basis(a, _random_basis(random.Random(f"basis {flag} {text}"), field, a.dim)))
+
+
+def _annihilator_of_z2(a):
+    """Z* as the two-sided annihilator of every basis cocycle of the full z2."""
+    n, rows = a.dim, {}
+    for l, f in enumerate(cocycle_space(a, IdentityKind.ASSOCIATIVE).z2._rows.values()):
+        for c, x in f.items():
+            i, jj = divmod(c, n)
+            rows.setdefault(("L", l, jj), {})[i] = x  # f(u, x_jj) = sum_i u_i f(x_i, x_jj)
+            rows.setdefault(("R", l, i), {})[jj] = x  # f(x_i, u) = sum_jj u_jj f(x_i, x_jj)
+    return linalg.kernel_basis(a.field, n, rows.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_z_star_by_reduction_equals_the_annihilator_of_z2_and_the_cover_route(field):
+    # p <= dim in GF(3) and GF(5); scrambled forms, dense bases and algebras with
+    # a center larger than A^2, where Z* sits strictly between 0 and the center
+    rng = random.Random(f"z_star reduction {field}")
+    inputs = [make_from_text(text, field) for text in CATALOG_TEXTS]
+    inputs += [algebra_from_form(scrambled(rng, form_of(a).m)) for a in inputs[1:6]]
+    inputs += [_in_basis(a, _random_basis(rng, field, a.dim)) for a in inputs[2:7]]
+    inputs += [_seeded_associative(rng, field, kind) for kind in ("class 2", "nilpotent", "idempotent") * 2]
+    inputs += [_full_incidence_algebra(field), Algebra.zero(field, 3)]
+    shapes = set()
+    for a in inputs:
+        zs = _assert_cover_route_agrees(a)
+        assert zs == _annihilator_of_z2(a), a
+        shapes.add((zs.dim > 0, zs == center(a)))
+    assert shapes >= {(False, False), (False, True), (True, True)}
+
+
+def test_each_audit_can_fail(monkeypatch):
+    # a constraint row that kills a coboundary trips the audit R b2^T = 0
+    a, rows = j(2), cohomology._cocycle_rows
+    monkeypatch.setattr(cohomology, "_cocycle_rows", lambda a, kind: itertools.chain([{1: 1}], rows(a, kind)))
+    with pytest.raises(InternalCheckFailure, match="coboundary"):
+        cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    monkeypatch.undo()
+    # a Z* that is not inside the center trips the Z* audit, which solves all n unknowns
+    monkeypatch.setattr(cohomology, "kernel_basis", lambda field, n, rows: Subspace(field, n, [[1] * n]))
+    with pytest.raises(InternalCheckFailure, match="center"):
+        z_star(a)
+
+
+@pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])
+def test_cover_built_on_ints_equals_the_scalar_build(flag, text):
+    # the complement's scalar rows, 1 at the pivot, through the scalar entry point
+    # and through the Algebra constructor give the same canonical total algebra
+    field = _field(flag)
+    a = make_from_text(text, field)
+    a = _in_basis(a, _random_basis(random.Random(f"cover {flag} {text}"), field, a.dim))
+    cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    complement = [row for c, row in cs.z2.pivots.items() if c not in cs.b2._rows]
+    products = {(i, jj): row for i, jj, row in a.nonzero_products()}
+    for l, f in enumerate(complement):
+        for c, x in f.items():
+            products.setdefault(divmod(c, a.dim), {})[a.dim + l] = x
+    total = cover(a).total
+    names = [*a.basis_names, *(f"m{l + 1}" for l in range(len(complement)))]
+    assert total == central_extension_by_cocycles(a, complement) == Algebra(field, len(names), products, names)
+    assert total.basis_names == tuple(names)
 
 
 @pytest.mark.parametrize("fn", [z_star, is_capable, is_unicentral])

@@ -517,6 +517,28 @@ def test_classify_edge_shapes_canonical_and_scrambled(field, shape):
         assert classify(algebra_from_form(scrambled(rng, m))) == expected
 
 
+@pytest.mark.parametrize("field,shape", [
+    (Q, "j:3+h2:2"), (Q, "gamma:4+h2n:2:3"), (GF3, "j:2+j:1+gamma:2"), (GF5, "gamma:3+h2:2"), (GF7, "j:4+h2n:2:3"),
+], ids=lambda x: str(x) if isinstance(x, Field) else x)
+def test_classify_on_the_int_form_equals_regularize_of_form_of(field, shape):
+    # classify reads the form as int rows straight from the table: they must be
+    # `Field.ints` of form_of's scalars, also in a dense basis, where over Q the
+    # center row and the table carry denominators
+    from test_basis_invariance import _in_basis, _random_basis
+
+    rng = random.Random(f"int form {field} {shape}")
+    a = make_from_text(shape, field)
+    inputs = [a, _in_basis(a, _random_basis(rng, field, a.dim))]
+    inputs += [algebra_from_form(scrambled(rng, form_of(b).m)) for b in inputs for _ in range(2)]
+    for b in inputs:
+        f = form_of(b)
+        rows, den = forms._form_rows(b)
+        assert rows == field.ints(map(dict, map(enumerate, f.m.rows)))[0]
+        assert f.m.rows == tuple(tuple(field.scalar(row.get(c, 0), den) for c in range(len(rows))) for row in rows)
+        regular, sizes = regularize(f)
+        assert classify(b) == BlockDecomposition(field, [BlockDescriptor("j", s) for s in sizes] + regular)
+
+
 def test_classify_names_the_rootless_factor_of_a_singular_pencil():
     # J5 beside a rotation over Q: the pencil is singular, and only t^2 + 1
     # of the invariant factors fails to split, whatever the basis

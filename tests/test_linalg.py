@@ -11,6 +11,7 @@ from extraspecial.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
+    kernel_of,
     pencil_minor,
     poly_divmod,
     poly_mul,
@@ -237,6 +238,27 @@ def test_subspace_canonical_equality():
                 assert sub.basis == reference.basis
         assert not reference.contains([1, 0, 0, 0, 0, 0])
         assert reference.contains({0: field.one, 1: field.coerce(2), 4: field.one})
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), GF7], ids=str)
+def test_subspace_hash_reads_the_int_store_not_scalars(field, monkeypatch):
+    # equal spans from different spanning sets, one built row-reversed so its
+    # store rows hold their entries in another order; hashing builds no scalar
+    rng = random.Random(f"hash over {field}")
+    span = [{c: field.coerce(rng.randint(-4, 4) or 1) for c in rng.sample(range(9), 4)} for _ in range(4)]
+    combined = [{c: row.get(c, field.zero) - other.get(c, field.zero) for c in row.keys() | other.keys()}
+                for row, other in zip(span, span[1:] + span[:1])]
+    reference = Subspace(field, 9, span)
+    twins = [Subspace(field, 9, combined + span[:1]), Subspace(field, 9, span[::-1])]
+    twins[1]._rows = {c: dict(reversed(row.items())) for c, row in twins[1]._rows.items()}
+
+    def no_scalar(self, n, d=1):
+        raise AssertionError("a scalar was built")
+
+    monkeypatch.setattr(Field, "scalar", no_scalar)
+    for twin in twins:
+        assert twin == reference and hash(twin) == hash(reference)
+    assert hash(reference) != hash(Subspace(field, 9, span[1:]))
 
 
 def test_subspace_coerces_int_entries_of_sparse_rows():
@@ -521,9 +543,11 @@ def test_kernel_basis_returns_the_canonical_basis(field):
         assert all(min(row) == c for c, row in kernel.pivots.items())
         assert kernel == _dense_kernel(field, ncols, rows), (ncols, rows)
         _assert_field_scalars(field, kernel.pivots)
-        # read lazily up to the number of columns the rows touch, no presolve
+        # read lazily up to the number of columns the rows touch, no presolve, as
+        # `cohomology.cocycle_space` reads its rows before `kernel_of` reads z2
         touched = {c for row in rows for c, x in row.items() if x}
-        bounded = kernel_basis(field, ncols, (_ints(field, row) for row in rows), rank=len(touched))
+        flipped = ({ncols - 1 - c: x for c, x in _ints(field, row).items()} for row in rows)
+        bounded = kernel_of(field, ncols, reduce_ints({}, flipped, field.p, rank=len(touched)))
         assert bounded.pivots == kernel.pivots, (ncols, rows)
         _assert_field_scalars(field, bounded.pivots)
     ncols, rows = systems[1]
