@@ -185,7 +185,7 @@ def cover(a: Algebra) -> CoverExtension:
     den = lcm(*(f[c] for c, f in complement.items()))
     rows = [{c: x * (den // f[pc]) for c, x in f.items()} for pc, f in complement.items()]
     total = _extension(a, rows, den)
-    kernel = Subspace._span(a.field, n + m, ({n + l: 1} for l in range(m)))
+    kernel = Subspace._echelon(a.field, n + m, {n + l: {n + l: 1} for l in range(m)})
     # kernel inside the center: no product involves a kernel coordinate as a
     # factor, which is exactly the two-sided annihilator condition
     for i, j in total._table:

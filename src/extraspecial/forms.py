@@ -179,6 +179,12 @@ def _odd_indices(p, a_rows, b_rows, count: int) -> list[int]:
     the new columns (as rows) to the reduction.  `count` = n - normal rank
     is the number of odd blocks.  eps = 0 would be a vector with zero row
     and zero column, which is refused.
+
+    Entry r of block b is column -(b n + r) - 1, so the newest block sorts
+    first and a new row's pivot, the least column it holds, lands in its A
+    part, a column no row of an earlier step holds: back-substitution
+    reaches an earlier step's rows only when a row's A part clears.  The rank, and so
+    eps, does not depend on the order of the columns.
     """
     n = len(a_rows)
     eps, pivots, k = [], {}, 0
@@ -187,8 +193,8 @@ def _odd_indices(p, a_rows, b_rows, count: int) -> list[int]:
             raise InternalCheckFailure("odd singular blocks do not fit the form")
         before = len(pivots)
         reduce_ints(pivots, (
-            {k * n + r: x for r, x in b_rows[j].items()}
-            | {(k + 1) * n + r: x for r, x in a_rows[j].items()}
+            {-k * n - r - 1: x for r, x in b_rows[j].items()}
+            | {-(k + 1) * n - r - 1: x for r, x in a_rows[j].items()}
             for j in range(n)
         ), p)
         k += 1

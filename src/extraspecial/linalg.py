@@ -29,7 +29,9 @@ exactly by dividing out v t - u.  That work runs on integer coefficient
 lists.  `pencil_minor` takes the pencil as int rows, packs each entry
 a + tb into the integer a + b 2^s (Kronecker substitution, ibid. 8.4) and
 runs Bareiss's fraction-free elimination on those ints, over Q and GF(p)
-alike.
+alike.  A row with no entry in the pivot column is not touched: it keeps
+the step it was last brought up to date at and is scaled once, when it
+next holds a pivot column, so a banded pencil costs its fill-in, not n^3.
 """
 
 from __future__ import annotations
@@ -739,6 +741,15 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     lowest row on ties; over GF(p) both are read from the digits mod p,
     which replays the elimination over GF(p)[t], since a minor of the ints
     reduces mod p to the same minor.  The last pivot is the minor.
+
+    Bareiss's update of a row with no entry in the pivot column only scales
+    it by pivot / prev, and those factors telescope.  So with pivots[k] the
+    pivot of step k (pivots[0] = 1) and at[i] the step row i was last
+    brought up to date at, its true value at step k is
+    rows[i] * pivots[k] // pivots[at[i]], and the division is exact because
+    the true entries are minors.  A row is brought up to date only when it
+    holds the column being eliminated: the degree scan reads that entry,
+    and the pivot row is one of those rows.  Every other row is skipped.
     """
     p, lifted, bound = field.p, [], 1
     for a, b in zip(a_rows, b_rows):
@@ -748,30 +759,39 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
         bound *= max(1, sum(map(abs, (*a.values(), *b.values()))))
     s = bound.bit_length() + 2
     rows = [{j: x for j in a.keys() | b.keys() if (x := a.get(j, 0) + (b.get(j, 0) << s))} for a, b in lifted]
-    n, rank, prev = len(rows), 0, 1
+    n, rank, pivots, at = len(rows), 0, [1], [0] * len(rows)
     for c in range(n):
-        # (1 + degree in t, row) of each entry that is not 0 in the field; a column
-        # with none is skipped, and its entries, still minors of the ints, are not read
-        live = [
-            (d, i) for i in range(rank, n)
-            if (x := rows[i].get(c)) and (d := len(_digits(x, s, p)) if p else abs(x).bit_length() // s + 1)
-        ]
+        # rows holding c are brought up to step `rank`; then (1 + degree in t, row) of each
+        # entry that is not 0 in the field.  A column with none is skipped, and its entries,
+        # still minors of the ints, are not read
+        prev, live = pivots[rank], []
+        for i in range(rank, n):
+            if (x := rows[i].get(c)) is None:
+                continue
+            if at[i] != rank:
+                rows[i] = {j: y * prev // pivots[at[i]] for j, y in rows[i].items()}
+                x, at[i] = rows[i][c], rank
+            if d := (len(_digits(x, s, p)) if p else abs(x).bit_length() // s + 1):
+                live.append((d, i))
         if not live:
             continue
         top = min(live)[1]
         rows[rank], rows[top] = rows[top], rows[rank]
+        at[rank], at[top] = at[top], at[rank]
         pivot_row = rows[rank]
         pivot = pivot_row.pop(c)
         for i in range(rank + 1, n):
             row = rows[i]
-            lead = row.pop(c, 0)
+            if (lead := row.pop(c, None)) is None:
+                continue  # Bareiss would only scale it by pivot / prev: `at` holds that back
             rows[i] = {
                 j: x for j in row.keys() | pivot_row.keys()
                 if (x := (pivot * row.get(j, 0) - lead * pivot_row.get(j, 0)) // prev)
             }
-        prev = pivot
+            at[i] = rank + 1
+        pivots.append(pivot)
         rank += 1
-    return rank, [field.coerce(x) for x in _digits(prev, s, p)]
+    return rank, [field.coerce(x) for x in _digits(pivots[rank], s, p)]
 
 
 def _digits(x: int, s: int, p=None) -> list:

@@ -552,3 +552,49 @@ def test_classify_names_the_rootless_factor_of_a_singular_pencil():
         with pytest.raises(DoesNotSplit) as exc:
             classify(algebra_from_form(g))
         assert exc.value.factor == [Fraction(1), Fraction(0), Fraction(1)]
+
+
+def _dense_minimal_indices(field, a_rows, b_rows, count):
+    """eps read from the nullities N_k of T_k, built densely: N_k - N_(k-1) = #{eps < k}.
+
+    T_k has k block columns and k + 1 block rows, A in block (b, b) and B in block (b + 1, b).
+    """
+    n, zero = len(a_rows), field.zero
+    eps, nullity, below = [], 0, 0
+    for k in range(1, n + 1):
+        t = [[zero] * (k * n) for _ in range((k + 1) * n)]
+        for b in range(k):
+            for i in range(n):
+                for j, x in a_rows[i].items():
+                    t[b * n + i][b * n + j] = field.coerce(x)
+                for j, x in b_rows[i].items():
+                    t[(b + 1) * n + i][b * n + j] = field.coerce(x)
+        nullity, step = k * n - Matrix(field, t).rank(), nullity
+        eps += [k - 1] * (nullity - step - below)
+        below = nullity - step
+        if len(eps) == count:
+            return eps
+    raise AssertionError("the nullities never reach the odd block count")
+
+
+@pytest.mark.parametrize("field", [Q, GF3, GF7], ids=str)
+@pytest.mark.parametrize("shape", ["j:3+j:5+j:7", "j:9+gamma:8", "j:1+j:3+h2:2", "j:3+j:3+j:9"])
+def test_odd_indices_agree_with_dense_nullities(field, shape):
+    # `_odd_indices` numbers the newest block's columns first; the rank of each T_k, and so
+    # eps, must not depend on that order, canonical or scrambled, also when p <= dim
+    expected = sorted((n - 1) // 2 for part in shape.split("+") if (n := int(part.split(":")[1])) % 2 and n > 1)
+    rng = random.Random(f"odd indices {field} {shape}")
+    m = form_of(make_from_text(shape, field)).m
+    for g in (m, scrambled(rng, m), scrambled(rng, m)):
+        b_rows = field.ints(map(dict, map(enumerate, g.rows)))[0]
+        a_rows = [{j: row[i] for j, row in enumerate(b_rows) if i in row} for i in range(len(b_rows))]
+        eps = forms._odd_indices(field.p, a_rows, b_rows, len(expected))
+        assert eps == _dense_minimal_indices(field, a_rows, b_rows, len(expected)) == expected
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=str)
+@pytest.mark.parametrize("shape", ["gamma:80", "j:81", "gamma:40+h2n:20:3"])
+def test_classify_of_large_canonical_forms(field, shape):
+    # banded forms of size 80: the pencil minor's cost follows their fill-in, not n^3
+    expected = BlockDecomposition(field, [parse_descriptor(p, field) for p in shape.split("+")])
+    assert classify(make_from_text(shape, field)) == expected

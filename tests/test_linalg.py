@@ -2,11 +2,22 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 import pytest
 
-from extraspecial.errors import DimensionMismatch, DoesNotSplit, FieldMismatch, InputError, NotSquare, Singular
+from extraspecial.catalog import BlockDescriptor, make_from_text
+from extraspecial.errors import (
+    DimensionMismatch,
+    DoesNotSplit,
+    FieldMismatch,
+    InputError,
+    InvalidDescriptor,
+    NotSquare,
+    Singular,
+)
+from extraspecial.forms import form_of
 from extraspecial.linalg import (
     Matrix,
     Subspace,
@@ -781,6 +792,59 @@ def _congruent(rng, field, m):
     return [list(row) for row in p.transpose().matmul(Matrix(field, m)).matmul(p).rows]
 
 
+def _h_text(field, n):
+    """H_2n(lam) for the first of lam = 2, 3, 1 that the family admits over `field`."""
+    for lam in (2, 3, 1):
+        try:
+            BlockDescriptor("h", n, lam).validate(field)
+        except InvalidDescriptor:
+            continue
+        return f"h2n:{n}:{lam}"
+
+
+def _canonical_texts(field):
+    """Every canonical family up to a form size of 20, and 2- and 3-part central sums."""
+    h = partial(_h_text, field)
+    yield from (f"j:{n}" for n in range(1, 21))
+    yield from (f"gamma:{n}" for n in range(2, 21))
+    yield from (h(n) for n in range(1, 11))
+    yield from ("j:3+gamma:4", f"gamma:5+{h(2)}", f"j:9+{h(4)}", "j:2+j:5+gamma:6", f"{h(1)}+gamma:7+j:4")
+
+
+def _idle_row_pencil(field, rng, n):
+    """A lower triangle of entries a + tb, row i holding column i and maybe one column j <= i - 3.
+
+    Such a row takes part in step j, then sits idle under the pivots of the steps up to i.
+    """
+    def entry():
+        return field.coerce(rng.choice((-3, -2, -1, 1, 2, 3))), field.coerce(rng.randint(-3, 3))
+
+    a_rows, b_rows = [], []
+    for i in range(n):
+        held = {i} | ({rng.randrange(i - 2)} if i >= 3 and rng.random() < 0.7 else set())
+        entries = {j: entry() for j in held}
+        a_rows.append({j: a for j, (a, _) in entries.items() if a})
+        b_rows.append({j: b for j, (_, b) in entries.items() if b})
+    return a_rows, b_rows
+
+
+def _wrapped_column_pencil(field, rng):
+    """A 6 x 6 pencil over GF(p) whose column 2 is zero mod p, but not over the ints, at step 2.
+
+    With x = (p - 1) / 2, rows 0 to 2 of A hold [1, 0, x], [1, 1, 2x] and [0, 1, x] in columns 0 to 2;
+    2x lifts to -1, so the 3 x 3 minor is 2x + 1 = p.  No other row holds column 2, and every row
+    holds entries a + tb in columns 3 to 5, so the skipped column's ints ride along to later steps.
+    """
+    x = field.coerce((field.p - 1) // 2)
+    one, n = field.one, 6
+    a_rows = [{0: one, 2: x}, {0: one, 1: one, 2: x + x}, {1: one, 2: x}] + [{} for _ in range(3)]
+    b_rows = [{} for _ in range(n)]
+    for i in range(n):
+        for j in rng.sample(range(3, n), 2):
+            a_rows[i][j], b_rows[i][j] = field.coerce(rng.choice((1, 2))), field.coerce(rng.choice((1, 2)))
+    return a_rows, b_rows
+
+
 def _pencil_cases(field, rng):
     for sizes in [(3,), (2,), (1, 3), (2, 4), (3, 5, 2), (1, 1, 2)]:
         m = _block_form(field, sizes, 2)
@@ -799,6 +863,12 @@ def _pencil_cases(field, rng):
     for n in (10, 14, 18):
         m = _block_form(field, (n - 5,), 3)
         yield _pencil_of(_congruent(rng, field, m))
+    for text in _canonical_texts(field):
+        yield _pencil_of(form_of(make_from_text(text, field)).m.rows)
+    for n in (6, 9, 13):
+        yield _idle_row_pencil(field, rng, n)
+    if field.p:
+        yield _wrapped_column_pencil(field, rng)
     if field.p is None:
         for n in (3, 6, 9):
             # every row with its own large denominators
