@@ -185,23 +185,33 @@ def _odd_indices(p, a_rows, b_rows, count: int) -> list[int]:
     part, a column no row of an earlier step holds: back-substitution
     reaches an earlier step's rows only when a row's A part clears.  The rank, and so
     eps, does not depend on the order of the columns.
+
+    Every step feeds one `reduce_ints` call, which keeps its column index
+    across steps: the generator is resumed for the next row only once the
+    last one is reduced, so it reads the rank of T_k there and either stops
+    or makes the rows of T_(k+1).
     """
     n = len(a_rows)
-    eps, pivots, k = [], {}, 0
-    while len(eps) < count:
-        if 2 * k + 1 > n - sum(2 * e + 1 for e in eps):
-            raise InternalCheckFailure("odd singular blocks do not fit the form")
-        before = len(pivots)
-        reduce_ints(pivots, (
-            {-k * n - r - 1: x for r, x in b_rows[j].items()}
-            | {-(k + 1) * n - r - 1: x for r, x in a_rows[j].items()}
-            for j in range(n)
-        ), p)
-        k += 1
-        below = n - (len(pivots) - before)
-        if k == 1 and below:
-            raise DegenerateVector("the form has a vector with zero row and zero column")
-        eps += [k - 1] * (below - len(eps))
+    eps, pivots = [], {}
+
+    def steps():
+        k = 0
+        while len(eps) < count:
+            if 2 * k + 1 > n - sum(2 * e + 1 for e in eps):
+                raise InternalCheckFailure("odd singular blocks do not fit the form")
+            before = len(pivots)
+            for j in range(n):
+                yield (
+                    {-k * n - r - 1: x for r, x in b_rows[j].items()}
+                    | {-(k + 1) * n - r - 1: x for r, x in a_rows[j].items()}
+                )
+            k += 1
+            below = n - (len(pivots) - before)
+            if k == 1 and below:
+                raise DegenerateVector("the form has a vector with zero row and zero column")
+            eps.extend([k - 1] * (below - len(eps)))
+
+    reduce_ints(pivots, steps(), p)
     return eps
 
 

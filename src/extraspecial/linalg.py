@@ -20,18 +20,21 @@ input to `Subspace`, and its `pivots` and `basis` views.
 
 Polynomials appear as ascending coefficient lists (index = degree) with no
 trailing zeros; the zero polynomial is the empty list.  `roots_in_field`
-finds roots without scanning the field (von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 14-15): over GF(p), gcd(f, t^p - t) by repeated
-squaring mod f, split by seeded Cantor-Zassenhaus; over Q, the roots of
-the square-free part modulo a small prime that keeps it square-free,
-Hensel-lifted and reconstructed; each candidate u/v is then checked
-exactly by dividing out v t - u.  That work runs on integer coefficient
-lists.  `pencil_minor` takes the pencil as int rows, packs each entry
-a + tb into the integer a + b 2^s (Kronecker substitution, ibid. 8.4) and
-runs Bareiss's fraction-free elimination on those ints, over Q and GF(p)
-alike.  A row with no entry in the pivot column is not touched: it keeps
-the step it was last brought up to date at and is scaled once, when it
-next holds a pivot column, so a banded pencil costs its fill-in, not n^3.
+finds roots at the cost of the field (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 14-15): over GF(p) with p below 256, by evaluating
+f at every residue; over a larger prime, gcd(f, t^p - t), with t^p taken
+mod f one bit at a time, split by seeded Cantor-Zassenhaus; over Q, the
+roots of the square-free part modulo a small prime that keeps it
+square-free, Hensel-lifted and reconstructed; each candidate u/v is then
+checked exactly by dividing out v t - u.  That work runs on integer
+coefficient lists.  `pencil_minor` takes the pencil as int rows, packs
+each entry a + tb into the integer a + b 2^s (Kronecker substitution,
+ibid. 8.4) and runs Bareiss's fraction-free elimination on those ints,
+over Q and GF(p) alike.  A row with no entry in the pivot column is not
+touched: it keeps the step it was last brought up to date at and is
+scaled once, when it next holds a pivot column, so a banded pencil costs
+its fill-in, not n^3.  Over GF(p) an entry's degree is read from its top
+digit down.
 """
 
 from __future__ import annotations
@@ -590,17 +593,26 @@ def _idivide_linear(f, u: int, v: int, p=None):
     return None if out[-1] else out[-2:0:-1]
 
 
+# timed in-process on 40 seeded monic polynomials of degree 1-18 per cell, the scan
+# costs 0.8-1.4x what Cantor-Zassenhaus does at p = 257 and 1.0-2.4x at p = 401
+_SCAN_BELOW = 256
+
+
 def _roots_mod(f, p: int) -> list[int]:
     """Distinct roots in 0..p-1 of an integer polynomial read mod p.
 
-    gcd(f, t^p - t), with t^p taken by repeated squaring mod f, is the
-    product of the distinct linear factors of f; seeded Cantor-Zassenhaus
-    splitting then separates them by the quadratic character of t + a.
+    Below `_SCAN_BELOW` the field is scanned: p Horner evaluations cost less
+    than the powers mod f below.  Above it, gcd(f, t^p - t), with t^p taken
+    by `_ipowmod` mod f, is the product of the distinct linear factors of f;
+    Cantor-Zassenhaus splitting, seeded by p, then separates them by the
+    quadratic character of t + a.
     """
     f = _ipoly(f, p)
     if len(f) < 2:
         return []
-    x = _ipowmod([0, 1], p, f, p) + [0, 0]
+    if p < _SCAN_BELOW:
+        return [r for r in range(p) if not _ieval(f, r, p)]
+    x = _ipowmod(0, p, f, p) + [0, 0]
     x[1] -= 1
     rng = random.Random(p)
     roots, stack = [], [_igcd_mod(f, _ipoly(x, p), p)]
@@ -609,7 +621,7 @@ def _roots_mod(f, p: int) -> list[int]:
         if len(g) == 2:
             roots.append(-g[0] % p)
         elif len(g) > 2:
-            w = _ipowmod([rng.randrange(p), 1], (p - 1) // 2, g, p) or [0]
+            w = _ipowmod(rng.randrange(p), (p - 1) // 2, g, p) or [0]
             w[0] -= 1
             d = _igcd_mod(g, _ipoly(w, p), p)
             stack += [d, _idivmod(g, d, p)[0]] if 1 < len(d) < len(g) else [g]
@@ -699,14 +711,22 @@ def _primitive(f) -> list:
     return [x // content for x in f] if f else f
 
 
-def _ipowmod(f, e: int, m, p: int) -> list:
-    """f^e mod m over GF(p)."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = _idivmod(_imul(out, f, p), m, p)[1]
-        f = _idivmod(_imul(f, f, p), m, p)[1]
-        e >>= 1
+def _ipowmod(a: int, e: int, m, p: int) -> list:
+    """(t + a)^e mod m over GF(p), deg m >= 1, from the top bit of e down.
+
+    Each bit squares and reduces; a set bit then multiplies by t + a, one
+    shift and one scaled add, which raise the degree by at most one, so one
+    division step by m brings it back below deg m.
+    """
+    d, inv, out = len(m) - 1, pow(m[-1], -1, p), [1]
+    for bit in bin(e)[2:]:
+        out = _idivmod(_imul(out, out, p), m, p)[1]
+        if bit == "1":
+            out = [x + a * y for x, y in zip([0, *out], [*out, 0])]
+            if len(out) > d:
+                c = out.pop() * inv
+                out = [x - c * y for x, y in zip(out, m)]
+            out = _ipoly(out, p)
     return out
 
 
@@ -738,9 +758,10 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     back from its signed base-2^s digits.  Bareiss runs on the packed ints:
     t -> 2^s is a ring map Z[t] -> Z, so each division by the previous pivot
     stays exact.  The pivot is the live entry of lowest degree in t, the
-    lowest row on ties; over GF(p) both are read from the digits mod p,
-    which replays the elimination over GF(p)[t], since a minor of the ints
-    reduces mod p to the same minor.  The last pivot is the minor.
+    lowest row on ties; over GF(p) both are read from the digits mod p
+    (`_live_degree`, from the top digit down), which replays the
+    elimination over GF(p)[t], since a minor of the ints reduces mod p to
+    the same minor.  The last pivot is the minor, read out by `_digits`.
 
     Bareiss's update of a row with no entry in the pivot column only scales
     it by pivot / prev, and those factors telescope.  So with pivots[k] the
@@ -760,6 +781,7 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     s = bound.bit_length() + 2
     rows = [{j: x for j in a.keys() | b.keys() if (x := a.get(j, 0) + (b.get(j, 0) << s))} for a, b in lifted]
     n, rank, pivots, at = len(rows), 0, [1], [0] * len(rows)
+    offset = (1 << (s - 1)) * (((1 << (s * (n + 2))) - 1) // ((1 << s) - 1))
     for c in range(n):
         # rows holding c are brought up to step `rank`; then (1 + degree in t, row) of each
         # entry that is not 0 in the field.  A column with none is skipped, and its entries,
@@ -771,7 +793,7 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
             if at[i] != rank:
                 rows[i] = {j: y * prev // pivots[at[i]] for j, y in rows[i].items()}
                 x, at[i] = rows[i][c], rank
-            if d := (len(_digits(x, s, p)) if p else abs(x).bit_length() // s + 1):
+            if d := (_live_degree(x, s, p, offset) if p else abs(x).bit_length() // s + 1):
                 live.append((d, i))
         if not live:
             continue
@@ -792,6 +814,23 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
         pivots.append(pivot)
         rank += 1
     return rank, [field.coerce(x) for x in _digits(pivots[rank], s, p)]
+
+
+def _live_degree(x: int, s: int, p: int, offset: int) -> int:
+    """1 + the degree mod p of the packed entry x, 0 when x is 0 mod p, read from the top.
+
+    `offset` holds 2^(s-1) in each of the digits 0..n+1, which covers every
+    digit of an entry of an n x n pencil: x + offset holds each signed digit
+    of x plus 2^(s-1), unsigned, so digit k is one shift and mask away.  The
+    coefficients are below 2^(s-2), so the top digit of x is
+    x.bit_length() // s, and the shifts from there down stay short until a
+    digit is not 0 mod p.
+    """
+    y, half, mask = x + offset, 1 << (s - 1), (1 << s) - 1
+    for k in range(x.bit_length() // s, -1, -1):
+        if (((y >> (s * k)) & mask) - half) % p:
+            return k + 1
+    return 0
 
 
 def _digits(x: int, s: int, p=None) -> list:

@@ -21,6 +21,9 @@ from extraspecial.forms import form_of
 from extraspecial.linalg import (
     Matrix,
     Subspace,
+    _idivmod,
+    _imul,
+    _ipowmod,
     kernel_basis,
     kernel_of,
     pencil_minor,
@@ -609,17 +612,38 @@ def _brute_roots(field, poly):
     return roots, rest
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 101])
+# the fields below 256 are scanned, 257 and 263 run Cantor-Zassenhaus
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 251, 257, 263])
 def test_roots_over_gf_agree_with_brute_force(p):
     field = Field.gf(p)
     rng = random.Random(f"roots mod {p}")
+    polys = []
     for _ in range(50):
         poly = [field.coerce(rng.randrange(p)) for _ in range(rng.randint(0, 6))]
         poly.append(field.coerce(rng.randrange(1, p)))
         for _ in range(rng.randint(0, 4)):
             poly = poly_mul(field, poly, [field.coerce(rng.randrange(p)), field.one])
+        polys.append(poly)
+    if p < 7:  # degree >= p: (t^p - t) g has every residue as a root
+        every = [field.zero, -field.one] + [field.zero] * (p - 2) + [field.one]
+        polys += [poly_mul(field, every, g) for g in polys[:10]]
+    for poly in polys:
         # same roots, multiplicities, residue order and rootless cofactor
         assert roots_in_field(field, poly) == _brute_roots(field, poly)
+
+
+@pytest.mark.parametrize("p", [3, 257, 10007])
+def test_linear_powers_agree_with_repeated_products(p):
+    # (t + a)^e mod m, one product by t + a and one reduction at a time: the same
+    # polynomial of degree < deg m, whatever the bits of e
+    rng = random.Random(f"linear powers mod {p}")
+    for _ in range(20):
+        m = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [rng.randrange(1, p)]
+        a, e = rng.randrange(p), rng.randrange(1, 200)
+        want = [1]
+        for _ in range(e):
+            want = _idivmod(_imul(want, [a, 1], p), m, p)[1]
+        assert _ipowmod(a, e, m, p) == want
 
 
 def test_rational_roots_with_twenty_digit_parts():
