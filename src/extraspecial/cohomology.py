@@ -14,7 +14,11 @@ f(x_m, x_r) and f(x_r, x_m), m in M, the union of the product supports; once
 |M x A u A x M| pivots are found they span every unread row.  Their int
 echelon store R is what a `CocycleSpace` keeps: h2 = n^2 - rank R - dim b2,
 the coboundary audit is R b2^T = 0, and z2 = ker R, n^2 - rank R vectors,
-is built only when read; `cover` builds only the part outside b2.
+is built only when read; `cover` builds only the part outside b2.  The rows
+come brackets of adjacent factors first, as the Leibniz term on the outer pair
+mostly repeats them.  The order cannot change R: reduced, with primitive rows,
+R is unique for its row space, the touchable columns if the bound is reached
+and all rows if not.
 
 Z* (Beyl, Felgner & Schmid, J. Algebra 1979), the cover's center projected
 to A, needs no cover: the cover's product is A's product plus the complement
@@ -38,6 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 from .algebra import (
     IDENTITY_TERMS, Algebra, IdentityKind, center, check_identity, derived_ideal,
@@ -77,29 +82,33 @@ def _cocycle_rows(a: Algebra, theory: IdentityKind):
     product replaced by f (the linearization of the identity table), read on
     the algebra's ints: residues mod p over GF(p), zeros dropped.  The
     triples come product by product: each nonzero x_u x_v in each term's
-    bracket slot, with every x_r as the third factor, each triple once.
+    bracket slot, with every x_r as the third factor, each triple once: the
+    terms bracketing adjacent factors first, then the Leibniz term on the outer
+    pair, whose rows mostly repeat theirs, so a bounded read stops sooner.
     """
-    n, terms, seen, p, table = a.dim, IDENTITY_TERMS[theory], set(), a.field.p, a._table
-    where = [[order.index(s) for s in range(3)] for _, _, order in terms]  # bracket slot of triple entry s
-    for u, v in table:
-        for (_, nesting, _), (i, j, k) in zip(terms, where):
-            for r in range(n):
-                bracket = (u, v, r) if nesting == "L" else (r, u, v)
-                triple = (bracket[i], bracket[j], bracket[k])
-                if triple in seen:
-                    continue
-                seen.add(triple)
-                row = {}
-                for sign, nest, order in terms:
-                    x, y, z = (triple[s] for s in order)
-                    # (x y) z: x_m in x y gives f(x_m, x_z); x (y z): x_m in y z gives f(x_x, x_m)
-                    inner, base, step = ((x, y), z, n) if nest == "L" else ((y, z), x * n, 1)
-                    for m, c in table.get(inner, {}).items():
-                        col, c = base + m * step, c if sign > 0 else -c
-                        row[col] = row[col] + c if col in row else c
-                if p:
-                    row = {col: c % p for col, c in row.items()}
-                yield {col: c for col, c in row.items() if c}
+    n, p, table, get, seen, plan, walks = a.dim, a.field.p, a._table, a._table.get, set(), [], ([], [])
+    for sign, nesting, (x, y, z) in IDENTITY_TERMS[theory]:
+        # (x y) z: x_m in x y gives f(x_m, x_z); x (y z): x_m in y z gives f(x_x, x_m)
+        plan.append((sign, x, y, z, 1, n) if nesting == "L" else (sign, y, z, x, n, 1))
+        # triple entry s is entry slot[s] of (u, v, r), x_u x_v the bracket and x_r the third factor;
+        # a term whose third factor is the middle one brackets the outer pair: it walks second
+        slot = (0, 1, 2) if nesting == "L" else (2, 0, 1)
+        walks[plan[-1][3] == 1].append(itemgetter(*(slot[(x, y, z).index(s)] for s in range(3))))
+    for walk in walks:
+        for u, v in table:
+            for triple_of in walk:
+                for r in range(n):
+                    if (t := triple_of((u, v, r))) in seen:
+                        continue
+                    seen.add(t)
+                    row = {}
+                    for sign, i, j, k, scale, step in plan:
+                        w = get((t[i], t[j]))
+                        if w:
+                            base = t[k] * scale
+                            for m, c in w.items():
+                                row[base + m * step] = row.get(base + m * step, 0) + sign * c
+                    yield {col: c for col, x in row.items() if (c := x % p if p else x)}
 
 
 def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:

@@ -35,6 +35,36 @@ def naive_rank(field, rows):
     return rank
 
 
+def naive_constraint_row(a, theory, i, j, k):
+    """The dense cocycle constraint row of `theory` on the basis triple (i, j, k)."""
+    n = a.dim
+
+    def c(i, j, k):
+        return a.structure_constant(i, j, k)
+
+    row = [a.field.zero] * (n * n)
+    if theory is IdentityKind.ASSOCIATIVE:
+        # f(x_i x_j, x_k) - f(x_i, x_j x_k)
+        for m in range(n):
+            row[m * n + k] = row[m * n + k] + c(i, j, m)
+            row[i * n + m] = row[i * n + m] - c(j, k, m)
+    elif theory is IdentityKind.LEIBNIZ_LEFT:
+        # f(x_i, x_j x_k) - f(x_i x_j, x_k) + f(x_i x_k, x_j)
+        for m in range(n):
+            row[i * n + m] = row[i * n + m] + c(j, k, m)
+            row[m * n + k] = row[m * n + k] - c(i, j, m)
+            row[m * n + j] = row[m * n + j] + c(i, k, m)
+    elif theory is IdentityKind.LEIBNIZ_RIGHT:
+        # f(x_i x_j, x_k) - f(x_i, x_j x_k) + f(x_j, x_i x_k)
+        for m in range(n):
+            row[m * n + k] = row[m * n + k] + c(i, j, m)
+            row[i * n + m] = row[i * n + m] - c(j, k, m)
+            row[j * n + m] = row[j * n + m] + c(i, k, m)
+    else:
+        raise ValueError(theory)
+    return row
+
+
 def naive_h2_dim(a, theory):
     """Multiplier dimension via the full dense triple-loop constraint matrix."""
     n = a.dim
@@ -44,31 +74,7 @@ def naive_h2_dim(a, theory):
     def c(i, j, k):
         return a.structure_constant(i, j, k)
 
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [zero] * (n * n)
-                if theory is IdentityKind.ASSOCIATIVE:
-                    # f(x_i x_j, x_k) - f(x_i, x_j x_k)
-                    for m in range(n):
-                        row[m * n + k] = row[m * n + k] + c(i, j, m)
-                        row[i * n + m] = row[i * n + m] - c(j, k, m)
-                elif theory is IdentityKind.LEIBNIZ_LEFT:
-                    # f(x_i, x_j x_k) - f(x_i x_j, x_k) + f(x_i x_k, x_j)
-                    for m in range(n):
-                        row[i * n + m] = row[i * n + m] + c(j, k, m)
-                        row[m * n + k] = row[m * n + k] - c(i, j, m)
-                        row[m * n + j] = row[m * n + j] + c(i, k, m)
-                elif theory is IdentityKind.LEIBNIZ_RIGHT:
-                    # f(x_i x_j, x_k) - f(x_i, x_j x_k) + f(x_j, x_i x_k)
-                    for m in range(n):
-                        row[m * n + k] = row[m * n + k] + c(i, j, m)
-                        row[i * n + m] = row[i * n + m] - c(j, k, m)
-                        row[j * n + m] = row[j * n + m] + c(i, k, m)
-                else:
-                    raise ValueError(theory)
-                rows.append(row)
+    rows = [naive_constraint_row(a, theory, i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     z2_dim = n * n - naive_rank(field, rows)
     boundary_rows = []
     for k in range(n):

@@ -1,5 +1,6 @@
 """Cocycle spaces, multiplier dimensions, covers, Z*, capability."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -31,7 +32,7 @@ from extraspecial.errors import IdentityViolated, InternalCheckFailure, NotAssoc
 from extraspecial.forms import algebra_from_form, form_of
 from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
-from oracle_h2 import naive_h2_dim
+from oracle_h2 import naive_constraint_row, naive_h2_dim
 from oracle_zstar import cover_z_star
 from test_basis_invariance import CASES, _field, _in_basis, _random_basis
 from test_forms import scrambled
@@ -198,8 +199,8 @@ def test_an_early_stop_read_equals_a_full_read_in_a_dense_basis(flag, text):
         _in_basis(a, _random_basis(random.Random(f"basis {flag} {text}"), field, a.dim)))
 
 
-@pytest.mark.parametrize("field", [Q, Field.gf(7)], ids=str)
-def test_the_assoc_solve_of_gamma18_reads_at_most_three_times_its_bound_in_rows(field, monkeypatch):
+def _rows_read(a, kind, monkeypatch):
+    """The cocycle space of `kind` on `a`, and the constraint rows its solve read."""
     read, rows = [], cohomology._cocycle_rows
 
     def counted(a, kind):
@@ -208,11 +209,46 @@ def test_the_assoc_solve_of_gamma18_reads_at_most_three_times_its_bound_in_rows(
             yield row
 
     monkeypatch.setattr(cohomology, "_cocycle_rows", counted)
-    a = make_from_text("gamma:18", field)
-    cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    return cocycle_space(a, kind), read
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(7)], ids=str)
+def test_the_assoc_solve_of_gamma18_reads_at_most_three_times_its_bound_in_rows(field, monkeypatch):
+    rows, a = cohomology._cocycle_rows, make_from_text("gamma:18", field)
+    cs, read = _rows_read(a, IdentityKind.ASSOCIATIVE, monkeypatch)
     bound = len(_touchable_columns(a, IdentityKind.ASSOCIATIVE))
     assert bound == 2 * a.dim - 1 == a.dim ** 2 - cs.z2.dim
     assert len(read) <= 3 * bound < len(list(rows(a, IdentityKind.ASSOCIATIVE)))
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(7)], ids=str)
+def test_the_leibniz_solve_of_gamma18_reads_at_most_60_rows(field, monkeypatch):
+    # the walk reads the brackets of adjacent factors before (x_i x_k) x_j, whose rows
+    # mostly repeat theirs: 56 rows reach the bound of 37, where 73 did in the order of the terms
+    a = make_from_text("gamma:18", field)
+    cs, read = _rows_read(a, IdentityKind.LEIBNIZ_LEFT, monkeypatch)
+    bound = len(_touchable_columns(a, IdentityKind.LEIBNIZ_LEFT))
+    assert bound == 2 * a.dim - 1 == a.dim ** 2 - cs.z2.dim
+    assert len(read) <= 60
+
+
+@pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
+def test_the_walk_yields_one_row_per_triple_that_a_bracket_touches(kind):
+    # brute force over all n^3 triples: a triple has a row iff one of its term's brackets
+    # is a nonzero product, and the row is the oracle's linearized identity on it, in ints
+    rng, gf3 = random.Random("walk"), Field.gf(3)
+    scramble = algebra_from_form(scrambled(rng, form_of(make_from_text("j:1+gamma:3", gf3)).m))
+    for a in (make_from_text("j:2+gamma:2+h2:3", Q), scramble, _full_incidence_algebra(Q)):
+        n, field, expected = a.dim, a.field, collections.Counter()
+        for i, j, k in itertools.product(range(n), repeat=3):
+            brackets = [(i, j), (j, k)] + ([(i, k)] if kind is not IdentityKind.ASSOCIATIVE else [])
+            if any(any(a.product(*pair)) for pair in brackets):
+                dense = naive_constraint_row(a, kind, i, j, k)
+                (row,), den = field.ints([{c: x * field.scalar(a._den) for c, x in enumerate(dense) if x}])
+                assert den == 1
+                expected[frozenset(row.items())] += 1
+        walked = collections.Counter(frozenset(row.items()) for row in cohomology._cocycle_rows(a, kind))
+        assert walked == expected, (a, kind)
 
 
 def _oracle_inputs():
