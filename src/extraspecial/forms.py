@@ -11,13 +11,15 @@ Dooren, LAA 27, 1979):
 * Bareiss elimination on one integer matrix, a lift of A + 2^s B (P(t)
   packed at t = 2^s), gives the normal rank r of P(t) and one nonzero
   r x r minor, a multiple of the invariant factors' product;
-* the n - r odd singular blocks J_(2 eps + 1) are the pencil's minimal
-  indices eps, counted by the nullities of the block-bidiagonal matrices
-  [A; B A; ...; B] without any evaluation point;
-* the candidate eigenvalues are the minor's roots in the field, and at
-  each candidate t0 the kernel-preimage chain V1 = ker P(t0),
-  V_{s+1} = {v : P(t0) v in B V_s}, less the odd blocks' share, gives the
-  Jordan sizes e: at t0 = 0 the even singular blocks J_2e, elsewhere the
+* the candidate eigenvalues are the minor's roots in the field.  At t0
+  the kernel-preimage chain V1 = ker P(t0), V_{s+1} = {v : P(t0) v in
+  B V_s} (a Wong sequence: Berger, Ilchmann & Trenn, SIAM J. Matrix Anal.
+  Appl. 33, 2012) holds only the odd singular blocks J_(2 eps + 1) and the
+  Jordan blocks at t0, so at the least t0 = 0, 1, 2, ... that is no root
+  it gives the n - r minimal indices eps (over a GF(p) whose every residue
+  is a root, the nullities of [A; B A; ...; B] count them instead);
+* at each root t0 the chain, less the odd blocks' share, gives the Jordan
+  sizes e: at t0 = 0 the even singular blocks J_2e, elsewhere the
   cosquare Jordan data (mu = -t0, size e).  A block at mu = (-1)^(e+1) is
   Gamma_e (J1 when e = 1), and the others pair up as {mu, 1/mu} into
   H_2e(mu).  A candidate with no rank drop is dropped.
@@ -170,26 +172,23 @@ def cosquare(f: BilinearForm) -> Matrix:
 
 
 def _odd_indices(p, a_rows, b_rows, count: int) -> list[int]:
-    """Minimal indices eps of the odd singular blocks J_(2 eps + 1).
+    """Minimal indices eps of the odd singular blocks J_(2 eps + 1), with no evaluation point.
 
-    N_k, the nullity of the (k+1)n x kn block-bidiagonal matrix T_k with A
-    on the diagonal and B below it, counts the polynomial kernel vectors of
-    P(t) = A + tB of degree < k, so N_k - N_(k-1) = #{eps < k}.  The
-    columns of T_k are those of T_(k-1) and n more, so each step adds only
-    the new columns (as rows) to the reduction.  `count` = n - normal rank
-    is the number of odd blocks.  eps = 0 would be a vector with zero row
-    and zero column, which is refused.
+    The route of a GF(p) whose every residue is a root of the minor, where
+    `_chain_indices` has no point to walk at.  N_k, the nullity of the
+    (k+1)n x kn block-bidiagonal matrix T_k with A on the diagonal and B
+    below it, counts the polynomial kernel vectors of P(t) = A + tB of
+    degree < k, so N_k - N_(k-1) = #{eps < k}.  The columns of T_k are
+    those of T_(k-1) and n more; each step feeds the new ones as rows,
+    newest block first, to one `reduce_ints` call, which resumes the
+    generator only once the last row is reduced, so it reads the rank of
+    T_k there and either stops or makes the rows of T_(k+1).  `count` = n -
+    normal rank is the number of odd blocks.  eps = 0 would be a vector
+    with zero row and zero column, which is refused.
 
-    Entry r of block b is column -(b n + r) - 1, so the newest block sorts
-    first and a new row's pivot, the least column it holds, lands in its A
-    part, a column no row of an earlier step holds: back-substitution
-    reaches an earlier step's rows only when a row's A part clears.  The rank, and so
-    eps, does not depend on the order of the columns.
-
-    Every step feeds one `reduce_ints` call, which keeps its column index
-    across steps: the generator is resumed for the next row only once the
-    last one is reduced, so it reads the rank of T_k there and either stops
-    or makes the rows of T_(k+1).
+    Entry r of block b is column -(b n + r) - 1, so a new row's pivot lands
+    in its A part, which no earlier step's row holds: back-substitution
+    reaches those rows only when a row's A part clears.
     """
     n = len(a_rows)
     eps, pivots = [], {}
@@ -216,25 +215,15 @@ def _odd_indices(p, a_rows, b_rows, count: int) -> list[int]:
 
 
 def _jordan_sizes(p, p_rows, b_columns, eps, bound: int, exact: bool) -> list[int]:
-    """Jordan block sizes of the pencil at a point t0, from its kernel-preimage chain.
+    """Jordan block sizes of the pencil at a root t0 of the minor, from its `_chain`.
 
-    V_1 = ker P(t0) and V_(s+1) = {v : P(t0) v in B V_s}.  A Jordan block
-    of size e at t0 adds min(s, e) to dim V_s, an odd block J_(2 eps + 1)
-    adds min(s, eps + 1), and every other block adds nothing.  Less the odd
-    share, dim V_s is j_s = sum of min(s, e); the chain stops when j_s stops
-    growing or reaches `bound`, the multiplicity of t0 as a root of a
-    multiple of the invariant factors.  So a first drop of 0 (no blocks at
-    t0) or of `bound` (blocks of size 1) ends it at once.  When `bound` is
-    `exact`, t0's multiplicity in the invariant factors, a simple root is
-    one block of size 1 and a first drop of 1 is one block of size `bound`.
-
-    One reduction of [P(t0) | I] gives ker P(t0), the cokernel rows L and
-    the pivot rows' combinations R: P(t0) v = y is solvable exactly when
-    L y = 0, and then v = R y (zero on the free columns) solves it.  So
-    V_(s+1) = ker P(t0) + {R B u : u in V_s, L B u = 0}: each chain vector
-    enters one echelon form once, as the row [L B u | R B u], and the rows
-    whose L part clears are the next step's new vectors.  On int rows a pivot
-    row has a lead, so R and the kernel vectors are taken times their lcm.
+    Less the odd share, dim V_s is j_s = sum of min(s, e); the chain stops
+    when j_s stops growing or reaches `bound`, the multiplicity of t0 as a
+    root of a multiple of the invariant factors.  So a first drop of 0 (no
+    blocks at t0) or of `bound` (blocks of size 1), read off the rank of
+    P(t0), ends it at once.  When `bound` is `exact`, t0's multiplicity in
+    the invariant factors, a simple root is one block of size 1 and a first
+    drop of 1 is one block of size `bound`.
     """
     n = len(p_rows)
     if exact and bound == 1:
@@ -244,41 +233,72 @@ def _jordan_sizes(p, p_rows, b_columns, eps, bound: int, exact: bool) -> list[in
         return [1] * drop
     if exact and drop == 1:
         return [bound]
-    reduced = reduce_ints({}, ({**row, n + i: 1} for i, row in enumerate(p_rows)), p)
-    scale = lcm(*(row[c] for c, row in reduced.items() if c < n))
-    cokernel = [_shifted(row, -n) for c, row in reduced.items() if c >= n]
-    solve = [(c, _shifted(row, -n, scale // row[c])) for c, row in reduced.items() if c < n]
-    new = [
-        {f: scale} | {c: _mod(-row[f] * (scale // row[c]), p) for c, row in reduced.items() if f in row}
-        for f in range(n) if f not in reduced
-    ]
-    m, dim = len(cokernel), len(new)
-    store, drops = {}, [0]
-    while True:
-        s = len(drops)
+    drops = [0]
+    for s, dim in enumerate(_chain(p, p_rows, b_columns), 1):
         drop = dim - sum(min(s, e + 1) for e in eps)
         if drop == drops[-1]:
             break
         drops.append(drop)
         if drop == bound:
             break
-        produced = []
-        for v in new:
-            y = _combine(p, b_columns, v)
-            row = {k: x for k, r in enumerate(cokernel) if (x := _dot(p, r, y))}
-            row |= {m + c: x for c, r in solve if (x := _dot(p, r, y))}
-            before = set(store)
-            reduce_ints(store, [row], p)
-            for c in store.keys() - before:
-                if c >= m:
-                    produced.append(_shifted(store[c], -m))
-        dim += len(produced)
-        new = produced
     drops.append(drops[-1])
     sizes = []
     for s in range(1, len(drops) - 1):
         sizes += [s] * (2 * drops[s] - drops[s - 1] - drops[s + 1])
     return sizes
+
+
+def _chain(p, p_rows, b_columns):
+    """dim V_s for s = 1, 2, ..., while it grows, of the kernel-preimage chain at a point t0.
+
+    V_1 = ker P(t0) and V_(s+1) = {v : P(t0) v in B V_s}.  A Jordan block
+    of size e at t0 adds min(s, e) to dim V_s, an odd block J_(2 eps + 1)
+    adds min(s, eps + 1), and every other block adds nothing.
+
+    One reduction of [P(t0) | I] gives ker P(t0), the cokernel rows L and
+    the pivot rows' combinations R: P(t0) v = y is solvable exactly when
+    L y = 0, and then v = R y (zero on the free columns) solves it.  So
+    V_(s+1) = ker P(t0) + {R B u : u in V_s, L B u = 0}: each step's new
+    vectors u enter one echelon form once, as the rows [L B u | R B u], and
+    its new pivot rows whose L part clears are the next step's new vectors.
+    On int rows a pivot row has a lead, so R and the kernel vectors are
+    taken times their lcm.
+    """
+    n = len(p_rows)
+    reduced = reduce_ints({}, ({**row, n + i: 1} for i, row in enumerate(p_rows)), p)
+    scale = lcm(*(row[c] for c, row in reduced.items() if c < n))
+    new = [
+        {f: scale} | {c: _mod(-row[f] * (scale // row[c]), p) for c, row in reduced.items() if f in row}
+        for f in range(n) if f not in reduced
+    ]
+    columns = [{} for _ in range(n)]  # of [L; R], so [L y | R y] reads only y's support
+    for c, row in reduced.items():
+        i, times = (c - n, 1) if c >= n else (n + c, scale // row[c])
+        for k, x in _shifted(row, -n, times).items():
+            columns[k][i] = x
+    dim, store = 0, {}
+    while new:
+        dim += len(new)
+        yield dim
+        before = set(store)
+        reduce_ints(store, (_combine(p, columns, _combine(p, b_columns, v)) for v in new), p)
+        new = [_shifted(store[c], -n) for c in store.keys() - before if c >= n]
+
+
+def _chain_indices(dims, count: int, n: int) -> list[int]:
+    """Minimal indices eps from the `_chain` dims at a t0 that is no eigenvalue.
+
+    There V_s holds only the `count` = n - normal rank odd blocks and grows at
+    step s by #{eps >= s - 1}.  eps = 0, a vector with zero row and zero column, is refused.
+    """
+    dims = [0, *dims]
+    growth = [b - a for a, b in zip(dims, dims[1:])]
+    eps = [sum(g >= i for g in growth) - 1 for i in range(max(growth, default=0), 0, -1)]
+    if 0 in eps:
+        raise DegenerateVector("the form has a vector with zero row and zero column")
+    if len(eps) != count or sum(2 * e + 1 for e in eps) > n:
+        raise InternalCheckFailure("odd singular blocks do not fit the form")
+    return eps
 
 
 def _shifted(row: dict, offset: int, times: int = 1) -> dict:
@@ -288,10 +308,6 @@ def _shifted(row: dict, offset: int, times: int = 1) -> dict:
 
 def _mod(x: int, p) -> int:
     return x % p if p else x
-
-
-def _dot(p, row: dict, v: dict) -> int:
-    return _mod(sum(x * v[c] for c, x in row.items() if c in v), p)
 
 
 def _combine(p, columns, v: dict) -> dict:
@@ -352,8 +368,16 @@ def _regularize(field: Field, b_rows: list) -> tuple[list[BlockDescriptor], tupl
         return [], ()
     a_rows = [{j: row[i] for j, row in enumerate(b_rows) if i in row} for i in range(n)]
     rank, minor = pencil_minor(field, a_rows, b_rows)
-    eps = _odd_indices(p, a_rows, b_rows, n - rank)
     roots, rest = roots_in_field(field, minor)
+    # the least t0 = 0, 1, 2, ... off the minor's roots is no eigenvalue; a small GF(p) may have none
+    taken = {field.ratio(root) for root, _ in roots}
+    t0 = next((t for t in range(p or len(taken) + 1) if (t, 1) not in taken), None)
+    if rank == n:
+        eps = []
+    elif t0 is None:
+        eps = _odd_indices(p, a_rows, b_rows, n - rank)
+    else:
+        eps = _chain_indices(_chain(p, _pencil_at(p, a_rows, b_rows, t0, 1), a_rows), n - rank, n)
     # The minor is the invariant factors' product times a spurious factor,
     # which is 1 for a regular pencil.  The product has degree
     # n - sum(2 eps + 1) - m0, m0 being the size at 0 (the same size sits at

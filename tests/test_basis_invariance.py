@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from extraspecial import cli
 from extraspecial.algebra import Algebra, IdentityKind, center, derived_ideal, is_extra_special, multiply
 from extraspecial.catalog import make_from_text
 from extraspecial.cohomology import VALIDATED_LEIBNIZ, is_capable, is_unicentral, multiplier_dim, z_star
@@ -106,3 +107,34 @@ def test_a_dense_basis_with_a_huge_lambda_changes_nothing():
     # Z* moves with the basis: w in e-coordinates is w P^-1 in f-coordinates
     to_new = p.inverse().transpose()
     assert z_star(moved) == Subspace(Q, a.dim, [to_new.apply(v) for v in z_star(a).basis]) != z_star(a)
+
+
+def _odd_j_sweep_rows(field: Field) -> list:
+    """(name, algebra, parts) of each `--max-n 6` sweep row whose parts hold a J block of odd size >= 3."""
+    rows = []
+
+    def capture(name, alg, parts, field):
+        rows.append((name, alg, parts))
+        return cli.SweepRow(name, alg.dim, True, {})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_sweep_row", capture)
+        cli.verify_theorems(6, [2, 3, -1, 5], field)
+    return [row for row in rows if any(d.kind == "j" and d.n % 2 and d.n > 1 for d in row[2])]
+
+
+@pytest.mark.parametrize("flag,subset", [("GF:3", None), ("GF:7", 10)], ids=["GF:3", "GF:7"])
+def test_odd_j_sweep_rows_survive_a_dense_basis(flag, subset):
+    # the sweep rows whose pencils have odd singular blocks, each in a seeded
+    # dense basis: every sweep quantity, classify among them, is the catalog
+    # basis's.  GF(3) takes all 24 rows; GF(7), 39, of which a seeded 10 keep
+    # the test short
+    field = _field(flag)
+    rows = _odd_j_sweep_rows(field)
+    assert len(rows) == {"GF:3": 24, "GF:7": 39}[flag]
+    if subset:
+        rows = random.Random(f"dense rows {flag}").sample(rows, subset)
+    for name, a, parts in rows:
+        moved = _in_basis(a, _random_basis(random.Random(f"dense row {flag} {name}"), field, a.dim))
+        assert moved != a
+        assert cli._sweep_row(name, moved, parts, field) == cli._sweep_row(name, a, parts, field), name

@@ -40,6 +40,8 @@ Q = Field.rationals()
 GF3 = Field.gf(3)
 GF5 = Field.gf(5)
 GF7 = Field.gf(7)
+GF10007 = Field.gf(10007)
+GF100003 = Field.gf(100003)
 
 
 def alg(descriptor_args):
@@ -577,19 +579,89 @@ def _dense_minimal_indices(field, a_rows, b_rows, count):
     raise AssertionError("the nullities never reach the odd block count")
 
 
-@pytest.mark.parametrize("field", [Q, GF3, GF7], ids=str)
-@pytest.mark.parametrize("shape", ["j:3+j:5+j:7", "j:9+gamma:8", "j:1+j:3+h2:2", "j:3+j:3+j:9"])
-def test_odd_indices_agree_with_dense_nullities(field, shape):
-    # `_odd_indices` numbers the newest block's columns first; the rank of each T_k, and so
-    # eps, must not depend on that order, canonical or scrambled, also when p <= dim
+ODD_SHAPES = ["j:3+j:5+j:7", "j:9+gamma:8", "j:1+j:3+h2:2", "j:3+j:3+j:9"]
+
+
+def _odd_index_cases(field, shape, seed):
+    """(form, its int pencil rows a_rows and b_rows, the eps of its odd J blocks), canonical and scrambled."""
     expected = sorted((n - 1) // 2 for part in shape.split("+") if (n := int(part.split(":")[1])) % 2 and n > 1)
-    rng = random.Random(f"odd indices {field} {shape}")
+    rng = random.Random(f"{seed} {field} {shape}")
     m = form_of(make_from_text(shape, field)).m
     for g in (m, scrambled(rng, m), scrambled(rng, m)):
         b_rows = field.ints(map(dict, map(enumerate, g.rows)))[0]
         a_rows = [{j: row[i] for j, row in enumerate(b_rows) if i in row} for i in range(len(b_rows))]
+        yield g, a_rows, b_rows, expected
+
+
+@pytest.mark.parametrize("field", [Q, GF3, GF7], ids=str)
+@pytest.mark.parametrize("shape", ODD_SHAPES)
+def test_odd_indices_agree_with_dense_nullities(field, shape):
+    # `_odd_indices` numbers the newest block's columns first; the rank of each T_k, and so
+    # eps, must not depend on that order, canonical or scrambled, also when p <= dim
+    for _, a_rows, b_rows, expected in _odd_index_cases(field, shape, "odd indices"):
         eps = forms._odd_indices(field.p, a_rows, b_rows, len(expected))
         assert eps == _dense_minimal_indices(field, a_rows, b_rows, len(expected)) == expected
+
+
+def _spy_on_routes(monkeypatch) -> list:
+    """Record [route] for every eps that `_regularize` reads, on either route, and eps once read."""
+    seen = []
+    for name, route in (("_chain_indices", "chain"), ("_odd_indices", "odd")):
+        def spy(*args, read=getattr(forms, name), route=route):
+            seen.append([route])
+            seen[-1].append(read(*args))
+            return seen[-1][1]
+        monkeypatch.setattr(forms, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("field", [Q, GF3, GF7, GF10007, GF100003], ids=str)
+@pytest.mark.parametrize("shape", ODD_SHAPES)
+def test_chain_indices_agree_with_dense_nullities(field, shape, monkeypatch):
+    # `regularize` reads eps off the kernel-preimage chain at the least t0 = 0, 1, 2, ...
+    # that is no root of the minor.  Only over GF(3) may a scramble's minor have every
+    # residue as a root, which leaves the ranks of T_k
+    seen = _spy_on_routes(monkeypatch)
+    for k, (g, a_rows, b_rows, expected) in enumerate(_odd_index_cases(field, shape, "chain indices")):
+        seen.clear()
+        _, sizes = regularize(BilinearForm(g))
+        ((route, eps),) = seen
+        assert eps == _dense_minimal_indices(field, a_rows, b_rows, len(expected)) == expected
+        assert route == "chain" or (field == GF3 and k > 0)
+        assert [s for s in sizes if s % 2] == [2 * e + 1 for e in expected]
+
+
+def test_small_field_route_ranks_the_block_bidiagonal_matrices(monkeypatch):
+    # over GF(3) every residue is a root of the minor of j:3+j:2+j:1+gamma:2, in
+    # the catalog basis and scrambled, so no t0 is free of eigenvalues and eps
+    # comes from the ranks of T_k; scrambles of j:3+j:2+gamma:2 land on either
+    # route, and every one classifies the same
+    seen = _spy_on_routes(monkeypatch)
+    for shape, routes in (("j:3+j:2+j:1+gamma:2", {"odd"}), ("j:3+j:2+gamma:2", {"odd", "chain"})):
+        a = make_from_text(shape, GF3)
+        expected = BlockDecomposition(GF3, [parse_descriptor(p, GF3) for p in shape.split("+")])
+        rng = random.Random(f"small field {shape}")
+        seen.clear()
+        assert classify(a) == expected
+        for _ in range(8):
+            assert classify(algebra_from_form(scrambled(rng, form_of(a).m))) == expected
+        assert {route for route, _ in seen} == routes and all(eps == [1] for _, eps in seen)
+
+
+@pytest.mark.parametrize("field,shape,route", [
+    (Q, "j:3", "chain"), (GF7, "j:3", "chain"), (GF3, "j:3", "chain"), (GF3, "j:3+j:2+j:1+gamma:2", "odd"),
+], ids=str)
+def test_both_routes_refuse_a_degenerate_vector(field, shape, route, monkeypatch):
+    # the form plus a zero row and column has eps = 0, whichever route reads eps
+    seen = _spy_on_routes(monkeypatch)
+    rows = form_of(make_from_text(shape, field)).m.rows
+    m = Matrix(field, [[*row, 0] for row in rows] + [[0] * (len(rows) + 1)])
+    rng = random.Random(f"degenerate {field} {shape}")
+    for g in (m, scrambled(rng, m), scrambled(rng, m)):
+        seen.clear()
+        with pytest.raises(DegenerateVector):
+            regularize(BilinearForm(g))
+        assert seen == [[route]]
 
 
 @pytest.mark.parametrize("field", [Q, GF7], ids=str)
