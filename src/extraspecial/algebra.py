@@ -45,7 +45,7 @@ class Algebra:
     table is canonical.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "_table", "_den")
+    __slots__ = ("field", "dim", "basis_names", "_table", "_den", "_memo")
 
     def __init__(self, field: Field, dim: int, products, basis_names=None):
         """`products` maps (i, j) pairs to the coordinates of basis products.
@@ -69,11 +69,13 @@ class Algebra:
                 raise DimensionMismatch(f"product index ({i}, {j}) out of range")
         rows, self._den = field.ints([_sparse_row(dim, vec) for vec in products.values()])
         self._table = {ij: dict(sorted(row.items())) for ij, row in sorted(zip(products, rows)) if row}
+        self._memo = {}  # this object's own center and A^2 once solved; `==` and `hash` ignore it
 
     @classmethod
     def _canonical(cls, field: Field, dim: int, table: dict, den: int, basis_names) -> "Algebra":
         alg = cls.__new__(cls)  # `table` and `den` must be canonical already, as `__init__` leaves them
         alg.field, alg.dim, alg.basis_names, alg._table, alg._den = field, dim, tuple(basis_names), table, den
+        alg._memo = {}
         return alg
 
     @classmethod
@@ -227,32 +229,34 @@ def derived_ideal(a: Algebra) -> Subspace:
     """A^2, the span of all products.
 
     The span is already an ideal of any bilinear product: for v in A^2 the
-    products vx and xv are themselves products.
+    products vx and xv are themselves products.  Solved once per object.
     """
-    return Subspace._span(a.field, a.dim, map(dict, a._table.values()))
+    if "derived_ideal" not in a._memo:
+        a._memo["derived_ideal"] = Subspace._span(a.field, a.dim, map(dict, a._table.values()))
+    return a._memo["derived_ideal"]
 
 
 def center(a: Algebra) -> Subspace:
     """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}.
 
-    Solved as one kernel computation whose constraint rows come straight
-    from the nonzero structure constants.
+    Solved once per object, as one kernel computation whose constraint rows
+    come straight from the nonzero structure constants.
     """
-    rows: dict[tuple, dict] = {}
-    for (i, j), row in a._table.items():
-        for k, x in row.items():
-            # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
-            rows.setdefault(("L", j, k), {})[i] = x
-            # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
-            rows.setdefault(("R", i, k), {})[j] = x
-    return kernel_basis(a.field, a.dim, rows.values())
+    if "center" not in a._memo:
+        rows: dict[tuple, dict] = {}
+        for (i, j), row in a._table.items():
+            for k, x in row.items():
+                # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
+                rows.setdefault(("L", j, k), {})[i] = x
+                # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
+                rows.setdefault(("R", i, k), {})[j] = x
+        a._memo["center"] = kernel_basis(a.field, a.dim, rows.values())
+    return a._memo["center"]
 
 
-def extra_special_center(a: Algebra, z=None, d=None) -> Subspace | None:
-    """The center if it is a line equal to the derived ideal, else None; a caller
-    that holds the center `z` or the derived ideal `d` already passes it."""
-    z = center(a) if z is None else z
-    return z if z.dim == 1 and z == (derived_ideal(a) if d is None else d) else None
+def extra_special_center(a: Algebra) -> Subspace | None:
+    """The center if it is a line equal to the derived ideal, else None."""
+    return z if (z := center(a)).dim == 1 and z == derived_ideal(a) else None
 
 
 def is_extra_special(a: Algebra) -> bool:

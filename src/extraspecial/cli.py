@@ -135,11 +135,10 @@ def _sweep_row(name: str, alg: Algebra, parts, field: Field) -> SweepRow:
     m_assoc = cs.h2_dim
     m_leib = multiplier_dim(alg, VALIDATED_LEIBNIZ)
     leib_predicted = _leibniz_expected(parts, field, dim)
-    z = center(alg)
-    zs = cocycle_z_star(alg, cs, z)
+    zs = cocycle_z_star(alg, cs)
     capable = zs.dim == 0
-    unicentral = zs == z
-    decomposition = classify(alg, z)
+    unicentral = zs == center(alg)
+    decomposition = classify(alg)
     classify_ok = decomposition == BlockDecomposition(field, parts)
     ok = (
         m_assoc == predicted
@@ -199,12 +198,11 @@ def _cmd_check(args) -> dict:
 
 def _cmd_invariants(args) -> dict:
     alg = _load_plain_algebra(args.file)
-    z, d = center(alg), derived_ideal(alg)
     return {
         "dim": alg.dim,
-        "center_dim": z.dim,
-        "derived_dim": d.dim,
-        "extra_special": extra_special_center(alg, z, d) is not None,
+        "center_dim": center(alg).dim,
+        "derived_dim": derived_ideal(alg).dim,
+        "extra_special": extra_special_center(alg) is not None,
     }
 
 

@@ -216,9 +216,9 @@ def z_star(a: Algebra) -> Subspace:
     return cocycle_z_star(a, associative_cocycle_space(a))
 
 
-def cocycle_z_star(a: Algebra, cs: CocycleSpace, z=None) -> Subspace:
+def cocycle_z_star(a: Algebra, cs: CocycleSpace) -> Subspace:
     """Z* of `a` read from its associative cocycle space `cs`, as `z_star` does: the u for which,
-    for every j, f -> f(u, x_j) and f -> f(x_j, u) reduce to 0 modulo R; `z` is the center, if known."""
+    for every j, f -> f(u, x_j) and f -> f(x_j, u) reduce to 0 modulo R."""
     n, p, r = a.dim, a.field.p, cs.constraints
     last = n * n - 1  # f(x_i, x_j) is column last - i * n - j of R
     touched = {last - c for row in r.values() for c in row}
@@ -235,7 +235,7 @@ def cocycle_z_star(a: Algebra, cs: CocycleSpace, z=None) -> Subspace:
                     remainder.setdefault(f, {})[i] = x * (scale // leads[i])
             rows += remainder.values()
     zs = kernel_basis(a.field, n, rows)
-    if not (center(a) if z is None else z).contains_subspace(zs):
+    if not center(a).contains_subspace(zs):
         raise InternalCheckFailure("Z* escaped the center; cocycle reduction bug")
     return zs
 

@@ -112,22 +112,21 @@ class BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def form_of(a: Algebra, z=None) -> BilinearForm:
+def form_of(a: Algebra) -> BilinearForm:
     """Bilinear form of an extra special algebra on a complement of the center: `_form_rows` as scalars."""
-    rows, den = _form_rows(a, z)
+    rows, den = _form_rows(a)
     scalar, n = a.field.scalar, len(rows)
     return BilinearForm(Matrix(a.field, [[scalar(row.get(c, 0), den) for c in range(n)] for row in rows]))
 
 
-def _form_rows(a: Algebra, z=None) -> tuple[list, int]:
+def _form_rows(a: Algebra) -> tuple[list, int]:
     """The form as sparse int rows over their least common denominator, and it (`Field.ints` of it).
 
-    The spanning central vector is the echelon basis vector of the center
-    (`z`, if the caller holds it); the complement consists of the remaining
-    coordinate axes.  x_i x_j lies on the line of the int center row exactly
-    when lead * row is row[pivot] * that row.
+    The spanning central vector is the echelon basis vector of the center; the
+    complement consists of the remaining coordinate axes.  x_i x_j lies on the
+    line of the int center row exactly when lead * row is row[pivot] * that row.
     """
-    z = extra_special_center(a, z)
+    z = extra_special_center(a)
     if z is None:
         raise NotExtraSpecial("forms are defined for extra special algebras")
     ((pivot, zrow),) = z._rows.items()
@@ -432,14 +431,14 @@ def _rootless_part(field: Field, a_rows, b_rows, rank: int, rest, missing: int) 
     raise InternalCheckFailure("the rootless factor does not match the missing blocks")
 
 
-def classify(a: Algebra, z=None) -> BlockDecomposition:
+def classify(a: Algebra) -> BlockDecomposition:
     """Canonical central-sum decomposition of an extra special algebra.
 
     Singular canonical blocks become J(n) descriptors and the regular blocks
     come from the pencil invariants (see `regularize`).  Raises
     `Unsupported` (via `DoesNotSplit`) when the data does not split over
     the base field, and `UnpairedEigenvalue` if the cosquare data cannot be
-    matched into blocks, which signals a bug or a broken input; `z` as in `form_of`.
+    matched into blocks, which signals a bug or a broken input.
     """
-    regular, sizes = _regularize(a.field, _form_rows(a, z)[0])
+    regular, sizes = _regularize(a.field, _form_rows(a)[0])
     return BlockDecomposition(a.field, [BlockDescriptor("j", s) for s in sizes] + regular)

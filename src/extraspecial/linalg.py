@@ -446,6 +446,8 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.field != self.field:
             raise FieldMismatch(f"subspaces over {self.field} and {other.field}")
+        if other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch(f"subspaces of F^{self.ambient_dim} and F^{other.ambient_dim}")
         return not any(_clear_pivots(self._rows, dict(row), self.field.p) for row in other._rows.values())
 
     def __eq__(self, other):

@@ -18,12 +18,14 @@ from extraspecial.algebra import (
     is_extra_special,
     multiply,
 )
-from extraspecial.catalog import BlockDescriptor, make_canonical
-from extraspecial.cohomology import cover
-from extraspecial.dialg import Dialgebra, diassociativity_violation
+from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
+from extraspecial.cohomology import cover, is_capable, is_unicentral
+from extraspecial.dialg import Dialgebra, diassociativity_violation, induced_leibniz
+from extraspecial.forms import classify
 from extraspecial.errors import DimensionMismatch, FieldMismatch
 from extraspecial.linalg import Matrix, Subspace
 from extraspecial.scalars import Field, Fp
+from memo_misses import counting_memo
 from oracle_identity import naive_diassociativity_violation, naive_identity_violation
 
 Q = Field.rationals()
@@ -484,3 +486,58 @@ def test_center_and_derived_invariant_under_basis_permutation():
     assert center(permuted).dim == center(a).dim
     assert derived_ideal(permuted).dim == derived_ideal(a).dim
     assert is_extra_special(permuted) == is_extra_special(a)
+
+
+# -- the center and A^2, held on the algebra -------------------------------------
+
+
+def _rebuilt(a):
+    """A fresh copy of `a`, built from its products: nothing solved yet."""
+    return Algebra(a.field, a.dim, {(i, jdx): row for i, jdx, row in a.nonzero_products()}, a.basis_names)
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3)], ids=str)
+@pytest.mark.parametrize("text", ["j:3+gamma:2", "j:1", "gamma:4"])
+def test_recognition_capability_unicentrality_and_classify_solve_the_center_once(field, text):
+    # each of the four reads the center, is_unicentral twice (in Z*'s audit and itself); over GF(3) p <= dim
+    a = _rebuilt(make_from_text(text, field))
+    memo = counting_memo(a)
+    assert is_extra_special(a)
+    assert is_capable(a) is (text == "j:1")
+    assert is_unicentral(a) is (text != "j:1")
+    assert classify(a).text() == text
+    assert memo.misses == {"center": 1, "derived_ideal": 1}
+    # and only they are held: each cocycle space and identity verdict is computed again per call
+    assert set(memo) == {"center", "derived_ideal"}
+
+
+def _assert_own_memo(derived, *sources):
+    assert all(derived._memo is not s._memo for s in sources)
+    fresh = _rebuilt(derived)
+    assert center(derived) == center(fresh) and derived_ideal(derived) == derived_ideal(fresh)
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3)], ids=str)
+def test_a_memo_never_moves_to_another_algebra(field):
+    a, b = make_from_text("j:2", field), make_from_text("h2:2" if field.p is None else "gamma:3", field)
+    for source in (a, b):  # the sources hold their own center and A^2 before anything is built from them
+        assert extra_special_center(source) is not None
+    _assert_own_memo(cover(a).total, a)
+    _assert_own_memo(central_sum(a, b), a, b)
+    # A's product on the left and zero on the right: five axioms, as A^3 = 0; two centers
+    d = Dialgebra(field, a.dim, {(i, jdx): row for i, jdx, row in a.nonzero_products()}, {})
+    assert center(d.left).dim == 1 and center(d.right).dim == a.dim
+    _assert_own_memo(d.left, d.right)
+    _assert_own_memo(d.right, d.left)
+    lb = induced_leibniz(d)
+    assert lb == a
+    _assert_own_memo(lb, d.left, d.right, a)
+
+
+def test_equality_and_hash_ignore_the_held_center():
+    a = _rebuilt(gamma(3))
+    before, copy = hash(a), _rebuilt(a)
+    assert a == copy and hash(copy) == before
+    assert center(a).dim == 1 and a._memo and not copy._memo
+    assert a == copy and copy == a and hash(a) == before == hash(copy)
+    assert len({a, copy}) == 1

@@ -12,12 +12,13 @@ import time
 import pytest
 
 import extraspecial
-from extraspecial import algebra, cli, forms
+from extraspecial import cli, forms
 from extraspecial.catalog import parse_descriptor
 from extraspecial.cli import main, verify_theorems
 from extraspecial.errors import InternalCheckFailure
 from extraspecial.forms import BlockDecomposition
 from extraspecial.scalars import Field
+from memo_misses import counting_memo
 
 Q = Field.rationals()
 
@@ -179,25 +180,27 @@ def test_invariants(tmp_path, capsys):
 
 
 def test_invariants_solves_the_center_and_derived_ideal_once(tmp_path, capsys, monkeypatch):
-    calls = []
+    # the command reads the center and A^2 twice each, once itself and once in
+    # extra_special_center; the loaded algebra solves each once and holds it
+    memos = []
+    load = cli._load_plain_algebra
 
-    def counting(name, solve):
-        return lambda a: calls.append(name) or solve(a)
+    def counted(path):
+        a = load(path)
+        memos.append(counting_memo(a))
+        return a
 
-    # cli holds its own bindings; algebra.extra_special_center reads the module's
-    for name in ("center", "derived_ideal"):
-        counted = counting(name, getattr(algebra, name))
-        monkeypatch.setattr(cli, name, counted)
-        monkeypatch.setattr(algebra, name, counted)
+    monkeypatch.setattr(cli, "_load_plain_algebra", counted)
     zero = tmp_path / "zero.json"
     zero.write_text('{"field": {"kind": "Q"}, "dim": 2, "products": []}')
     cases = [("j:2+h2:3", True), ("gamma:4", True), (str(zero), False)]
     for source, extra_special in cases:
         path = make_file(tmp_path, capsys, source) if extra_special else source
-        calls.clear()
+        memos.clear()
         code, doc = run(capsys, "invariants", path)
         assert code == 0 and doc["extra_special"] is extra_special
-        assert sorted(calls) == ["center", "derived_ideal"]
+        (memo,) = memos
+        assert memo.misses["center"] == memo.misses["derived_ideal"] == 1
 
 
 def test_multiplier_both_theories(tmp_path, capsys):
@@ -416,7 +419,7 @@ def test_verify_theorems_rows_that_only_disagree_exit_1(capsys, monkeypatch):
 @pytest.mark.parametrize("error,code", [(RuntimeError, 5), (InternalCheckFailure, 4)])
 def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monkeypatch, error, code):
     # exit 1 means a row disagrees with the paper; a row that raised is not that
-    def broken(a, z=None):
+    def broken(a):
         raise error("planted failure")
 
     monkeypatch.setattr(forms, "classify", broken)
@@ -431,12 +434,12 @@ def test_verify_theorems_row_that_raises_exits_with_its_error_code(capsys, monke
 def test_verify_theorems_first_row_that_raises_sets_the_exit_code(capsys, monkeypatch):
     classify = forms.classify
 
-    def broken(a, z=None):
+    def broken(a):
         if a.dim == 2:  # j:1, the first row
             raise InternalCheckFailure("planted failure")
         if a.dim == 3:
             raise RuntimeError("planted failure")
-        return classify(a, z)
+        return classify(a)
 
     monkeypatch.setattr(forms, "classify", broken)
     code, doc = run(capsys, *SMALL_SWEEP)

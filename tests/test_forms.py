@@ -34,6 +34,7 @@ from extraspecial.forms import (
 )
 from extraspecial.linalg import Matrix
 from extraspecial.scalars import Field
+from memo_misses import counting_memo
 from oracle_cosquare import cosquare_blocks
 
 Q = Field.rationals()
@@ -114,25 +115,17 @@ def test_classify_solves_the_center_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_sweep_row_solves_the_center_once(monkeypatch):
-    # _sweep_row hands the center it solves to Z* and to classify
-    from extraspecial import cli, cohomology
+def test_a_sweep_row_solves_the_center_once():
+    # Z*, unicentrality and classify each read the center; the algebra solves it once and holds it
+    from extraspecial import cli
 
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return center(a)
-
-    for module in (algebra, cli, cohomology):
-        monkeypatch.setattr(module, "center", counted)
     for name, field in [("j:3+h2:2", Q), ("gamma:3+j:1", GF5), ("h2n:2:3", GF7), ("j:1", Q)]:
         parts = [parse_descriptor(p, field) for p in name.split("+")]
         a = make_from_text(name, field)
-        calls.clear()
+        memo = counting_memo(a)
         row = cli._sweep_row(name, a, tuple(parts), field)
         assert row.ok and row.detail["classify_ok"]
-        assert len(calls) == 1
+        assert memo.misses["center"] == 1
 
 
 def test_form_has_no_degenerate_index():

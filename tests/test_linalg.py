@@ -294,6 +294,16 @@ def test_subspace_refuses_an_element_of_another_prime_field():
             Subspace(GF7, 3, [[1, 0, 0]]).contains_subspace(Subspace(other, 3, [[1, 0, 0]]))
 
 
+def test_contains_subspace_refuses_another_ambient_dimension():
+    # the int rows of a subspace of F^2 or F^5 are no rows of F^3 or F^2, whatever their columns
+    for field in (Q, GF7):
+        with pytest.raises(DimensionMismatch):
+            Subspace(field, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).contains_subspace(Subspace(field, 2, [(1, 0)]))
+        with pytest.raises(DimensionMismatch):
+            Subspace(field, 2, [(1, 0)]).contains_subspace(Subspace(field, 5, [{0: 1}]))
+        assert Subspace(field, 3, [[1, 0, 0]]).contains_subspace(Subspace(field, 3, [{0: 2}]))
+
+
 # the last two are dense vectors of the wrong length
 @pytest.mark.parametrize("row", [{3: 1}, {5: 1}, {-1: 1}, {0: 1, 7: 1}, [1, 0], [0, 0, 0, 1]], ids=str)
 def test_subspace_refuses_sparse_columns_out_of_range(row):
