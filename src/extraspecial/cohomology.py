@@ -20,6 +20,16 @@ mostly repeats them.  The order cannot change R: reduced, with primitive rows,
 R is unique for its row space, the touchable columns if the bound is reached
 and all rows if not.
 
+The rows are read on any product, and the coboundary audit is the identity
+check: no walk of the identity comes first.  Put f = g o mu, g the k-th
+coordinate functional and mu the product.  The constraint row of a basis
+triple t, applied to f, is coordinate k of the identity's defect at t, and
+the coboundaries are exactly these g o mu.  R spans every constraint row: the
+bounded read stops only at full rank on the touchable columns, which hold
+every row, and otherwise reads every row.  So R b2^T = 0 holds exactly when
+the identity does.  A failed audit is told apart by `identity_violation`: a
+violating triple means the input breaks the identity, none means a bug.
+
 Z* (Beyl, Felgner & Schmid, J. Algebra 1979), the cover's center projected
 to A, needs no cover: the cover's product is A's product plus the complement
 cocycles f_l in central new coordinates, so (u, s) is central iff u
@@ -45,7 +55,7 @@ from math import lcm
 from operator import itemgetter
 
 from .algebra import (
-    IDENTITY_TERMS, Algebra, IdentityKind, center, check_identity, derived_ideal,
+    IDENTITY_TERMS, Algebra, IdentityKind, center, derived_ideal, identity_violation,
 )
 from .errors import IdentityViolated, InternalCheckFailure, NotAssociative, StemFailure
 from .linalg import Subspace, _clear_pivots, _sparse_row, kernel_basis, kernel_of, reduce_ints
@@ -114,12 +124,14 @@ def _cocycle_rows(a: Algebra, theory: IdentityKind):
 def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     """Cocycles and coboundaries of the chosen theory, with h2 = z2/b2.
 
-    The algebra must satisfy the identity of the theory, otherwise the
-    "cocycle condition" would not even be closed under the products it
-    references.  The coboundaries are audited as R b2^T = 0, that is z2 >= b2.
+    The coboundaries are audited as R b2^T = 0, that is z2 >= b2, and the
+    audit is the identity check (see the module docstring): the constraint row
+    of a basis triple, applied to the coboundary g o mu of the k-th coordinate
+    g, is coordinate k of the identity's defect there, and R spans every row.
+    When the audit fails, `identity_violation` tells the two causes apart: a
+    violating triple raises `IdentityViolated`, naming the least one, and no
+    triple raises `InternalCheckFailure`.
     """
-    if not check_identity(a, theory):
-        raise IdentityViolated(f"algebra does not satisfy {theory.value}")
     n, p, nestings = a.dim, a.field.p, len({nesting for _, nesting, _ in IDENTITY_TERMS[theory]})
     # the columns a row can touch: |M x A u A x M|, M the union of the product supports
     d = len({m for w in a._table.values() for m in w})
@@ -134,7 +146,9 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     for g in coboundary_rows.values():  # R b2^T = 0, on the rows that span b2
         dots = (sum(x * g.get(last - c, 0) for c, x in row.items()) for row in r.values())
         if any(dot % p if p else dot for dot in dots):
-            raise InternalCheckFailure("a coboundary failed the cocycle condition")
+            if (triple := identity_violation(a, theory)) is None:
+                raise InternalCheckFailure("a coboundary failed the cocycle condition")
+            raise IdentityViolated(f"algebra does not satisfy {theory.value} at {triple}")
     b2 = Subspace._span(a.field, n * n, coboundary_rows.values())
     return CocycleSpace(n, r, b2, n * n - len(r) - b2.dim)
 

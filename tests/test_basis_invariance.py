@@ -109,8 +109,8 @@ def test_a_dense_basis_with_a_huge_lambda_changes_nothing():
     assert z_star(moved) == Subspace(Q, a.dim, [to_new.apply(v) for v in z_star(a).basis]) != z_star(a)
 
 
-def _odd_j_sweep_rows(field: Field) -> list:
-    """(name, algebra, parts) of each `--max-n 6` sweep row whose parts hold a J block of odd size >= 3."""
+def _sweep_rows(max_n: int, field: Field) -> list:
+    """(name, algebra, parts) of each row of the `--max-n max_n` sweep over `field`."""
     rows = []
 
     def capture(name, alg, parts, field):
@@ -119,19 +119,24 @@ def _odd_j_sweep_rows(field: Field) -> list:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_sweep_row", capture)
-        cli.verify_theorems(6, [2, 3, -1, 5], field)
+        cli.verify_theorems(max_n, [2, 3, -1, 5], field)
+    return rows
+
+
+def _odd_j(rows: list) -> list:
+    """The rows whose parts hold a J block of odd size >= 3."""
     return [row for row in rows if any(d.kind == "j" and d.n % 2 and d.n > 1 for d in row[2])]
 
 
 @pytest.mark.parametrize("flag,subset", [("GF:3", None), ("GF:7", 10)], ids=["GF:3", "GF:7"])
 def test_odd_j_sweep_rows_survive_a_dense_basis(flag, subset):
-    # the sweep rows whose pencils have odd singular blocks, each in a seeded
-    # dense basis: every sweep quantity, classify among them, is the catalog
-    # basis's.  GF(3) takes all 24 rows; GF(7), 39, of which a seeded 10 keep
-    # the test short
+    # sweep rows, each in a seeded dense basis: every sweep quantity, classify
+    # among them, is the catalog basis's.  GF(3) takes all 116 rows of the
+    # `--max-n 8` sweep; GF(7) the 39 `--max-n 6` rows whose pencils have odd
+    # singular blocks, of which a seeded 10 keep the test short
     field = _field(flag)
-    rows = _odd_j_sweep_rows(field)
-    assert len(rows) == {"GF:3": 24, "GF:7": 39}[flag]
+    rows = _sweep_rows(8, field) if flag == "GF:3" else _odd_j(_sweep_rows(6, field))
+    assert len(rows) == {"GF:3": 116, "GF:7": 39}[flag]
     if subset:
         rows = random.Random(f"dense rows {flag}").sample(rows, subset)
     for name, a, parts in rows:

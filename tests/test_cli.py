@@ -150,19 +150,22 @@ runpy.run_module("extraspecial", run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("command,dim,payload", [
-    ("multiplier", 100_000, {"theory": "assoc", "multiplier_dim": 10_000_000_000}),
-    ("zstar", 2_000, {"dim": 0, "basis": []}),
-])
-def test_a_large_zero_algebra_stays_cheap(tmp_path, command, dim, payload):
+@pytest.mark.parametrize("command,dim,products,code,payload", [
+    ("multiplier", 100_000, [], 0, {"theory": "assoc", "multiplier_dim": 10_000_000_000}),
+    ("zstar", 2_000, [], 0, {"dim": 0, "basis": []}),
+    ("multiplier", 100_000, [[0, 1, 0, "1"]], 2,
+     {"error": "algebra does not satisfy assoc at (0, 1, 1)", "kind": "IdentityViolated"}),
+], ids=["multiplier-zero", "zstar-zero", "multiplier-nonassociative"])
+def test_a_large_zero_algebra_stays_cheap(tmp_path, command, dim, products, code, payload):
     # a 50-byte document must not cost its dim^2 cocycles: the multiplier is a
-    # rank, and Z* a reduction modulo the (here empty) constraint echelon
+    # rank, and Z* a reduction modulo the (here empty) constraint echelon.  With
+    # x1 x2 = x1 the coboundary audit fails, and only then is the identity walked
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": dim, "products": []}))
+    path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": dim, "products": products}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(extraspecial.__file__)))
     proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, command, str(path)],
                           capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (proc.returncode, json.loads(proc.stdout)) == (0, payload), proc.stderr.decode()[-400:]
+    assert (proc.returncode, json.loads(proc.stdout)) == (code, payload), proc.stderr.decode()[-400:]
 
 
 def test_check_identity(tmp_path, capsys):

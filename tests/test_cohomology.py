@@ -3,11 +3,12 @@
 import collections
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from extraspecial import cli, cohomology, linalg
+from extraspecial import algebra, cli, cohomology, linalg
 from extraspecial.algebra import (
     IDENTITY_TERMS,
     Algebra,
@@ -15,6 +16,7 @@ from extraspecial.algebra import (
     center,
     check_identity,
     derived_ideal,
+    identity_violation,
     is_extra_special,
 )
 from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
@@ -34,6 +36,7 @@ from extraspecial.linalg import Subspace
 from extraspecial.scalars import Field
 from oracle_h2 import naive_constraint_row, naive_h2_dim
 from oracle_zstar import cover_z_star
+from test_algebra import _random_products
 from test_basis_invariance import CASES, _field, _in_basis, _random_basis
 from test_forms import scrambled
 
@@ -95,8 +98,71 @@ def test_int_row_algebra_over_gf7_has_the_multipliers_of_its_scalar_twin():
 
 def test_cocycle_space_rejects_wrong_theory():
     bad = Algebra(Q, 2, {(0, 1): (1, 0)})  # not associative
-    with pytest.raises(IdentityViolated):
+    with pytest.raises(IdentityViolated, match=r"^algebra does not satisfy assoc at \(0, 1, 1\)$"):
         cocycle_space(bad, IdentityKind.ASSOCIATIVE)
+
+
+# not associative; its assoc rows reach their bound after 12 of 19, before the audit fails
+EARLY_FAILURE = {(0, 1): {1: 2, 2: 2}, (1, 0): {1: 2}, (1, 2): {0: 2}, (2, 2): {1: 2}}
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(7)], ids=str)
+def test_the_coboundary_audit_is_the_identity_check(field, monkeypatch):
+    # no identity walk precedes the solve: it raises IdentityViolated, naming the least
+    # violating triple, exactly when identity_violation finds one, and otherwise its h2 is
+    # the oracle's.  Random tables of one or two entries break many of the identities;
+    # seeded associative algebras in dense bases and the holds-only-mod-3 tables join them
+    rng, rows, read = random.Random(f"audit {field}"), cohomology._cocycle_rows, []
+
+    def counted(a, kind):
+        for row in rows(a, kind):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(cohomology, "_cocycle_rows", counted)
+    inputs = [Algebra(field, 3, EARLY_FAILURE), Algebra(field, 2, {(1, 0): [0, 1], (0, 1): [0, 2]}),
+              Algebra(field, 3, {(2, 0): [1, 0, 0], (0, 2): [2, 0, 0]})]
+    inputs += [_seeded_associative(rng, field, kind) for kind in ("class 2", "nilpotent", "idempotent")]
+    for _ in range(20):
+        dim = rng.randint(2, 4)
+        inputs.append(Algebra(field, dim, _random_products(rng, dim, rng.randint(1, 2))))
+    outcomes = collections.Counter()
+    for a in inputs:
+        for kind in IdentityKind:
+            read.clear()
+            triple = identity_violation(a, kind)
+            if triple is None:
+                assert cocycle_space(a, kind).h2_dim == naive_h2_dim(a, kind), (a, kind)
+                outcomes["holds"] += 1
+                continue
+            message = f"^algebra does not satisfy {kind.value} at {re.escape(str(triple))}$"
+            with pytest.raises(IdentityViolated, match=message):
+                cocycle_space(a, kind)
+            outcomes["early" if len(read) < len(list(rows(a, kind))) else "full"] += 1
+    assert min(outcomes["holds"], outcomes["early"], outcomes["full"]) >= 10, outcomes
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3)], ids=str)
+def test_a_successful_solve_walks_no_identity(field, monkeypatch):
+    # the coboundary audit decides the identity: identity_violation runs only once it fails
+    calls = []
+
+    def counted(a, kind):
+        calls.append(kind)
+        return identity_violation(a, kind)
+
+    monkeypatch.setattr(algebra, "identity_violation", counted)
+    monkeypatch.setattr(cohomology, "identity_violation", counted)
+    parts = (BlockDescriptor("j", 2), BlockDescriptor("gamma", 2))
+    assert cli._sweep_row("j:2+gamma:2", make_from_text("j:2+gamma:2", field), parts, field).ok
+    a = _in_basis(make_from_text("j:3", field), _random_basis(random.Random(f"walk {field}"), field, 4))
+    assert multiplier_dim(a, IdentityKind.ASSOCIATIVE) == cover(a).kernel.dim == 8
+    assert multiplier_dim(a, VALIDATED_LEIBNIZ) == multiplier_dim(make_from_text("j:3", field), VALIDATED_LEIBNIZ)
+    assert z_star(a) == center(a) and not is_capable(a) and is_unicentral(a)
+    assert calls == []
+    with pytest.raises(IdentityViolated):
+        multiplier_dim(Algebra(field, 2, {(0, 1): (1, 0)}), IdentityKind.ASSOCIATIVE)
+    assert calls == [IdentityKind.ASSOCIATIVE]
 
 
 @pytest.mark.parametrize("field", [Q, Field.gf(5)], ids=str)

@@ -71,8 +71,9 @@ DIASSOC = ("check", "--identity", "diassoc")
 # `make` is run on every shape above and on these single blocks over Q
 MAKES = [*SHAPES, ("Q", "j:1"), ("Q", "gamma:4"), ("Q", "h2:-1"), ("Q", "h2n:3:2")]
 
-# x*y = x is not associative: cover and zstar refuse it before any cocycle
-# solve, classify refuses it as not extra special; x*x = y, x*y = z breaks
+# x*y = x is not associative: its assoc cocycle solve fails the coboundary
+# audit, so multiplier names the violating triple and cover and zstar refuse
+# it, and classify refuses it as not extra special; x*x = y, x*y = z breaks
 # only the left Leibniz identity
 ERROR_DOCS = {
     "not associative": {
