@@ -14,7 +14,7 @@ f(x_m, x_r) and f(x_r, x_m), m in M, the union of the product supports; once
 |M x A u A x M| pivots are found they span every unread row.  Their int
 echelon store R is what a `CocycleSpace` keeps: h2 = n^2 - rank R - dim b2,
 the coboundary audit is R b2^T = 0, and z2 = ker R, n^2 - rank R vectors,
-is built only when read; `cover` builds only the part outside b2.  The rows
+is never built: `cover` builds only the part outside b2.  The rows
 come brackets of adjacent factors first, as the Leibniz term on the outer pair
 mostly repeats them.  The order cannot change R: reduced, with primitive rows,
 R is unique for its row space, the touchable columns if the bound is reached
@@ -50,7 +50,6 @@ empirically rather than trusting this constant.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from math import lcm
 from operator import itemgetter
 
@@ -58,30 +57,24 @@ from .algebra import (
     IDENTITY_TERMS, Algebra, IdentityKind, center, derived_ideal, identity_violation,
 )
 from .errors import IdentityViolated, InternalCheckFailure, NotAssociative, StemFailure
-from .linalg import Subspace, _clear_pivots, _sparse_row, kernel_basis, kernel_of, reduce_ints
+from .linalg import Subspace, _clear_pivots, kernel_basis, kernel_of, reduce_ints
 
 #: The Leibniz orientation that reproduces the published multiplier
 #: dimensions (J2 -> 4, H2(-1) -> 5); fixed empirically by the test suite.
 VALIDATED_LEIBNIZ = IdentityKind.LEIBNIZ_LEFT
 
 
-class CocycleSpace(namedtuple("CocycleSpace", "algebra_dim constraints b2 h2_dim")):
+class CocycleSpace(namedtuple("CocycleSpace", "constraints b2 h2_dim")):
     """R (`constraints`), the int echelon store of the constraint rows, column c held as n^2 - 1 - c;
-    the coboundaries b2 (a `Subspace`); h2 = n^2 - rank R - dim b2.  z2 = ker R is built on first read."""
+    the coboundaries b2 (a `Subspace`); h2 = n^2 - rank R - dim b2.  z2 = ker R is never built."""
 
-    @cached_property
-    def z2(self) -> Subspace:
-        return kernel_of(self.b2.field, self.algebra_dim ** 2, self.constraints)
+    __slots__ = ()
 
 
 class CoverExtension(namedtuple("CoverExtension", "total base_dim kernel")):
     """A maximal stem extension: total `Algebra`, base size, central kernel (a `Subspace`)."""
 
     __slots__ = ()
-
-    def project(self, vec) -> tuple:
-        """Apply the defining projection (drop kernel coordinates)."""
-        return tuple(vec[: self.base_dim])
 
 
 def _cocycle_rows(a: Algebra, theory: IdentityKind):
@@ -150,7 +143,7 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
                 raise InternalCheckFailure("a coboundary failed the cocycle condition")
             raise IdentityViolated(f"algebra does not satisfy {theory.value} at {triple}")
     b2 = Subspace._span(a.field, n * n, coboundary_rows.values())
-    return CocycleSpace(n, r, b2, n * n - len(r) - b2.dim)
+    return CocycleSpace(r, b2, n * n - len(r) - b2.dim)
 
 
 def associative_cocycle_space(a: Algebra) -> CocycleSpace:
@@ -166,48 +159,32 @@ def multiplier_dim(a: Algebra, theory: IdentityKind) -> int:
     return cocycle_space(a, theory).h2_dim
 
 
-def central_extension_by_cocycles(a: Algebra, cocycles) -> Algebra:
-    """Total algebra on A + F^m with product (u,s)(v,t) = (uv, f_1(u,v), ...).
-
-    Each cocycle is a sparse row {i * dim + j: f(x_i, x_j)} of a flattened
-    bilinear map.  The new coordinates multiply to zero on both sides, so
-    they are always central.
-    """
-    rows, den = a.field.ints([_sparse_row(a.dim * a.dim, f) for f in cocycles])
-    return _extension(a, rows, den)
-
-
-def _extension(a: Algebra, rows: list, den: int) -> Algebra:
-    """`central_extension_by_cocycles` of int cocycle rows over `den`, their least common
-    denominator (1 over GF(p)), built as its canonical int table."""
-    n, total_den = a.dim, lcm(a._den, den)
-    table = {ij: {k: x * (total_den // a._den) for k, x in row.items()} for ij, row in a._table.items()}
-    for l, f in enumerate(rows):
-        for c, x in f.items():
-            table.setdefault(divmod(c, n), {})[n + l] = x * (total_den // den)
-    names = [*a.basis_names, *(f"m{l + 1}" for l in range(len(rows)))]
-    return Algebra._canonical(a.field, n + len(rows), dict(sorted(table.items())), total_den, names)
-
-
 def cover(a: Algebra) -> CoverExtension:
     """Maximal stem extension of an associative algebra.
 
     The extension is built from a deterministic choice of cocycles spanning
     a complement of the coboundaries: the z2 basis rows, read off R, whose
     pivot is not a b2 pivot.  Covers are unique up to isomorphism,
-    so the echelon choice is only a normalization.  The stem condition
-    (kernel inside center and derived ideal of the total algebra) is
-    checked, not assumed; a failure raises `StemFailure`.
+    so the echelon choice is only a normalization.  The total algebra on
+    A + F^m has the product (u, s)(v, t) = (uv, f_1(u, v), ..., f_m(u, v)),
+    built as its canonical int table.  The stem condition (kernel inside
+    center and derived ideal of the total algebra) is checked, not assumed;
+    a failure raises `StemFailure`.
     """
     cs = associative_cocycle_space(a)
     n, m = a.dim, cs.h2_dim
-    complement = kernel_of(a.field, n * n, cs.constraints, skip=cs.b2._rows)._rows
+    complement = kernel_of(a.field, n * n, cs.constraints, cs.b2._rows)._rows
     if len(complement) != m:
         raise InternalCheckFailure("echelon complement has the wrong dimension")
-    # a primitive row over Q is its scalar row, 1 at the pivot, times its lead; over GF(p) leads are 1
-    den = lcm(*(f[c] for c, f in complement.items()))
-    rows = [{c: x * (den // f[pc]) for c, x in f.items()} for pc, f in complement.items()]
-    total = _extension(a, rows, den)
+    # a primitive row over Q is its scalar row, 1 at the pivot, times its lead (over GF(p) leads are 1),
+    # so over den, the lcm of the leads and of A's denominator, f_l is row l times den // its lead
+    den = lcm(a._den, *(f[c] for c, f in complement.items()))
+    table = {ij: {k: x * (den // a._den) for k, x in row.items()} for ij, row in a._table.items()}
+    for l, (pc, f) in enumerate(complement.items()):
+        for c, x in f.items():
+            table.setdefault(divmod(c, n), {})[n + l] = x * (den // f[pc])
+    names = [*a.basis_names, *(f"m{l + 1}" for l in range(m))]
+    total = Algebra._canonical(a.field, n + m, dict(sorted(table.items())), den, names)
     kernel = Subspace._echelon(a.field, n + m, {n + l: {n + l: 1} for l in range(m)})
     # kernel inside the center: no product involves a kernel coordinate as a
     # factor, which is exactly the two-sided annihilator condition

@@ -28,8 +28,10 @@ All of it runs on one int form, `Field.ints` of the form (the residues over
 GF(p), over Q the form times the lcm of its denominators), which keeps the
 Kronecker data and the roots: P(t0) at a root u/v is v A + u B, and the
 echelon forms stay int rows.  `classify` reads that form straight from the
-algebra's int table; scalars are only the roots and lambdas going out, and
-the form of `form_of` and `regularize`.
+algebra's int table, and the minor stays an int polynomial from
+`pencil_minor` through `roots_in_field` to the gcds of `_rootless_part`.
+Scalars are built only for the roots, the lambdas and the monic factor that
+`DoesNotSplit` carries, besides the form of `form_of` and `regularize`.
 
 These descriptors are the answer.  The pieces must tile the form exactly,
 so an internal disagreement raises instead of misclassifying; blocks left
@@ -56,15 +58,7 @@ from .errors import (
     Singular,
     UnpairedEigenvalue,
 )
-from .linalg import (
-    Matrix,
-    pencil_minor,
-    poly_degree,
-    poly_divmod,
-    poly_monic,
-    reduce_ints,
-    roots_in_field,
-)
+from .linalg import Matrix, _igcd, _igcd_mod, pencil_minor, reduce_ints, roots_in_field
 from .scalars import Field
 
 
@@ -384,7 +378,7 @@ def _regularize(field: Field, b_rows: list) -> tuple[list[BlockDescriptor], tupl
     # degree not yet met at a root; once it is 0, every multiplicity left
     # is exact.
     roots.sort(key=lambda root: bool(root[0]))
-    slack = poly_degree(minor) - n + sum(2 * e + 1 for e in eps)
+    slack = len(minor) - 1 - n + sum(2 * e + 1 for e in eps)
     even_sizes, cosquare_blocks = [], []
     for t0, mult in roots:
         # B = M, so column j of B is row j of A = M^T
@@ -399,7 +393,7 @@ def _regularize(field: Field, b_rows: list) -> tuple[list[BlockDescriptor], tupl
             slack += 2 * sum(found) - mult
     sizes = tuple(sorted(even_sizes + [2 * e + 1 for e in eps]))
     missing = n - sum(sizes) - sum(e for _, e in cosquare_blocks)
-    if missing > 0 and poly_degree(rest) >= missing:
+    if missing > 0 and len(rest) > missing:
         raise DoesNotSplit(_rootless_part(field, a_rows, b_rows, rank, rest, missing))
     if missing:
         raise InternalCheckFailure("block dimensions do not fill the form")
@@ -407,17 +401,17 @@ def _regularize(field: Field, b_rows: list) -> tuple[list[BlockDescriptor], tupl
 
 
 def _rootless_part(field: Field, a_rows, b_rows, rank: int, rest, missing: int) -> list:
-    """The monic rootless factor of the invariant factors' product, of degree `missing`.
+    """The monic rootless factor of the invariant factors' product, of degree `missing`, as scalars.
 
-    `rest`, the rootless part of one r x r minor, is a multiple of it.  By
+    `rest`, the rootless int part of one r x r minor, is a multiple of it.  By
     Cauchy-Binet det(U P(t) V), for U (r x n) and V (n x r), is a
     combination of all r x r minors, whose gcd is the invariant factors'
-    product; gcds with a few seeded compressions strip the rest.
+    product; int gcds with a few seeded compressions strip the rest.
     """
     n, p, rng = len(a_rows), field.p, random.Random(0)
     for _ in range(20):
-        if poly_degree(rest) == missing:
-            return poly_monic(field, rest)
+        if len(rest) - 1 == missing:
+            return [field.scalar(x, rest[-1]) for x in rest]
         u = [{j: rng.randint(-3, 3) for j in range(n)} for _ in range(rank)]
         v = [{c: rng.randint(-3, 3) for c in range(rank)} for _ in range(n)]
         # row k of U X V combines the rows of X V by row k of U
@@ -426,8 +420,8 @@ def _rootless_part(field: Field, a_rows, b_rows, rank: int, rest, missing: int) 
             for rows in (a_rows, b_rows)
         ]
         full, c = pencil_minor(field, *squeezed)
-        while full == rank and c:
-            rest, c = c, poly_divmod(field, rest, c)[1]
+        if full == rank:
+            rest = _igcd_mod(rest, c, p) if p else _igcd(rest, c)
     raise InternalCheckFailure("the rootless factor does not match the missing blocks")
 
 

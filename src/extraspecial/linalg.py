@@ -19,19 +19,25 @@ builds.  Scalars and dense vectors appear only at the edges: `Matrix`,
 input to `Subspace`, and its `pivots` and `basis` views.
 
 Polynomials appear as ascending coefficient lists (index = degree) with no
-trailing zeros; the zero polynomial is the empty list.  `roots_in_field`
-finds roots at the cost of the field (von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 14-15): over GF(p) with p below 256, by evaluating
-f at every residue; over a larger prime, gcd(f, t^p - t), with t^p taken
-mod f one bit at a time, split by seeded Cantor-Zassenhaus; over Q, the
-roots of the square-free part modulo a small prime that keeps it
-square-free, Hensel-lifted and reconstructed; each candidate u/v is then
-checked exactly by dividing out v t - u.  That work runs on integer
-coefficient lists.  `pencil_minor` takes the pencil as int rows, packs
-each entry a + tb into the integer a + b 2^s (Kronecker substitution,
-ibid. 8.4) and runs Bareiss's fraction-free elimination on those ints,
-over Q and GF(p) alike.  A row with no entry in the pivot column is not
-touched: it keeps the step it was last brought up to date at and is
+trailing zeros; the zero polynomial is the empty list.  The scalar
+`poly_sub`, `poly_mul`, `poly_divmod` and `poly_eval` have callers only
+outside the package (the tests and `bench/layers.py`); `classify` builds
+no scalar polynomial.
+`roots_in_field` takes an int polynomial (residues over GF(p), any int
+multiple of a scalar polynomial over Q) and finds its roots at the cost of
+the field (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 14-15): over GF(p) with p below 256, by evaluating f at every residue;
+over a larger prime, gcd(f, t^p - t), with t^p taken mod f one bit at a
+time, split by seeded Cantor-Zassenhaus; over Q, the roots of the
+square-free part modulo a small prime that keeps it square-free,
+Hensel-lifted and reconstructed; each candidate u/v is then checked
+exactly by dividing out v t - u.  The roots come back as scalars, the
+rootless cofactor as ints.  `pencil_minor` takes the pencil as int rows,
+packs each entry a + tb into the integer a + b 2^s (Kronecker
+substitution, ibid. 8.4), runs Bareiss's fraction-free elimination on
+those ints, over Q and GF(p) alike, and returns the minor as an int
+polynomial, residues over GF(p).  A row with no entry in the pivot column
+is not touched: it keeps the step it was last brought up to date at and is
 scaled once, when it next holds a pivot column, so a banded pencil costs
 its fill-in, not n^3.  Over GF(p) an entry's degree is read from its top
 digit down.
@@ -166,7 +172,7 @@ def kernel_basis(field: Field, ncols: int, rows) -> "Subspace":
     return kernel_of(field, ncols, reduce_ints({}, (row for row in rest if row), field.p), fixed)
 
 
-def kernel_of(field: Field, ncols: int, pivots: dict, skip=()) -> "Subspace":
+def kernel_of(field: Field, ncols: int, pivots: dict, skip) -> "Subspace":
     """The kernel of the echelon store `pivots` of rows in reversed column order, less the free
     columns in `skip`.  e_f - sum of (prow[f] / lead) e_pc, the vector of a free column f, starts
     at f, so the vectors already are a reduced echelon basis.  Over Q each is taken times the lcm
@@ -348,16 +354,17 @@ class Matrix:
     def jordan_structure(self) -> "JordanStructure":
         """Eigenvalues with Jordan block sizes, from ranks of powers of M - mu I.
 
-        Raises `DoesNotSplit` (carrying the rootless factor) when the
+        Raises `DoesNotSplit` (carrying the monic rootless factor) when the
         characteristic polynomial has no full set of roots in the base field.
         """
         if not self.is_square:
             raise NotSquare("Jordan structure of a non-square matrix")
-        n = self.nrows
+        n, field = self.nrows, self.field
         poly = self.char_poly()
-        roots, remainder = roots_in_field(self.field, poly)
-        if poly_degree(remainder) > 0:
-            raise DoesNotSplit(remainder)
+        (lifted,), _ = field.ints([dict(enumerate(poly))])
+        roots, rest = roots_in_field(field, [lifted.get(i, 0) for i in range(len(poly))])
+        if len(rest) > 1:
+            raise DoesNotSplit([field.scalar(x, rest[-1]) for x in rest])
         blocks = []
         for mu, mult in roots:
             shifted = self.sub(Matrix.identity(self.field, n).scale(mu))
@@ -488,10 +495,6 @@ def poly_trim(p: list) -> list:
     return p
 
 
-def poly_degree(p) -> int:
-    return len(p) - 1 if p else -1
-
-
 def poly_sub(field: Field, p, q) -> list:
     n = max(len(p), len(q))
     zero = field.zero
@@ -543,32 +546,21 @@ def poly_eval(field: Field, p, x):
     return acc
 
 
-def poly_monic(field: Field, p) -> list:
-    if not p:
-        return []
-    lead = p[-1]
-    if lead == field.one:
-        return list(p)
-    return [c / lead for c in p]
+def roots_in_field(field: Field, f) -> tuple[list, list]:
+    """All roots in the field of the int polynomial f, with multiplicities.
 
-
-def roots_in_field(field: Field, poly) -> tuple[list, list]:
-    """All roots of `poly` in the field, with multiplicities.
-
-    Returns `(roots, remainder)`: roots is a list of (root, multiplicity)
-    pairs in `Field.ratio` order and remainder is the rootless cofactor
-    (constant exactly when the polynomial splits into linear factors).
+    f holds residues over GF(p) and any int multiple of a scalar polynomial
+    over Q.  Returns `(roots, rest)`: roots is a list of (scalar root,
+    multiplicity) pairs in `Field.ratio` order, and rest is the rootless int
+    cofactor (constant exactly when f splits into linear factors).
     Candidates u/v come from `_roots_mod` over GF(p) and `_rational_roots`
-    over Q.  The check runs on the integer polynomial: each candidate is
-    divided out by v t - u, exactly over Z (Gauss's lemma) or mod p, as
-    often as it divides; the roots and the cofactor become scalars once.
+    over Q; each is divided out by v t - u, exactly over Z (Gauss's lemma)
+    or mod p, as often as it divides.  Only the roots become scalars.
     """
-    p = poly_trim(list(poly))
-    if poly_degree(p) <= 0:
-        return [], p
-    q, scale = field.p, 1
-    (lifted,), den = field.ints([dict(enumerate(p))])
-    f = [lifted.get(i, 0) for i in range(len(p))]
+    q = field.p
+    f = _ipoly(f, q)
+    if len(f) < 2:
+        return [], f
     roots, candidates = [], [(r, 1) for r in _roots_mod(f, q)] if q else _rational_roots(f)
     for u, v in sorted(candidates):
         count = 0
@@ -576,8 +568,7 @@ def roots_in_field(field: Field, poly) -> tuple[list, list]:
             f, count = quot, count + 1
         if count:
             roots.append((field.scalar(u, v), count))
-            scale *= v**count
-    return roots, [field.scalar(x * scale, den) for x in f]
+    return roots, f
 
 
 def _idivide_linear(f, u: int, v: int, p=None):
@@ -702,9 +693,9 @@ def _igcd_mod(f, g, p: int) -> list:
 
 
 def _igcd(f, g) -> list:
-    """The primitive gcd over Z[t] (deg f > deg g), by primitive pseudo-remainders."""
+    """The primitive gcd over Z[t] of f and g, f nonzero, by primitive pseudo-remainders."""
     while g:
-        f, g = g, _primitive(_idivmod([x * g[-1] ** (len(f) - len(g) + 1) for x in f], g)[1])
+        f, g = g, _primitive(_idivmod([x * g[-1] ** max(0, len(f) - len(g) + 1) for x in f], g)[1])
     return _primitive(f)
 
 
@@ -749,7 +740,7 @@ def _derivative(f) -> list:
 
 
 def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
-    """Normal rank r of the square pencil A + tB and one nonzero r x r minor.
+    """Normal rank r of the square pencil A + tB and one nonzero r x r minor, an int polynomial.
 
     The sparse rows of A and B hold ints: over Q the entries of a pencil
     whose denominators the caller cleared, over GF(p) residues in [0, p),
@@ -763,7 +754,8 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
     lowest row on ties; over GF(p) both are read from the digits mod p
     (`_live_degree`, from the top digit down), which replays the
     elimination over GF(p)[t], since a minor of the ints reduces mod p to
-    the same minor.  The last pivot is the minor, read out by `_digits`.
+    the same minor.  The last pivot is the minor, read out by `_digits`:
+    ints over Q, residues over GF(p).
 
     Bareiss's update of a row with no entry in the pivot column only scales
     it by pivot / prev, and those factors telescope.  So with pivots[k] the
@@ -815,7 +807,7 @@ def pencil_minor(field: Field, a_rows, b_rows) -> tuple[int, list]:
             at[i] = rank + 1
         pivots.append(pivot)
         rank += 1
-    return rank, [field.coerce(x) for x in _digits(pivots[rank], s, p)]
+    return rank, _digits(pivots[rank], s, p)
 
 
 def _live_degree(x: int, s: int, p: int, offset: int) -> int:

@@ -51,7 +51,7 @@ def _as_int(x, den):
 
 
 def oracle_pencil_minor(field, a_rows, b_rows):
-    """(normal rank r of A + tB, one nonzero r x r minor as field scalars)."""
+    """(normal rank r of A + tB, one nonzero r x r minor as ints: residues over GF(p))."""
     p = field.p
     rows = []
     for a, b in zip(a_rows, b_rows):
@@ -82,4 +82,4 @@ def oracle_pencil_minor(field, a_rows, b_rows):
             rows[i] = new
         prev = pivot
         rank += 1
-    return rank, [field.coerce(x) for x in prev]
+    return rank, prev

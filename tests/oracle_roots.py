@@ -12,8 +12,12 @@ rootless cofactor.
 from fractions import Fraction
 from math import lcm
 
-from extraspecial.linalg import _rational_roots, _roots_mod, poly_degree, poly_eval, poly_trim
+from extraspecial.linalg import _rational_roots, _roots_mod, poly_eval, poly_trim
 from extraspecial.scalars import Fp
+
+
+def poly_degree(p) -> int:
+    return len(p) - 1 if p else -1
 
 
 def deflate(field, p, root):

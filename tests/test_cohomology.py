@@ -22,7 +22,6 @@ from extraspecial.algebra import (
 from extraspecial.catalog import BlockDescriptor, central_sum, make_canonical, make_from_text
 from extraspecial.cohomology import (
     VALIDATED_LEIBNIZ,
-    central_extension_by_cocycles,
     cocycle_space,
     cover,
     is_capable,
@@ -56,18 +55,35 @@ def h(n, lam):
     return make_canonical(BlockDescriptor("h", n, lam), Q)
 
 
+def _z2(a, cs):
+    """The cocycles z2 = ker R of `a`'s cocycle space `cs`, which the program never builds."""
+    return linalg.kernel_of(a.field, a.dim ** 2, cs.constraints, ())
+
+
+def _extension_by(a, cocycles):
+    """The algebra on A + F^m with product (u, s)(v, t) = (uv, f_1(u, v), ..., f_m(u, v)), through
+    the `Algebra` constructor; each cocycle f_l is a sparse row {i * dim + j: f_l(x_i, x_j)}."""
+    products = {(i, jj): row for i, jj, row in a.nonzero_products()}
+    for l, f in enumerate(cocycles):
+        for c, x in f.items():
+            products.setdefault(divmod(c, a.dim), {})[a.dim + l] = x
+    names = [*a.basis_names, *(f"m{l + 1}" for l in range(len(cocycles)))]
+    return Algebra(a.field, len(names), products, names)
+
+
 # -- cocycle spaces -------------------------------------------------------------
 
 
 def test_j1_cocycle_dimensions():
     # hand solve: constraints force f(z,z) = 0 and f(x,z) = f(z,x)
     cs = cocycle_space(j(1), IdentityKind.ASSOCIATIVE)
-    assert (cs.z2.dim, cs.b2.dim, cs.h2_dim) == (2, 1, 1)
+    assert (_z2(j(1), cs).dim, cs.b2.dim, cs.h2_dim) == (2, 1, 1)
 
 
 def test_one_dimensional_zero_algebra_cocycles():
-    cs = cocycle_space(Algebra.zero(Q, 1), IdentityKind.ASSOCIATIVE)
-    assert (cs.z2.dim, cs.b2.dim, cs.h2_dim) == (1, 0, 1)
+    a = Algebra.zero(Q, 1)
+    cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
+    assert (_z2(a, cs).dim, cs.b2.dim, cs.h2_dim) == (1, 0, 1)
 
 
 def test_j2_associative_multiplier():
@@ -168,11 +184,11 @@ def test_a_successful_solve_walks_no_identity(field, monkeypatch):
 @pytest.mark.parametrize("field", [Q, Field.gf(5)], ids=str)
 @pytest.mark.parametrize("text", ["j:4", "gamma:5", "h2:3"])
 def test_cocycle_space_z2_is_already_reduced(text, field):
-    # z2 comes from kernel_basis without a second reduction; reducing it
-    # again must give the same pivot rows
+    # the kernel of R comes from `kernel_of` without a second reduction, as
+    # `cover` reads its complement; reducing it again must give the same pivot rows
     a = make_from_text(text, field)
     for kind in IdentityKind:
-        z2 = cocycle_space(a, kind).z2
+        z2 = _z2(a, cocycle_space(a, kind))
         assert z2.pivots == Subspace(field, z2.ambient_dim, list(z2.pivots.values())).pivots
         assert list(z2.pivots) == sorted(z2.pivots)
 
@@ -217,8 +233,8 @@ def _touchable_columns(a, kind):
 
 
 def _assert_early_stop_reads_the_whole_system(a):
-    """The bounded lazy z2 of every theory `a` satisfies is the kernel of all
-    its rows; returns, per theory, whether the rows reached their bound."""
+    """The kernel of the bounded R of every theory `a` satisfies is the kernel of
+    all its rows; returns, per theory, whether the rows reached their bound."""
     n, reached = a.dim, []
     for kind in IdentityKind:
         if not check_identity(a, kind):
@@ -227,9 +243,10 @@ def _assert_early_stop_reads_the_whole_system(a):
         assert all(row.keys() <= touchable for row in rows)
         full = linalg.kernel_basis(a.field, n * n, rows)
         cs = cocycle_space(a, kind)
-        # h2 is read off R, and z2 is not built until it is read
-        assert "z2" not in vars(cs) and cs.h2_dim == full.dim - cs.b2.dim, (a, kind)
-        assert cs.z2 == full and cs.z2.pivots == full.pivots, (a, kind)
+        # h2 is read off R, and the kernel of R is the z2 of all the rows
+        assert cs.h2_dim == full.dim - cs.b2.dim, (a, kind)
+        z2 = _z2(a, cs)
+        assert z2 == full and z2.pivots == full.pivots, (a, kind)
         bound = len(touchable)
         assert n * n - full.dim <= bound
         reached.append(n * n - full.dim == bound)
@@ -283,7 +300,7 @@ def test_the_assoc_solve_of_gamma18_reads_at_most_three_times_its_bound_in_rows(
     rows, a = cohomology._cocycle_rows, make_from_text("gamma:18", field)
     cs, read = _rows_read(a, IdentityKind.ASSOCIATIVE, monkeypatch)
     bound = len(_touchable_columns(a, IdentityKind.ASSOCIATIVE))
-    assert bound == 2 * a.dim - 1 == a.dim ** 2 - cs.z2.dim
+    assert bound == 2 * a.dim - 1 == a.dim ** 2 - _z2(a, cs).dim
     assert len(read) <= 3 * bound < len(list(rows(a, IdentityKind.ASSOCIATIVE)))
 
 
@@ -294,7 +311,7 @@ def test_the_leibniz_solve_of_gamma18_reads_at_most_60_rows(field, monkeypatch):
     a = make_from_text("gamma:18", field)
     cs, read = _rows_read(a, IdentityKind.LEIBNIZ_LEFT, monkeypatch)
     bound = len(_touchable_columns(a, IdentityKind.LEIBNIZ_LEFT))
-    assert bound == 2 * a.dim - 1 == a.dim ** 2 - cs.z2.dim
+    assert bound == 2 * a.dim - 1 == a.dim ** 2 - _z2(a, cs).dim
     assert len(read) <= 60
 
 
@@ -428,7 +445,7 @@ def test_cover_quotient_reproduces_input():
         ext = cover(a)
         for i in range(a.dim):
             for jj in range(a.dim):
-                assert ext.project(ext.total.product(i, jj)) == a.product(i, jj)
+                assert ext.total.product(i, jj)[: ext.base_dim] == a.product(i, jj)
 
 
 def test_cover_total_is_associative_on_small_inputs():
@@ -461,7 +478,7 @@ def test_cover_class_invariant_under_coboundary_shift():
         cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
         complement = [
             v
-            for v in cs.z2.basis
+            for v in _z2(a, cs).basis
             if next(i for i, x in enumerate(v) if x)
             not in {next(i for i, x in enumerate(w) if x) for w in cs.b2.basis}
         ]
@@ -473,7 +490,7 @@ def test_cover_class_invariant_under_coboundary_shift():
                 acc = [x + coef * y for x, y in zip(acc, w)]
             shifted.append({c: x for c, x in enumerate(acc) if x})
         reference = cover(a).total
-        candidate = central_extension_by_cocycles(a, shifted)
+        candidate = _extension_by(a, shifted)
         assert candidate.dim == reference.dim
         assert center(candidate).dim == center(reference).dim
         assert derived_ideal(candidate).dim == derived_ideal(reference).dim
@@ -572,7 +589,7 @@ def test_z_star_agrees_with_the_cover_route_in_a_dense_basis(flag, text):
 def _annihilator_of_z2(a):
     """Z* as the two-sided annihilator of every basis cocycle of the full z2."""
     n, rows = a.dim, {}
-    for l, f in enumerate(cocycle_space(a, IdentityKind.ASSOCIATIVE).z2._rows.values()):
+    for l, f in enumerate(_z2(a, cocycle_space(a, IdentityKind.ASSOCIATIVE))._rows.values()):
         for c, x in f.items():
             i, jj = divmod(c, n)
             rows.setdefault(("L", l, jj), {})[i] = x  # f(u, x_jj) = sum_i u_i f(x_i, x_jj)
@@ -613,21 +630,16 @@ def test_each_audit_can_fail(monkeypatch):
 
 @pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])
 def test_cover_built_on_ints_equals_the_scalar_build(flag, text):
-    # the complement's scalar rows, 1 at the pivot, through the scalar entry point
-    # and through the Algebra constructor give the same canonical total algebra
+    # the complement's scalar rows, 1 at the pivot, through the Algebra constructor
+    # give the canonical total algebra that `cover` builds on ints
     field = _field(flag)
     a = make_from_text(text, field)
     a = _in_basis(a, _random_basis(random.Random(f"cover {flag} {text}"), field, a.dim))
     cs = cocycle_space(a, IdentityKind.ASSOCIATIVE)
-    complement = [row for c, row in cs.z2.pivots.items() if c not in cs.b2._rows]
-    products = {(i, jj): row for i, jj, row in a.nonzero_products()}
-    for l, f in enumerate(complement):
-        for c, x in f.items():
-            products.setdefault(divmod(c, a.dim), {})[a.dim + l] = x
+    complement = [row for c, row in _z2(a, cs).pivots.items() if c not in cs.b2._rows]
     total = cover(a).total
-    names = [*a.basis_names, *(f"m{l + 1}" for l in range(len(complement)))]
-    assert total == central_extension_by_cocycles(a, complement) == Algebra(field, len(names), products, names)
-    assert total.basis_names == tuple(names)
+    assert total == _extension_by(a, complement)
+    assert total.basis_names == (*a.basis_names, *(f"m{l + 1}" for l in range(len(complement))))
 
 
 @pytest.mark.parametrize("fn", [z_star, is_capable, is_unicentral])

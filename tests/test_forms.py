@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial import algebra, forms
+from extraspecial import algebra, forms, linalg
 from extraspecial.algebra import Algebra, center
 from extraspecial.catalog import (
     BlockDescriptor,
@@ -534,19 +534,91 @@ def test_classify_on_the_int_form_equals_regularize_of_form_of(field, shape):
         assert classify(b) == BlockDecomposition(field, [BlockDescriptor("j", s) for s in sizes] + regular)
 
 
-def test_classify_names_the_rootless_factor_of_a_singular_pencil():
-    # J5 beside a rotation over Q: the pencil is singular, and only t^2 + 1
-    # of the invariant factors fails to split, whatever the basis
+def _j5_beside_a_rotation(field):
     rows = [[0] * 7 for _ in range(7)]
     for i in range(4):
         rows[i][i + 1] = 1
     rows[5][5], rows[5][6], rows[6][5], rows[6][6] = 1, 1, -1, 1
-    rng = random.Random(5)
-    m = Matrix(Q, rows)
-    for g in (m, scrambled(rng, m), scrambled(rng, m)):
+    return Matrix(field, rows)
+
+
+def _count_compressions(monkeypatch) -> list:
+    """Record, per `forms.classify`, the `pencil_minor` calls after its first: the compressions of `_rootless_part`."""
+    counts, run, minor = [], forms.classify, forms.pencil_minor
+
+    def classify_spy(a):
+        counts.append(-1)
+        return run(a)
+
+    def minor_spy(*args):
+        counts[-1] += 1
+        return minor(*args)
+
+    monkeypatch.setattr(forms, "classify", classify_spy)
+    monkeypatch.setattr(forms, "pencil_minor", minor_spy)
+    return counts
+
+
+# -1 is no square mod 3, 7 or 11, so t^2 + 1 stays rootless there
+@pytest.mark.parametrize("field,seed", [(Q, 5), (GF3, "gf3"), (GF7, "gf7"), (Field.gf(11), "gf11")], ids=str)
+def test_classify_names_the_rootless_factor_of_a_singular_pencil(field, seed, monkeypatch):
+    # J5 beside a rotation: the pencil is singular, and only t^2 + 1 of the
+    # invariant factors fails to split, whatever the basis.  In some bases the
+    # first minor holds a spurious factor, which the gcd with a compressed
+    # pencil's minor strips: over GF(7) the first two scrambles need one each
+    compressions = _count_compressions(monkeypatch)
+    rng = random.Random(seed)
+    m = _j5_beside_a_rotation(field)
+    for g in (m, *(scrambled(rng, m) for _ in range(4))):
         with pytest.raises(DoesNotSplit) as exc:
-            classify(algebra_from_form(g))
-        assert exc.value.factor == [Fraction(1), Fraction(0), Fraction(1)]
+            forms.classify(algebra_from_form(g))
+        assert exc.value.factor == [field.one, field.zero, field.one]
+    assert compressions[0] == 0 and max(compressions) >= 1, compressions
+    if field == GF7:
+        assert compressions[1:3] == [1, 1]
+
+
+# the first scramble of J5 beside a rotation from these seeds needs one compression
+@pytest.mark.parametrize("field,seed", [(Q, 5), (GF7, "gf7")], ids=str)
+def test_classify_stays_on_int_polynomials(field, seed, monkeypatch):
+    # the minor goes from `pencil_minor` to `roots_in_field` and the rootless gcd
+    # as ints; only the roots, the lambdas and the monic `DoesNotSplit` factor are scalars
+    minors, polys = [], []
+
+    def minor_spy(*args, run=forms.pencil_minor):
+        out = run(*args)
+        minors.append(out[1])
+        return out
+
+    def roots_spy(field_, f, run=forms.roots_in_field):
+        polys.append(f)
+        return run(field_, f)
+
+    def scalar_poly(*args):
+        raise AssertionError("a scalar polynomial helper ran")
+
+    monkeypatch.setattr(forms, "pencil_minor", minor_spy)
+    for module in (forms, linalg):  # `Matrix.jordan_structure` calls it from `linalg`
+        monkeypatch.setattr(module, "roots_in_field", roots_spy)
+    for name in ("poly_sub", "poly_mul", "poly_divmod", "poly_eval"):
+        monkeypatch.setattr(linalg, name, scalar_poly)
+    regular, singular = (make_from_text(t, field) for t in ("gamma:2+h2:3", "j:4+h2:3+j:3"))
+    assert [d.kind for d in classify(regular).blocks] == ["gamma", "h"]
+    assert [d.kind for d in classify(singular).blocks] == ["j", "j", "h"]
+    # det(M^T + t M) = 5t^2 - 6t + 5 and the cosquare's char poly is t^2 + 6/5 t + 1: monic, not int
+    rotation, six_fifths = Matrix(field, [[1, 2], [-2, 1]]), field.coerce(Fraction(6, 5))
+    with pytest.raises(DoesNotSplit) as exc:
+        classify(algebra_from_form(rotation))
+    assert exc.value.factor == [field.one, -six_fifths, field.one]
+    with pytest.raises(DoesNotSplit) as exc:
+        cosquare(form_of(algebra_from_form(rotation))).jordan_structure()
+    assert exc.value.factor == [field.one, six_fifths, field.one]
+    before = len(minors)
+    with pytest.raises(DoesNotSplit) as exc:
+        classify(algebra_from_form(scrambled(random.Random(seed), _j5_beside_a_rotation(field))))
+    assert exc.value.factor == [field.one, field.zero, field.one]
+    assert len(minors) - before >= 2  # the first minor and at least one compression
+    assert all(type(x) is int for f in minors + polys for x in f) and len(polys) >= 5
 
 
 def _dense_minimal_indices(field, a_rows, b_rows, count):

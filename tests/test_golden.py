@@ -65,6 +65,8 @@ COMMANDS = (
     ("check", "--identity", "leibniz-right"),
     ("multiplier", "--theory", "assoc"),
     ("multiplier", "--theory", "leibniz"),
+    ("capable",),
+    ("unicentral",),
 )
 DIASSOC = ("check", "--identity", "diassoc")
 

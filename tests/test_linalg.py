@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -22,6 +22,8 @@ from extraspecial.linalg import (
     Matrix,
     Subspace,
     _idivmod,
+    _igcd,
+    _igcd_mod,
     _imul,
     _ipowmod,
     kernel_basis,
@@ -140,7 +142,12 @@ def test_jordan_negative_block():
 def test_jordan_does_not_split():
     with pytest.raises(DoesNotSplit) as info:
         M([[0, 1], [-1, 0]]).jordan_structure()
-    assert len(info.value.factor) == 3  # t^2 + 1 survives
+    assert info.value.factor == [Fraction(1), Fraction(0), Fraction(1)]  # t^2 + 1 survives, monic
+    # (t - 1/2)(t^2 + 1/3): the int cofactor 3t^2 + 1 is carried as the monic t^2 + 1/3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    with pytest.raises(DoesNotSplit) as info:
+        M([[half, 0, 0], [0, 0, 1], [0, -third, 0]]).jordan_structure()
+    assert info.value.factor == [third, Fraction(0), Fraction(1)]
 
 
 def _jordan_block(field, mu, size):
@@ -568,10 +575,10 @@ def test_kernel_basis_returns_the_canonical_basis(field):
         assert kernel == _dense_kernel(field, ncols, rows), (ncols, rows)
         _assert_field_scalars(field, kernel.pivots)
         # read lazily up to the number of columns the rows touch, no presolve, as
-        # `cohomology.cocycle_space` reads its rows before `kernel_of` reads z2
+        # `cohomology.cocycle_space` reads its rows before `kernel_of` reads a kernel off R
         touched = {c for row in rows for c, x in row.items() if x}
         flipped = ({ncols - 1 - c: x for c, x in _ints(field, row).items()} for row in rows)
-        bounded = kernel_of(field, ncols, reduce_ints({}, flipped, field.p, rank=len(touched)))
+        bounded = kernel_of(field, ncols, reduce_ints({}, flipped, field.p, rank=len(touched)), ())
         assert bounded.pivots == kernel.pivots, (ncols, rows)
         _assert_field_scalars(field, bounded.pivots)
     ncols, rows = systems[1]
@@ -581,10 +588,20 @@ def test_kernel_basis_returns_the_canonical_basis(field):
 # -- polynomial helpers --------------------------------------------------------
 
 
+def _roots(field, poly):
+    """`roots_in_field` of a scalar polynomial: lifted to ints, and the int cofactor read back
+    as the scalar quotient of poly by the product of (t - r)^m over the roots."""
+    (lifted,), den = field.ints([dict(enumerate(poly))])
+    roots, rest = roots_in_field(field, [lifted.get(i, 0) for i in range(len(poly))])
+    assert all(type(x) is int for x in rest)
+    scale = prod(field.ratio(r)[1] ** m for r, m in roots)
+    return roots, [field.scalar(x * scale, den) for x in rest]
+
+
 def test_poly_divmod_and_roots():
     # (t - 1)^2 (t + 2) = t^3 - 3t + 2
     poly = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
-    roots, rem = roots_in_field(Q, poly)
+    roots, rem = _roots(Q, poly)
     assert rem == [Fraction(1)] or len(rem) == 1
     assert sorted(roots) == [(Fraction(-2), 1), (Fraction(1), 2)]
     q, r = poly_divmod(Q, poly, [Fraction(-1), Fraction(1)])
@@ -595,7 +612,7 @@ def test_poly_divmod_and_roots():
 def test_rational_roots_with_denominators():
     # (2t - 1)(3t + 2) = 6t^2 + t - 2
     poly = [Fraction(-2), Fraction(1), Fraction(6)]
-    roots, rem = roots_in_field(Q, poly)
+    roots, rem = _roots(Q, poly)
     assert sorted(roots) == [(Fraction(-2, 3), 1), (Fraction(1, 2), 1)]
 
 
@@ -603,7 +620,7 @@ def test_roots_over_gf():
     gf5 = Field.gf(5)
     # t^2 - 1 over GF(5): roots 1 and 4
     poly = [gf5.coerce(-1), gf5.zero, gf5.one]
-    roots, rem = roots_in_field(gf5, poly)
+    roots, rem = _roots(gf5, poly)
     assert sorted((r.value, m) for r, m in roots) == [(1, 1), (4, 1)]
 
 
@@ -639,7 +656,16 @@ def test_roots_over_gf_agree_with_brute_force(p):
         polys += [poly_mul(field, every, g) for g in polys[:10]]
     for poly in polys:
         # same roots, multiplicities, residue order and rootless cofactor
-        assert roots_in_field(field, poly) == _brute_roots(field, poly)
+        assert _roots(field, poly) == _brute_roots(field, poly)
+
+
+def test_int_gcds_take_either_argument_first():
+    # `forms._rootless_part` meets the compressed minor at any degree: a gcd of a lower
+    # degree polynomial with a higher one must not depend on the order of the two
+    f = _imul([3, 3], [1, 0, 1])  # 3 (t + 1)(t^2 + 1)
+    g = _imul(_imul([-1, 2], [1, 0, 1]), _imul([5, 1], _imul([5, 1], [5, 1])))  # (2t - 1)(t^2 + 1)(t + 5)^3
+    assert all(h in ([1, 0, 1], [-1, 0, -1]) for h in (_igcd(f, g), _igcd(g, f)))  # primitive, up to sign
+    assert _igcd_mod(_imul(f, [1], 7), _imul(g, [1], 7), 7) == _igcd_mod(_imul(g, [1], 7), _imul(f, [1], 7), 7) == [1, 0, 1]
 
 
 @pytest.mark.parametrize("p", [3, 257, 10007])
@@ -665,7 +691,7 @@ def test_rational_roots_with_twenty_digit_parts():
             r *= rng.choice((1, -1))
             poly = poly_mul(Q, poly, [-r, Fraction(1)])
             want.append(r)
-        roots, rest = roots_in_field(Q, poly)
+        roots, rest = _roots(Q, poly)
         expected = sorted(set(want), key=lambda r: (r.numerator, r.denominator))
         assert [r for r, _ in roots] == expected
         assert [m for _, m in roots] == [want.count(r) for r in expected]
@@ -679,7 +705,7 @@ def test_roots_over_a_61_bit_prime_field():
     poly = poly_mul(field, poly, [-a, field.one])
     # -1 is not a square modulo 2^61 - 1, which is 3 mod 4
     poly = poly_mul(field, poly, [field.one, field.zero, field.one])
-    roots, rest = roots_in_field(field, poly)
+    roots, rest = _roots(field, poly)
     assert roots == [(a, 2), (b, 1)]
     assert rest == [field.one, field.zero, field.one]
 
@@ -724,7 +750,7 @@ def test_rational_roots_agree_with_brute_force():
         poly = [Fraction(105 if case % 2 else rng.randint(1, 2))]
         for f in factors:
             poly = poly_mul(Q, poly, [Fraction(c) for c in f])
-        roots, rest = roots_in_field(Q, poly)
+        roots, rest = _roots(Q, poly)
         expected = _brute_rational_roots([int(c) for c in poly])
         assert dict(roots) == expected
         assert _times_roots(Q, rest, roots) == poly
@@ -761,14 +787,14 @@ def test_root_cofactor_is_exact(field):
             poly = poly_mul(field, poly, [-r, field.one])
         for _ in range(rng.randint(0, 2)):
             poly = poly_mul(field, poly, [field.coerce(rng.randint(1, 9)), field.zero, field.one])
-        found, rest = roots_in_field(field, poly)
+        found, rest = _roots(field, poly)
         assert _times_roots(field, rest, found) == poly
         assert (found, rest) == oracle_roots_in_field(field, poly)
         assert all(type(x) is type(field.one) for r, _ in found for x in (r, *rest))
         if not field.p:
             assert sum(m for _, m in found) == len(roots)
     for poly in ([], [field.coerce(2)]):
-        assert roots_in_field(field, poly) == oracle_roots_in_field(field, poly) == ([], poly)
+        assert _roots(field, poly) == oracle_roots_in_field(field, poly) == ([], poly)
 
 
 def _int_rows(field, a_rows, b_rows):
@@ -793,7 +819,7 @@ def test_pencil_minor_reads_rank_and_a_nonzero_minor():
     assert (rank, minor) == oracle_pencil_minor(Q, a_rows, b_rows)
     # a regular pencil: the minor is the determinant, up to a constant
     rank, minor = pencil_minor(GF7, [{0: 1}, {1: 1}], [{1: 1}, {0: 1}])
-    assert rank == 2 and minor == [GF7.one, GF7.zero, GF7.coerce(-1)]
+    assert rank == 2 and minor == [1, 0, 6]
 
 
 def _pencil_of(m):
@@ -923,4 +949,5 @@ def test_pencil_minor_agrees_with_polynomial_elimination(field):
         a_rows, b_rows = _int_rows(field, *case)
         expected = oracle_pencil_minor(field, a_rows, b_rows)
         assert pencil_minor(field, a_rows, b_rows) == expected
+        assert all(type(x) is int for x in expected[1])
         assert expected[1] and expected[1][-1]
