@@ -9,24 +9,25 @@ linear functionals g.  The quotient dimension is the Schur multiplier
 dimension, and a cover is the central extension built from a complement of
 the coboundaries inside the cocycles.
 
-The rows are read only up to their rank.  Every row lies in the columns
-f(x_m, x_r) and f(x_r, x_m), m in M, the union of the product supports; once
-|M x A u A x M| pivots are found they span every unread row.  Their int
-echelon store R is what a `CocycleSpace` keeps: h2 = n^2 - rank R - dim b2,
-the coboundary audit is R b2^T = 0, and z2 = ker R, n^2 - rank R vectors,
-is never built: `cover` builds only the part outside b2.  The rows
-come brackets of adjacent factors first, as the Leibniz term on the outer pair
-mostly repeats them.  The order cannot change R: reduced, with primitive rows,
-R is unique for its row space, the touchable columns if the bound is reached
-and all rows if not.
+The rows are read only up to their rank.  Each term of a row brackets a
+product, so a row is a functional f -> sum f(u, v) over pairs with u in A^2 or
+v in A^2: the rows lie in A^2 (x) A + A (x) A^2, which has dimension d(2n - d),
+d = dim A^2, in every basis and for any bilinear product.  Once rank R reaches
+d(2n - d), R spans every unread row.  Their int echelon store R is what a
+`CocycleSpace` keeps: h2 = n^2 - rank R - dim b2, the coboundary audit is
+R b2^T = 0, and z2 = ker R, n^2 - rank R vectors, is never built: `cover`
+builds only the part outside b2.  The rows come brackets of adjacent factors
+first, as the Leibniz term on the outer pair mostly repeats them.  The order
+cannot change R: reduced, with primitive rows, R is unique for its row space,
+A^2 (x) A + A (x) A^2 if the bound is reached and that of all rows if not.
 
 The rows are read on any product, and the coboundary audit is the identity
 check: no walk of the identity comes first.  Put f = g o mu, g the k-th
 coordinate functional and mu the product.  The constraint row of a basis
 triple t, applied to f, is coordinate k of the identity's defect at t, and
 the coboundaries are exactly these g o mu.  R spans every constraint row: the
-bounded read stops only at full rank on the touchable columns, which hold
-every row, and otherwise reads every row.  So R b2^T = 0 holds exactly when
+bounded read stops only once R spans A^2 (x) A + A (x) A^2, which holds every
+row, and otherwise reads every row.  So R b2^T = 0 holds exactly when
 the identity does.  A failed audit is told apart by `identity_violation`: a
 violating triple means the input breaks the identity, none means a bug.
 
@@ -117,6 +118,11 @@ def _cocycle_rows(a: Algebra, theory: IdentityKind):
 def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     """Cocycles and coboundaries of the chosen theory, with h2 = z2/b2.
 
+    The rows are read until rank R = d(2n - d), d = dim A^2: each row
+    evaluates f at pairs (u, v) with u or v in A^2, so the rows lie in
+    A^2 (x) A + A (x) A^2, of that dimension in every basis, and a read that
+    reaches it has R spanning every unread row.  Short of it, every row is read.
+
     The coboundaries are audited as R b2^T = 0, that is z2 >= b2, and the
     audit is the identity check (see the module docstring): the constraint row
     of a basis triple, applied to the coboundary g o mu of the k-th coordinate
@@ -125,10 +131,9 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     violating triple raises `IdentityViolated`, naming the least one, and no
     triple raises `InternalCheckFailure`.
     """
-    n, p, nestings = a.dim, a.field.p, len({nesting for _, nesting, _ in IDENTITY_TERMS[theory]})
-    # the columns a row can touch: |M x A u A x M|, M the union of the product supports
-    d = len({m for w in a._table.values() for m in w})
-    last, bound = n * n - 1, d * (nestings * n - (nestings - 1) * d)
+    n, p, d = a.dim, a.field.p, derived_ideal(a).dim
+    # every row lies in A^2 (x) A + A (x) A^2, of dimension d(2n - d) in every basis
+    last, bound = n * n - 1, d * (2 * n - d)
     # R holds column c as last - c, as `kernel_of` reads a store
     r = reduce_ints({}, ({last - c: x for c, x in row.items()} for row in _cocycle_rows(a, theory)), p, bound)
     # row k is the coboundary of the k-th dual functional: f(x_i, x_j) = c[i][j][k]

@@ -234,11 +234,7 @@ def _jordan_sizes(p, p_rows, b_columns, eps, bound: int, exact: bool) -> list[in
         drops.append(drop)
         if drop == bound:
             break
-    drops.append(drops[-1])
-    sizes = []
-    for s in range(1, len(drops) - 1):
-        sizes += [s] * (2 * drops[s] - drops[s - 1] - drops[s + 1])
-    return sizes
+    return _block_sizes(drops)
 
 
 def _chain(p, p_rows, b_columns):
@@ -284,14 +280,23 @@ def _chain_indices(dims, count: int, n: int) -> list[int]:
     There V_s holds only the `count` = n - normal rank odd blocks and grows at
     step s by #{eps >= s - 1}.  eps = 0, a vector with zero row and zero column, is refused.
     """
-    dims = [0, *dims]
-    growth = [b - a for a, b in zip(dims, dims[1:])]
-    eps = [sum(g >= i for g in growth) - 1 for i in range(max(growth, default=0), 0, -1)]
+    eps = [e - 1 for e in _block_sizes([0, *dims])]
     if 0 in eps:
         raise DegenerateVector("the form has a vector with zero row and zero column")
     if len(eps) != count or sum(2 * e + 1 for e in eps) > n:
         raise InternalCheckFailure("odd singular blocks do not fit the form")
     return eps
+
+
+def _block_sizes(dims: list) -> list[int]:
+    """The sizes e, least first, of the blocks that add min(s, e) to dim V_s of a chain, from its dims.
+
+    `dims` is dim V_0 = 0, dim V_1, ...  Step s grows the chain by #{e >= s},
+    so the sizes are the conjugate partition of the growth: the i-th largest
+    block has size #{s : the growth at step s is >= i}.
+    """
+    growth = [b - a for a, b in zip(dims, dims[1:])]
+    return [sum(g >= i for g in growth) for i in range(max(growth, default=0), 0, -1)]
 
 
 def _shifted(row: dict, offset: int, times: int = 1) -> dict:

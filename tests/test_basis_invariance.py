@@ -8,11 +8,12 @@ include shapes with p <= dim.
 """
 
 import random
+from math import gcd
 
 import pytest
 
 from extraspecial import cli
-from extraspecial.algebra import Algebra, IdentityKind, center, derived_ideal, is_extra_special, multiply
+from extraspecial.algebra import Algebra, IdentityKind, center, derived_ideal, is_extra_special
 from extraspecial.catalog import make_from_text
 from extraspecial.cohomology import VALIDATED_LEIBNIZ, is_capable, is_unicentral, multiplier_dim, z_star
 from extraspecial.forms import classify
@@ -56,14 +57,32 @@ def _random_basis(rng: random.Random, field: Field, dim: int) -> Matrix:
 
 
 def _in_basis(a: Algebra, p: Matrix) -> Algebra:
-    """The algebra with basis f_r = sum_i P[r][i] e_i: f_r f_s in f coordinates."""
-    to_new = p.inverse().transpose()  # e-coordinates w -> f-coordinates w P^-1
-    products = {
-        (r, s): to_new.apply(multiply(a, p.rows[r], p.rows[s]))
-        for r in range(a.dim)
-        for s in range(a.dim)
+    """The algebra with basis f_r = sum_i P[r][i] e_i: f_r f_s in f coordinates.
+
+    f_r f_s = sum_ij P[r][i] P[s][j] (e_i e_j) P^-1, summed on ints (the table's
+    ints, P's and those of P^-1) over the product of their denominators, which
+    is then cut to lowest terms: the canonical table that `Algebra` would build.
+    """
+    field, n, q = a.field, a.dim, a.field.p
+    rows, den = field.ints([dict(enumerate(row)) for row in p.rows])
+    inverse, inverse_den = field.ints([dict(enumerate(row)) for row in p.inverse().rows])
+    moved = {  # e_i e_j in f-coordinates
+        ij: [sum(x * inverse[m].get(k, 0) for m, x in w.items()) for k in range(n)]
+        for ij, w in a._table.items()
     }
-    return Algebra(a.field, a.dim, products)
+    table = {}
+    for r in range(n):
+        for s in range(n):
+            out = [0] * n
+            for (i, j), w in moved.items():
+                if c := rows[r].get(i, 0) * rows[s].get(j, 0):
+                    out = [x + c * y for x, y in zip(out, w)]
+            if row := {k: y for k, x in enumerate(out) if (y := x % q if q else x)}:
+                table[r, s] = row
+    scale = a._den * den * den * inverse_den  # 1 over GF(p)
+    g = gcd(scale, *(x for row in table.values() for x in row.values()))
+    table = {rs: {k: x // g for k, x in row.items()} for rs, row in table.items()}
+    return Algebra._canonical(field, n, table, scale // g, [f"e{i + 1}" for i in range(n)])
 
 
 def _invariants(a: Algebra) -> dict:
@@ -123,22 +142,16 @@ def _sweep_rows(max_n: int, field: Field) -> list:
     return rows
 
 
-def _odd_j(rows: list) -> list:
-    """The rows whose parts hold a J block of odd size >= 3."""
-    return [row for row in rows if any(d.kind == "j" and d.n % 2 and d.n > 1 for d in row[2])]
+SWEEP_FIELDS = {"Q": 302, "GF:3": 116, "GF:5": 230, "GF:7": 302}
 
 
-@pytest.mark.parametrize("flag,subset", [("GF:3", None), ("GF:7", 10)], ids=["GF:3", "GF:7"])
-def test_odd_j_sweep_rows_survive_a_dense_basis(flag, subset):
-    # sweep rows, each in a seeded dense basis: every sweep quantity, classify
-    # among them, is the catalog basis's.  GF(3) takes all 116 rows of the
-    # `--max-n 8` sweep; GF(7) the 39 `--max-n 6` rows whose pencils have odd
-    # singular blocks, of which a seeded 10 keep the test short
+@pytest.mark.parametrize("flag", list(SWEEP_FIELDS))
+def test_every_sweep_row_survives_a_dense_basis(flag):
+    # every row of the `--max-n 8` sweep, each in a seeded dense basis: every sweep
+    # quantity, classify among them, is the catalog basis's.  GF(3) and GF(5) keep p <= dim
     field = _field(flag)
-    rows = _sweep_rows(8, field) if flag == "GF:3" else _odd_j(_sweep_rows(6, field))
-    assert len(rows) == {"GF:3": 116, "GF:7": 39}[flag]
-    if subset:
-        rows = random.Random(f"dense rows {flag}").sample(rows, subset)
+    rows = _sweep_rows(8, field)
+    assert len(rows) == SWEEP_FIELDS[flag]
     for name, a, parts in rows:
         moved = _in_basis(a, _random_basis(random.Random(f"dense row {flag} {name}"), field, a.dim))
         assert moved != a

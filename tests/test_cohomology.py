@@ -10,7 +10,6 @@ import pytest
 
 from extraspecial import algebra, cli, cohomology, linalg
 from extraspecial.algebra import (
-    IDENTITY_TERMS,
     Algebra,
     IdentityKind,
     center,
@@ -225,31 +224,36 @@ def _full_incidence_algebra(field, points=4):
     return Algebra(field, len(basis), products)
 
 
-def _touchable_columns(a, kind):
-    """f(x_m, x_r) for an "L" term and f(x_r, x_m) for an "R" term, x_m in a product's support."""
-    n, support = a.dim, {m for _, _, w in a.nonzero_products() for m in w}
-    nestings = {nesting for _, nesting, _ in IDENTITY_TERMS[kind]}
-    return {m * n + r if nesting == "L" else r * n + m for nesting in nestings for m in support for r in range(n)}
+def _bound(a):
+    """d(2n - d), d = dim A^2: the dimension of A^2 (x) A + A (x) A^2."""
+    d = derived_ideal(a).dim
+    return d * (2 * a.dim - d)
 
 
 def _assert_early_stop_reads_the_whole_system(a):
     """The kernel of the bounded R of every theory `a` satisfies is the kernel of
     all its rows; returns, per theory, whether the rows reached their bound."""
     n, reached = a.dim, []
+    # A^2 (x) A + A (x) A^2 as vectors f(x_i, x_j) -> i * n + j, built from A^2's basis
+    tensors = (
+        {m * n + r if left else r * n + m: x for m, x in w.items()}
+        for w in derived_ideal(a)._rows.values() for r in range(n) for left in (True, False)
+    )
+    held = Subspace._span(a.field, n * n, tensors)
+    assert held.dim == _bound(a), a
     for kind in IdentityKind:
         if not check_identity(a, kind):
             continue
-        rows, touchable = list(cohomology._cocycle_rows(a, kind)), _touchable_columns(a, kind)
-        assert all(row.keys() <= touchable for row in rows)
+        rows = list(cohomology._cocycle_rows(a, kind))
+        assert held.contains_subspace(Subspace._span(a.field, n * n, map(dict, rows))), (a, kind)
         full = linalg.kernel_basis(a.field, n * n, rows)
         cs = cocycle_space(a, kind)
         # h2 is read off R, and the kernel of R is the z2 of all the rows
         assert cs.h2_dim == full.dim - cs.b2.dim, (a, kind)
         z2 = _z2(a, cs)
         assert z2 == full and z2.pivots == full.pivots, (a, kind)
-        bound = len(touchable)
-        assert n * n - full.dim <= bound
-        reached.append(n * n - full.dim == bound)
+        assert n * n - full.dim <= _bound(a)
+        reached.append(n * n - full.dim == _bound(a))
     return reached
 
 
@@ -276,10 +280,12 @@ def test_an_early_stop_read_equals_a_full_read(field):
 
 @pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])
 def test_an_early_stop_read_equals_a_full_read_in_a_dense_basis(flag, text):
+    # the bound is d(2n - d) in every basis, so a dense basis stops where the catalog basis does
     field = _field(flag)
     a = make_from_text(text, field)
-    _assert_early_stop_reads_the_whole_system(
+    reached = _assert_early_stop_reads_the_whole_system(
         _in_basis(a, _random_basis(random.Random(f"basis {flag} {text}"), field, a.dim)))
+    assert all(reached) is (text not in ("j:1", "j:2", "h2:-1")), text
 
 
 def _rows_read(a, kind, monkeypatch):
@@ -299,7 +305,7 @@ def _rows_read(a, kind, monkeypatch):
 def test_the_assoc_solve_of_gamma18_reads_at_most_three_times_its_bound_in_rows(field, monkeypatch):
     rows, a = cohomology._cocycle_rows, make_from_text("gamma:18", field)
     cs, read = _rows_read(a, IdentityKind.ASSOCIATIVE, monkeypatch)
-    bound = len(_touchable_columns(a, IdentityKind.ASSOCIATIVE))
+    bound = _bound(a)
     assert bound == 2 * a.dim - 1 == a.dim ** 2 - _z2(a, cs).dim
     assert len(read) <= 3 * bound < len(list(rows(a, IdentityKind.ASSOCIATIVE)))
 
@@ -310,9 +316,21 @@ def test_the_leibniz_solve_of_gamma18_reads_at_most_60_rows(field, monkeypatch):
     # mostly repeat theirs: 56 rows reach the bound of 37, where 73 did in the order of the terms
     a = make_from_text("gamma:18", field)
     cs, read = _rows_read(a, IdentityKind.LEIBNIZ_LEFT, monkeypatch)
-    bound = len(_touchable_columns(a, IdentityKind.LEIBNIZ_LEFT))
-    assert bound == 2 * a.dim - 1 == a.dim ** 2 - _z2(a, cs).dim
+    assert _bound(a) == 2 * a.dim - 1 == a.dim ** 2 - _z2(a, cs).dim
     assert len(read) <= 60
+
+
+@pytest.mark.parametrize("flag", ["Q", "GF:7"])
+@pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
+def test_a_dense_gamma12_solve_reads_at_most_five_rows_past_its_rank(kind, flag, monkeypatch):
+    # the bound d(2n - d) = 25 holds in every basis: in a seeded dense basis, where every
+    # product touches every coordinate, the read still stops once the rank reaches it
+    field = _field(flag)
+    a = make_from_text("gamma:12", field)
+    a = _in_basis(a, _random_basis(random.Random(f"dense row {flag} gamma:12"), field, a.dim))
+    cs, read = _rows_read(a, kind, monkeypatch)
+    assert len(cs.constraints) == _bound(a) == 25
+    assert len(read) <= len(cs.constraints) + 5
 
 
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
@@ -347,18 +365,28 @@ def _oracle_inputs():
     for field in (Q, gf3, gf5):
         for kind in ("class 2", "nilpotent", "idempotent"):
             yield _seeded_associative(rng, field, kind)
+    # dim A^2 = d >= 2 in a dense basis: x1 x2 = z1, x2 x3 = z2, x3 x1 = z1 + z2 reaches the
+    # bound d(2n - d) = 16 in every theory; the covers of J2 and H2(-1), with d = 4, fall short
+    cyclic = {(0, 1): {3: 1}, (1, 2): {4: 1}, (2, 0): {3: 1, 4: 1}}
+    yield _in_basis(Algebra(Q, 5, cyclic), _random_basis(rng, Q, 5))
+    for a in (Algebra(gf3, 5, cyclic), *(cover(make_from_text(text, gf3)).total for text in ("j:2", "h2:-1"))):
+        yield _in_basis(a, _random_basis(rng, gf3, a.dim))
 
 
 def test_multiplier_matches_the_naive_oracle_in_dims_4_to_7():
-    checked = 0
+    checked, reached = 0, set()
     for a in _oracle_inputs():
         if not 4 <= a.dim <= 7:
             continue
         for kind in IdentityKind:
             if check_identity(a, kind):
-                assert multiplier_dim(a, kind) == naive_h2_dim(a, kind), (a, kind)
+                cs = cocycle_space(a, kind)
+                assert cs.h2_dim == naive_h2_dim(a, kind), (a, kind)
                 checked += 1
-    assert checked >= 40
+                if derived_ideal(a).dim >= 2 and len(cs.constraints) == _bound(a):
+                    reached.add(kind)
+    # an early stop with d >= 2 is checked in every theory
+    assert checked >= 40 and reached == set(IdentityKind)
 
 
 # -- multiplier dimensions -------------------------------------------------------
