@@ -171,18 +171,15 @@ def expand_term(inner: dict, term, partners):
 def outer_index(*algebras):
     """Yield each algebra's int product rows and its `expand_term` partners.
 
-    Kept are the rows a walk reads: x_u x_v with u or v in some product's
-    support, or whose own support meets a product's factor.  The tables are
-    read over one denominator D, the lcm of theirs, so each defect is D^2
-    times the true one; over GF(p) D = 1 and the entries are residues.
+    Every product is kept: `expand_term` visits only the partners of an
+    inner product's coordinate, so a row no walk reads yields no triple.  The
+    tables are read over one denominator D, the lcm of theirs, so each defect
+    is D^2 times the true one; over GF(p) D = 1 and the entries are residues.
     """
     den = lcm(*(a._den for a in algebras))
-    support = set().union(*(row for a in algebras for row in a._table.values()))
-    factors = {i for a in algebras for ij in a._table for i in ij}
     for a in algebras:
         scale = den // a._den
-        rows = {ij: row if scale == 1 else {t: y * scale for t, y in row.items()}
-                for ij, row in a._table.items() if support & {*ij} or factors & row.keys()}
+        rows = {ij: row if scale == 1 else {t: y * scale for t, y in row.items()} for ij, row in a._table.items()}
         partners = {}
         for i, j in rows:
             partners.setdefault(("L", i), []).append(j)  # x_m x_r != 0 for m = i, r = j
@@ -240,16 +237,21 @@ def center(a: Algebra) -> Subspace:
     """Two-sided annihilator {v : v x_i = 0 and x_i v = 0 for all i}.
 
     Solved once per object, as one kernel computation whose constraint rows
-    come straight from the nonzero structure constants.
+    come straight from the nonzero structure constants, read only at the
+    pivots of A^2's reduced echelon basis: for each j, sum_i v_i x_i x_j lies
+    in A^2, and a vector w of A^2 is zero exactly when it is zero at those
+    pivots, as w = sum_p (w[p] / lead_p) row_p.  So at most 2n d rows,
+    d = dim A^2, in any basis.
     """
     if "center" not in a._memo:
         rows: dict[tuple, dict] = {}
+        pivots = derived_ideal(a)._rows
         for (i, j), row in a._table.items():
-            for k, x in row.items():
+            for k in pivots.keys() & row.keys():
                 # v . x_j = 0, coordinate k: sum_i v_i c[i][j][k]
-                rows.setdefault(("L", j, k), {})[i] = x
+                rows.setdefault(("L", j, k), {})[i] = row[k]
                 # x_i . v = 0, coordinate k: sum_j v_j c[i][j][k]
-                rows.setdefault(("R", i, k), {})[j] = x
+                rows.setdefault(("R", i, k), {})[j] = row[k]
         a._memo["center"] = kernel_basis(a.field, a.dim, rows.values())
     return a._memo["center"]
 

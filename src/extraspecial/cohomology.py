@@ -14,22 +14,28 @@ product, so a row is a functional f -> sum f(u, v) over pairs with u in A^2 or
 v in A^2: the rows lie in A^2 (x) A + A (x) A^2, which has dimension d(2n - d),
 d = dim A^2, in every basis and for any bilinear product.  Once rank R reaches
 d(2n - d), R spans every unread row.  Their int echelon store R is what a
-`CocycleSpace` keeps: h2 = n^2 - rank R - dim b2, the coboundary audit is
+`CocycleSpace` keeps: h2 = n^2 - rank R - d, the coboundary audit is
 R b2^T = 0, and z2 = ker R, n^2 - rank R vectors, is never built: `cover`
 builds only the part outside b2.  The rows come brackets of adjacent factors
 first, as the Leibniz term on the outer pair mostly repeats them.  The order
 cannot change R: reduced, with primitive rows, R is unique for its row space,
 A^2 (x) A + A (x) A^2 if the bound is reached and that of all rows if not.
 
+b2 is spanned by d rows: the coboundaries g o mu, mu the product, of the
+coordinate functionals g at the pivots of A^2's reduced echelon basis.  g o mu
+reads g only on A^2, where those d functionals restrict to a basis of (A^2)*,
+so their coboundaries are independent and span b2.
+
 The rows are read on any product, and the coboundary audit is the identity
 check: no walk of the identity comes first.  Put f = g o mu, g the k-th
-coordinate functional and mu the product.  The constraint row of a basis
-triple t, applied to f, is coordinate k of the identity's defect at t, and
-the coboundaries are exactly these g o mu.  R spans every constraint row: the
-bounded read stops only once R spans A^2 (x) A + A (x) A^2, which holds every
-row, and otherwise reads every row.  So R b2^T = 0 holds exactly when
-the identity does.  A failed audit is told apart by `identity_violation`: a
-violating triple means the input breaks the identity, none means a bug.
+coordinate functional.  The constraint row of a basis triple t, applied to f,
+is coordinate k of the identity's defect at t.  The defect lies in A^2, so it
+is zero exactly when its coordinates at A^2's pivots are, and the g o mu at
+those pivots span b2.  R spans every constraint row: the bounded read stops
+only once R spans A^2 (x) A + A (x) A^2, which holds every row, and otherwise
+reads every row.  So R b2^T = 0 holds exactly when the identity does.  A
+failed audit is told apart by `identity_violation`: a violating triple means
+the input breaks the identity, none means a bug.
 
 Z* (Beyl, Felgner & Schmid, J. Algebra 1979), the cover's center projected
 to A, needs no cover: the cover's product is A's product plus the complement
@@ -67,7 +73,8 @@ VALIDATED_LEIBNIZ = IdentityKind.LEIBNIZ_LEFT
 
 class CocycleSpace(namedtuple("CocycleSpace", "constraints b2 h2_dim")):
     """R (`constraints`), the int echelon store of the constraint rows, column c held as n^2 - 1 - c;
-    the coboundaries b2 (a `Subspace`); h2 = n^2 - rank R - dim b2.  z2 = ker R is never built."""
+    the coboundaries b2 (a `Subspace` spanned by the d = dim A^2 coboundaries of the coordinate
+    functionals at A^2's pivots); h2 = n^2 - rank R - d.  z2 = ker R is never built."""
 
     __slots__ = ()
 
@@ -123,32 +130,30 @@ def cocycle_space(a: Algebra, theory: IdentityKind) -> CocycleSpace:
     A^2 (x) A + A (x) A^2, of that dimension in every basis, and a read that
     reaches it has R spanning every unread row.  Short of it, every row is read.
 
-    The coboundaries are audited as R b2^T = 0, that is z2 >= b2, and the
-    audit is the identity check (see the module docstring): the constraint row
-    of a basis triple, applied to the coboundary g o mu of the k-th coordinate
-    g, is coordinate k of the identity's defect there, and R spans every row.
-    When the audit fails, `identity_violation` tells the two causes apart: a
-    violating triple raises `IdentityViolated`, naming the least one, and no
-    triple raises `InternalCheckFailure`.
+    b2 is spanned by the d coboundaries g o mu of the coordinate functionals g
+    at A^2's pivots, so h2 = n^2 - rank R - d.  The coboundaries are audited as
+    R b2^T = 0 on b2's d echelon rows, that is z2 >= b2, and the audit is the
+    identity check (see the module docstring): the constraint row of a basis
+    triple, applied to the coboundary g o mu of the k-th coordinate g, is
+    coordinate k of the identity's defect there, which lies in A^2, and R spans
+    every row.  When the audit fails, `identity_violation` tells the two causes
+    apart: a violating triple raises `IdentityViolated`, naming the least one,
+    and no triple raises `InternalCheckFailure`.
     """
-    n, p, d = a.dim, a.field.p, derived_ideal(a).dim
-    # every row lies in A^2 (x) A + A (x) A^2, of dimension d(2n - d) in every basis
-    last, bound = n * n - 1, d * (2 * n - d)
-    # R holds column c as last - c, as `kernel_of` reads a store
-    r = reduce_ints({}, ({last - c: x for c, x in row.items()} for row in _cocycle_rows(a, theory)), p, bound)
-    # row k is the coboundary of the k-th dual functional: f(x_i, x_j) = c[i][j][k]
-    coboundary_rows = {}
-    for (i, j), w in a._table.items():
-        for k, x in w.items():
-            coboundary_rows.setdefault(k, {})[i * n + j] = x
-    for g in coboundary_rows.values():  # R b2^T = 0, on the rows that span b2
+    n, p, pivots = a.dim, a.field.p, derived_ideal(a)._rows
+    last, d = n * n - 1, len(pivots)
+    # R holds column c as last - c, as `kernel_of` reads a store; every row lies in
+    # A^2 (x) A + A (x) A^2, of dimension d(2n - d) in every basis
+    r = reduce_ints({}, ({last - c: x for c, x in row.items()} for row in _cocycle_rows(a, theory)), p, d * (2 * n - d))
+    # b2 is spanned by the coboundaries f(x_i, x_j) = c[i][j][k] of the coordinate functionals at A^2's pivots
+    b2 = Subspace._span(a.field, n * n, ({i * n + j: w[k] for (i, j), w in a._table.items() if k in w} for k in pivots))
+    for g in b2._rows.values():  # R b2^T = 0, on b2's echelon rows
         dots = (sum(x * g.get(last - c, 0) for c, x in row.items()) for row in r.values())
         if any(dot % p if p else dot for dot in dots):
             if (triple := identity_violation(a, theory)) is None:
                 raise InternalCheckFailure("a coboundary failed the cocycle condition")
             raise IdentityViolated(f"algebra does not satisfy {theory.value} at {triple}")
-    b2 = Subspace._span(a.field, n * n, coboundary_rows.values())
-    return CocycleSpace(r, b2, n * n - len(r) - b2.dim)
+    return CocycleSpace(r, b2, n * n - len(r) - d)
 
 
 def associative_cocycle_space(a: Algebra) -> CocycleSpace:

@@ -26,7 +26,9 @@ from extraspecial.errors import DimensionMismatch, FieldMismatch
 from extraspecial.linalg import Matrix, Subspace
 from extraspecial.scalars import Field, Fp
 from memo_misses import counting_memo
+from oracle_center import naive_center
 from oracle_identity import naive_diassociativity_violation, naive_identity_violation
+from test_basis_invariance import _in_basis, _random_basis
 
 Q = Field.rationals()
 
@@ -405,6 +407,35 @@ def test_center_of_j1_cover_excludes_z():
     assert c.dim == 1
     assert c.contains([0, 0, 1])
     assert not c.contains([0, 1, 0])
+
+
+def _class_two(rng, field):
+    """V + W + F with a random product V x V -> W and every other product zero: the center holds
+    W and the last coordinate, which no product reaches, so it is larger than A^2."""
+    v, w = rng.randint(2, 3), rng.randint(2, 3)
+    products = {(i, jj): {v + k: rng.randint(-2, 2) for k in range(w)} for i in range(v) for jj in range(v)}
+    return Algebra(field, v + w + 1, products)
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3), Field.gf(7)], ids=str)
+def test_center_matches_the_dense_oracle(field):
+    # `center` reads only the coordinates at A^2's pivots; the oracle reads all of them.
+    # Random tables (mostly not associative, often with d = dim A^2 >= 2 and a center other
+    # than 0 or A^2), class-2 algebras, catalog algebras and a cover total (d = 4), each also
+    # in a seeded dense basis, where the products touch nearly every coordinate
+    rng = random.Random(f"center oracle {field}")
+    inputs = [Algebra(field, dim, _random_products(rng, dim, rng.randint(1, 2 * dim)))
+              for dim in (2, 3, 4, 5, 6) for _ in range(6)]
+    inputs += [_class_two(rng, field) for _ in range(4)]
+    inputs += [make_from_text(text, field) for text in ("j:1+j:1", "gamma:3", "j:2+h2:-1")]
+    inputs += [cover(make_from_text("j:2", field)).total, Algebra.zero(field, 3)]
+    inputs += [_in_basis(a, _random_basis(rng, field, a.dim)) for a in inputs if a.dim > 1]
+    shapes = set()
+    for a in inputs:
+        z, d = center(a), derived_ideal(a)
+        assert z == naive_center(a), a
+        shapes.add((d.dim >= 2, check_identity(a, IdentityKind.ASSOCIATIVE), 0 < z.dim and z != d))
+    assert {(True, False, True), (True, False, False), (True, True, True), (False, True, False)} <= shapes
 
 
 # -- extra special -----------------------------------------------------------------

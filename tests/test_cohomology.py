@@ -232,7 +232,8 @@ def _bound(a):
 
 def _assert_early_stop_reads_the_whole_system(a):
     """The kernel of the bounded R of every theory `a` satisfies is the kernel of
-    all its rows; returns, per theory, whether the rows reached their bound."""
+    all its rows, and Z* = A^2 where the associative rows reach their bound;
+    returns, per theory, whether the rows reached their bound."""
     n, reached = a.dim, []
     # A^2 (x) A + A (x) A^2 as vectors f(x_i, x_j) -> i * n + j, built from A^2's basis
     tensors = (
@@ -254,6 +255,9 @@ def _assert_early_stop_reads_the_whole_system(a):
         assert z2 == full and z2.pivots == full.pivots, (a, kind)
         assert n * n - full.dim <= _bound(a)
         reached.append(n * n - full.dim == _bound(a))
+        if kind is IdentityKind.ASSOCIATIVE and reached[-1]:
+            # R spans A^2 (x) A + A (x) A^2, so z2 is its annihilator and Z* = A^2
+            assert z_star(a) == derived_ideal(a), a
     return reached
 
 
@@ -333,6 +337,43 @@ def test_a_dense_gamma12_solve_reads_at_most_five_rows_past_its_rank(kind, flag,
     assert len(read) <= len(cs.constraints) + 5
 
 
+#: x1 x2 = z1, x2 x3 = z2, x3 x1 = z1 + z2: dim 5, d = dim A^2 = 2
+CYCLIC = {(0, 1): {3: 1}, (1, 2): {4: 1}, (2, 0): {3: 1, 4: 1}}
+
+
+@pytest.mark.parametrize("flag,text", [("Q", "gamma:12"), ("GF:7", "gamma:12"), ("Q", "cyclic"), ("GF:3", "cyclic")])
+def test_the_center_and_b2_read_only_the_pivots_of_a2_in_a_dense_basis(flag, text, monkeypatch):
+    # in a seeded dense basis the products touch n or n - 1 coordinates, but the center's
+    # kernel gets at most 2n d rows and b2 is spanned from exactly d rows, d = dim A^2:
+    # the coordinates at A^2's pivots (a read of every coordinate gives dense gamma:12 338 over Q)
+    field = _field(flag)
+    a = make_from_text(text, field) if text != "cyclic" else Algebra(field, 5, CYCLIC)
+    a = _in_basis(a, _random_basis(random.Random(f"dense row {flag} {text}"), field, a.dim))
+    n, d, kernel, span = a.dim, derived_ideal(a).dim, algebra.kernel_basis, Subspace._span.__func__
+    assert len(set().union(*a._table.values())) >= n - 1  # the coordinates the products touch
+    center_rows, b2_rows = [], []
+
+    def counted_kernel(field, ncols, rows):
+        rows = list(rows)
+        center_rows.append(len(rows))
+        return kernel(field, ncols, rows)
+
+    def counted_span(cls, field, ambient_dim, rows):
+        rows = list(rows)
+        if ambient_dim == n * n:
+            b2_rows.append(len(rows))
+        return span(cls, field, ambient_dim, rows)
+
+    monkeypatch.setattr(algebra, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(Subspace, "_span", classmethod(counted_span))
+    assert center(a).dim == (1 if text == "gamma:12" else 2)
+    assert center_rows and center_rows[0] <= 2 * n * d
+    for kind in IdentityKind:
+        cs = cocycle_space(a, kind)
+        assert cs.b2.dim == d and cs.h2_dim == n * n - len(cs.constraints) - d
+    assert b2_rows == [d] * len(IdentityKind)
+
+
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
 def test_the_walk_yields_one_row_per_triple_that_a_bracket_touches(kind):
     # brute force over all n^3 triples: a triple has a row iff one of its term's brackets
@@ -365,11 +406,10 @@ def _oracle_inputs():
     for field in (Q, gf3, gf5):
         for kind in ("class 2", "nilpotent", "idempotent"):
             yield _seeded_associative(rng, field, kind)
-    # dim A^2 = d >= 2 in a dense basis: x1 x2 = z1, x2 x3 = z2, x3 x1 = z1 + z2 reaches the
-    # bound d(2n - d) = 16 in every theory; the covers of J2 and H2(-1), with d = 4, fall short
-    cyclic = {(0, 1): {3: 1}, (1, 2): {4: 1}, (2, 0): {3: 1, 4: 1}}
-    yield _in_basis(Algebra(Q, 5, cyclic), _random_basis(rng, Q, 5))
-    for a in (Algebra(gf3, 5, cyclic), *(cover(make_from_text(text, gf3)).total for text in ("j:2", "h2:-1"))):
+    # dim A^2 = d >= 2 in a dense basis: CYCLIC reaches the bound d(2n - d) = 16 in every
+    # theory; the covers of J2 and H2(-1), with d = 4, fall short
+    yield _in_basis(Algebra(Q, 5, CYCLIC), _random_basis(rng, Q, 5))
+    for a in (Algebra(gf3, 5, CYCLIC), *(cover(make_from_text(text, gf3)).total for text in ("j:2", "h2:-1"))):
         yield _in_basis(a, _random_basis(rng, gf3, a.dim))
 
 
