@@ -48,6 +48,15 @@ Z* is one kernel in dim A unknowns whose rows are the remainders of
 f -> f(u, x_j) and f -> f(x_j, u) for each j, and z2 is never built.  A
 column that no row of R touches is its own remainder: it forces its u_i = 0.
 
+A read that reaches its bound needs no remainder: Z* = A^2.  R then spans
+A^2 (x) A + A (x) A^2, so z2 = ker R is exactly the forms that vanish
+whenever either argument lies in A^2, the forms pulled back from
+A/A^2 x A/A^2.  Each vanishes on A^2, so A^2 lies in Z*.  For u outside A^2
+take phi = 0 on A^2 with phi(u) = 1: f(x, y) = phi(x) phi(y) is in z2 and
+f(u, u) = 1, so u is not in Z*.  (If A = A^2, z2 = 0 and Z* = A = A^2; if
+d = 0, the bound is 0 and Z* = 0 = A^2.)  Z* lies in the center in theory;
+both routes audit it.
+
 Two Leibniz orientations are implemented.  The orientation whose multiplier
 dimensions match the published low-dimensional Leibniz values is
 LEIBNIZ_LEFT (x(yz) = (xy)z - (xz)y); the test suite re-derives that choice
@@ -212,15 +221,32 @@ def z_star(a: Algebra) -> Subspace:
     This is the intersection of the central images over all central
     extensions, read from the associative cocycle space by reduction modulo
     its constraint rows (see the module docstring): neither the cover nor
-    z2 nor a free presentation is built.
+    z2 nor a free presentation is built.  When the associative read reaches
+    its bound d(2n - d), d = dim A^2, z2 is the forms pulled back from
+    A/A^2 x A/A^2 and Z* = A^2, with no reduction.
     """
     return cocycle_z_star(a, associative_cocycle_space(a))
 
 
 def cocycle_z_star(a: Algebra, cs: CocycleSpace) -> Subspace:
     """Z* of `a` read from its associative cocycle space `cs`, as `z_star` does: the u for which,
-    for every j, f -> f(u, x_j) and f -> f(x_j, u) reduce to 0 modulo R."""
-    n, p, r = a.dim, a.field.p, cs.constraints
+    for every j, f -> f(u, x_j) and f -> f(x_j, u) reduce to 0 modulo R.
+
+    A read that reaches its bound, rank R = d(2n - d), d = dim A^2, gives Z* = A^2 with no
+    reduction: R spans A^2 (x) A + A (x) A^2, so every f in z2 vanishes when either argument is
+    in A^2, and for u outside A^2, f = phi (x) phi with phi = 0 on A^2 and phi(u) = 1 has
+    f(u, u) = 1.  A read short of it takes the remainders.  Either way Z* is audited to lie in
+    the center, a theorem, so a failure means the read is wrong."""
+    a2 = derived_ideal(a)
+    zs = a2 if len(cs.constraints) == a2.dim * (2 * a.dim - a2.dim) else _reduced_z_star(a, cs.constraints)
+    if not center(a).contains_subspace(zs):
+        raise InternalCheckFailure("Z* escaped the center; cocycle reduction bug")
+    return zs
+
+
+def _reduced_z_star(a: Algebra, r: dict) -> Subspace:
+    """Z* as the kernel of the remainders modulo R of f -> f(u, x_j) and f -> f(x_j, u), each j."""
+    n, p = a.dim, a.field.p
     last = n * n - 1  # f(x_i, x_j) is column last - i * n - j of R
     touched = {last - c for row in r.values() for c in row}
     # an untouched column i * n + j is its own remainder, so it forces u_i = 0 and u_j = 0
@@ -235,10 +261,7 @@ def cocycle_z_star(a: Algebra, cs: CocycleSpace) -> Subspace:
                 for f, x in _clear_pivots(r, {c: 1}, p).items():
                     remainder.setdefault(f, {})[i] = x * (scale // leads[i])
             rows += remainder.values()
-    zs = kernel_basis(a.field, n, rows)
-    if not center(a).contains_subspace(zs):
-        raise InternalCheckFailure("Z* escaped the center; cocycle reduction bug")
-    return zs
+    return kernel_basis(a.field, n, rows)
 
 
 def is_capable(a: Algebra) -> bool:

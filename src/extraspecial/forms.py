@@ -279,8 +279,16 @@ def _chain_indices(dims, count: int, n: int) -> list[int]:
 
     There V_s holds only the `count` = n - normal rank odd blocks and grows at
     step s by #{eps >= s - 1}.  eps = 0, a vector with zero row and zero column, is refused.
+    As dim V_s = sum of min(s, eps + 1), the blocks hold sum(2 eps + 1) >= 2 dim V_s - count,
+    so once 2 dim V_s - count + 2 > n one more step of growth would overfill the form: the
+    walk stops there, and the chain's next reduction never runs.
     """
-    eps = [e - 1 for e in _block_sizes([0, *dims])]
+    seen = [0]
+    for dim in dims:
+        seen.append(dim)
+        if 2 * dim - count + 2 > n:
+            break
+    eps = [e - 1 for e in _block_sizes(seen)]
     if 0 in eps:
         raise DegenerateVector("the form has a vector with zero row and zero column")
     if len(eps) != count or sum(2 * e + 1 for e in eps) > n:

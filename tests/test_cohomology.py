@@ -675,12 +675,40 @@ def test_z_star_by_reduction_equals_the_annihilator_of_z2_and_the_cover_route(fi
     inputs += [_in_basis(a, _random_basis(rng, field, a.dim)) for a in inputs[2:7]]
     inputs += [_seeded_associative(rng, field, kind) for kind in ("class 2", "nilpotent", "idempotent") * 2]
     inputs += [_full_incidence_algebra(field), Algebra.zero(field, 3)]
-    shapes = set()
+    shapes, reached = set(), set()
     for a in inputs:
         zs = _assert_cover_route_agrees(a)
         assert zs == _annihilator_of_z2(a), a
         shapes.add((zs.dim > 0, zs == center(a)))
+        reached.add(len(cocycle_space(a, IdentityKind.ASSOCIATIVE).constraints) == _bound(a))
     assert shapes >= {(False, False), (False, True), (True, True)}
+    # Z* = A^2 with no reduction at the bound, by remainders short of it: both routes are checked
+    assert reached == {False, True}
+
+
+def _no_remainder(*args):
+    raise AssertionError("a remainder was reduced")
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(3)], ids=str)
+def test_z_star_is_a2_with_no_remainder_once_the_read_reaches_its_bound(field, monkeypatch):
+    dense = make_from_text("gamma:12", Q)
+    dense = _in_basis(dense, _random_basis(random.Random("dense row Q gamma:12"), Q, dense.dim))
+    inputs = [make_from_text(text, field) for text in ("gamma:4", "j:3+gamma:2")] + [dense, Algebra.zero(Q, 3)]
+    monkeypatch.setattr(cohomology, "_clear_pivots", _no_remainder)
+    for a in inputs:
+        assert len(cocycle_space(a, IdentityKind.ASSOCIATIVE).constraints) == _bound(a), a
+        assert z_star(a) == derived_ideal(a), a
+
+
+def test_a_read_short_of_its_bound_takes_the_remainders(monkeypatch):
+    # j:1 reads rank 2 < d(2n - d) = 3: Z* = 0 though A^2 = span(z), by reduction
+    a = j(1)
+    assert len(cocycle_space(a, IdentityKind.ASSOCIATIVE).constraints) == 2 < _bound(a) == 3
+    assert z_star(a).dim == 0 < derived_ideal(a).dim
+    monkeypatch.setattr(cohomology, "_clear_pivots", _no_remainder)
+    with pytest.raises(AssertionError, match="remainder"):
+        z_star(a)
 
 
 def test_each_audit_can_fail(monkeypatch):
@@ -690,10 +718,16 @@ def test_each_audit_can_fail(monkeypatch):
     with pytest.raises(InternalCheckFailure, match="coboundary"):
         cocycle_space(a, IdentityKind.ASSOCIATIVE)
     monkeypatch.undo()
-    # a Z* that is not inside the center trips the Z* audit, which solves all n unknowns
+    # a Z* that is not inside the center trips the Z* audit on either route: on a read short
+    # of its bound (j:1), the remainders' kernel solves all n unknowns
     monkeypatch.setattr(cohomology, "kernel_basis", lambda field, n, rows: Subspace(field, n, [[1] * n]))
     with pytest.raises(InternalCheckFailure, match="center"):
-        z_star(a)
+        z_star(j(1))
+    monkeypatch.undo()
+    # at the bound (gamma:3), Z* = A^2 meets the audit against a center with nothing in it
+    monkeypatch.setattr(cohomology, "center", lambda a: Subspace(a.field, a.dim, []))
+    with pytest.raises(InternalCheckFailure, match="Z\\* escaped the center"):
+        z_star(gamma(3))
 
 
 @pytest.mark.parametrize("flag,text", CASES, ids=[f"{f} {t}" for f, t in CASES])

@@ -696,6 +696,24 @@ def test_chain_indices_agree_with_dense_nullities(field, shape, monkeypatch):
         assert [s for s in sizes if s % 2] == [2 * e + 1 for e in expected]
 
 
+@pytest.mark.parametrize("field", [Q, GF3], ids=str)
+@pytest.mark.parametrize("shape,calls", [("j:3", 2), ("j:5", 3), ("j:3+j:3", 2), ("j:3+gamma:2", 4)])
+def test_the_chain_walk_stops_once_the_odd_blocks_fill_the_form(field, shape, calls, monkeypatch):
+    # the odd blocks of j:3, j:5 and j:3+j:3 fill the form, so the walk stops before the
+    # chain's last reduction (one more call each if it walked on); j:3+gamma:2 keeps room
+    # for the Gamma block, and its walk ends where the chain stops growing
+    reduce, counted = forms.reduce_ints, []
+
+    def recording(*args):
+        counted.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(forms, "reduce_ints", recording)
+    a = make_from_text(shape, field)
+    assert classify(a).text() == shape
+    assert len(counted) == calls
+
+
 def test_small_field_route_ranks_the_block_bidiagonal_matrices(monkeypatch):
     # over GF(3) every residue is a root of the minor of j:3+j:2+j:1+gamma:2, in
     # the catalog basis and scrambled, so no t0 is free of eigenvalues and eps
